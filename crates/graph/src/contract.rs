@@ -1,20 +1,15 @@
-//! Sort-based CSR contraction kernel.
+//! Sort-based CSR contraction kernel: the workspace's only code that
+//! contracts a graph along a vertex map. The communication graph
+//! (`tie-mapping`), the partitioner's coarse levels (`tie-partition`) and
+//! TIMER's label-prefix hierarchy (`tie-timer`) all call [`contract_into`].
 //!
-//! Contracting a graph along a vertex-merge map used to go through
-//! [`crate::GraphBuilder`]: every surviving edge was pushed into a
-//! `HashMap<(NodeId, NodeId), Weight>` coalescer, the map was drained into a
-//! sorted vector, and every adjacency list was sorted once more. That is the
-//! right tool for incremental construction from unknown input, but inside a
-//! coarsening loop — where the kernel runs once per level per hierarchy
-//! round — the hashing, rehashing and per-build allocations dominate the
-//! profile. [`contract_into`] replaces the whole path with counting sorts:
-//! the fine vertices are counting-sorted by coarse id (an O(n) pass), and
+//! The fine vertices are counting-sorted by coarse id (an O(n) pass), and
 //! the arc list is then emitted head-major in that order, so every tail
 //! bucket receives its heads already sorted and a single run-scan coalesces
-//! parallel coarse arcs — no comparison sort touches the arcs at all. All
-//! intermediate state lives in buffers owned by a reusable
-//! [`ContractScratch`]; the only allocations per call are the exact-size
-//! output arrays of the coarse [`Graph`] itself.
+//! parallel coarse arcs — no hash map and no comparison sort touch the
+//! arcs. All intermediate state lives in a reusable [`ContractScratch`]; the
+//! only allocations per call are the exact-size output arrays of the coarse
+//! [`Graph`] itself.
 //!
 //! The kernel is pinned to produce **byte-identical** output to the
 //! `GraphBuilder` path: same vertex order, same sorted adjacency lists, same
@@ -57,7 +52,9 @@ pub struct ContractScratch {
 ///
 /// The kernel leans on [`Graph`]'s undirectedness invariant (every arc has
 /// a mirror arc of equal weight, see [`Graph::is_symmetric`]): it reads the
-/// weight of `u -> v` from `v`'s adjacency row.
+/// weight of `u -> v` from `v`'s adjacency row. Every `Graph` meets it by
+/// construction — [`crate::GraphBuilder::build`] and this kernel are the
+/// only constructors — so it is only re-checked in debug builds.
 ///
 /// # Panics
 /// Panics if `fine_to_coarse` is shorter than the vertex count of `fine` or
@@ -228,21 +225,33 @@ mod tests {
         assert_eq!(coarse.total_vertex_weight(), g.total_vertex_weight());
         assert!(coarse.is_symmetric());
         assert_eq!(coarse, contract_reference(&g, &f2c, 4));
+
+        // Singleton blocks reproduce the graph itself.
+        let identity: Vec<NodeId> = (0..8).collect();
+        assert_eq!(contract(&g, &identity, 8), g);
+        // A single block collapses even a complete graph to one isolated
+        // vertex carrying the total weight.
+        let k5 = generators::complete_graph(5);
+        let single = contract(&k5, &[0; 5], 1);
+        assert_eq!(single.num_edges(), 0);
+        assert_eq!(single.vertex_weights(), &[5]);
     }
 
     #[test]
     fn parallel_coarse_arcs_are_coalesced_with_summed_weights() {
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 2, 2);
-        b.add_edge(0, 3, 3);
-        b.add_edge(1, 2, 5);
-        b.add_edge(0, 1, 7); // intra-group: must vanish
-        let g = b.build();
-        let f2c: Vec<NodeId> = vec![0, 0, 1, 1];
-        let coarse = contract(&g, &f2c, 2);
-        assert_eq!(coarse.num_edges(), 1);
-        assert_eq!(coarse.edge_weight(0, 1), Some(2 + 3 + 5));
-        assert_eq!(coarse, contract_reference(&g, &f2c, 2));
+        for (w02, w03, w12) in [(2, 3, 5), (3, 4, 5)] {
+            let mut b = GraphBuilder::new(4);
+            b.add_edge(0, 2, w02);
+            b.add_edge(0, 3, w03);
+            b.add_edge(1, 2, w12);
+            b.add_edge(0, 1, 7); // intra-group: must vanish
+            let g = b.build();
+            let f2c: Vec<NodeId> = vec![0, 0, 1, 1];
+            let coarse = contract(&g, &f2c, 2);
+            assert_eq!(coarse.num_edges(), 1);
+            assert_eq!(coarse.edge_weight(0, 1), Some(w02 + w03 + w12));
+            assert_eq!(coarse, contract_reference(&g, &f2c, 2));
+        }
     }
 
     #[test]

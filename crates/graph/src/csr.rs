@@ -17,8 +17,9 @@ pub type Weight = u64;
 /// An undirected, weighted graph in CSR form.
 ///
 /// Construction goes through [`crate::GraphBuilder`] (incremental, with
-/// deduplication) or [`Graph::from_adjacency`] (when the adjacency structure
-/// is already known to be consistent).
+/// deduplication) or the contraction kernel [`crate::contract_into`]. The
+/// raw-array constructor behind both is crate-private, so every `Graph` is
+/// symmetric (mirrored arcs of equal weight), as the kernel requires.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     /// Offsets into `adjncy`/`adjwgt`; length `n + 1`.
@@ -32,12 +33,13 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Builds a graph directly from CSR arrays.
+    /// Builds a graph directly from CSR arrays. Callers must pass symmetric
+    /// arrays; only structural consistency is checked here.
     ///
     /// # Panics
     /// Panics if the arrays are structurally inconsistent (offsets not
     /// monotone, lengths mismatching, neighbour ids out of range).
-    pub fn from_adjacency(
+    pub(crate) fn from_adjacency(
         xadj: Vec<usize>,
         adjncy: Vec<NodeId>,
         adjwgt: Vec<Weight>,

@@ -14,9 +14,10 @@
 //!   Barabási–Albert, Watts–Strogatz, R-MAT, grids, trees, …) used to stand in
 //!   for the paper's complex-network benchmark set,
 //! * [`traversal`] — BFS distances, connected components,
-//! * [`quotient`] — block contraction (communication-graph construction),
 //! * [`contract`] — the allocation-free, sort-based CSR contraction kernel
-//!   used by the coarsening loops (`contract_into` + `ContractScratch`),
+//!   (`contract_into` + `ContractScratch`), the one code path that contracts
+//!   a graph along a vertex map: the communication graph, the partitioner's
+//!   coarse levels and TIMER's label-prefix hierarchy all go through it,
 //! * [`bucket_queue`] — the gain bucket priority queue used by the
 //!   Fiduccia–Mattheyses refinement in `tie-partition`,
 //! * [`union_find`] — a disjoint-set forest,
@@ -33,7 +34,6 @@ pub mod contract;
 pub mod csr;
 pub mod generators;
 pub mod io;
-pub mod quotient;
 pub mod stats;
 pub mod subgraph;
 pub mod traversal;
@@ -42,7 +42,6 @@ pub mod union_find;
 pub use builder::GraphBuilder;
 pub use contract::{contract_into, ContractScratch};
 pub use csr::{Graph, NodeId, Weight};
-pub use quotient::{quotient_graph, QuotientGraph};
 pub use subgraph::{induced_subgraph, Subgraph};
 pub use traversal::{bfs_distances, connected_components, is_connected};
 pub use union_find::UnionFind;

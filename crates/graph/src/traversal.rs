@@ -119,28 +119,16 @@ pub fn largest_connected_component(graph: &Graph) -> (Graph, Vec<Option<NodeId>>
         .max_by_key(|&(_, &s)| s)
         .map(|(i, _)| i as u32)
         .unwrap_or(0);
+    let members: Vec<NodeId> = graph
+        .vertices()
+        .filter(|&v| comp[v as usize] == largest)
+        .collect();
+    let sub = crate::induced_subgraph(graph, &members);
     let mut remap = vec![None; n];
-    let mut next = 0 as NodeId;
-    for v in 0..n {
-        if comp[v] == largest {
-            remap[v] = Some(next);
-            next += 1;
-        }
+    for (child, &parent) in sub.to_parent.iter().enumerate() {
+        remap[parent as usize] = Some(child as NodeId);
     }
-    let mut builder = crate::GraphBuilder::new(next as usize);
-    for u in graph.vertices() {
-        if let Some(nu) = remap[u as usize] {
-            builder.set_vertex_weight(nu, graph.vertex_weight(u));
-            for (v, w) in graph.edges_of(u) {
-                if u < v {
-                    if let Some(nv) = remap[v as usize] {
-                        builder.add_edge(nu, nv, w);
-                    }
-                }
-            }
-        }
-    }
-    (builder.build(), remap)
+    (sub.graph, remap)
 }
 
 /// Returns a BFS ordering of the vertices starting from `source`; vertices in

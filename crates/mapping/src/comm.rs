@@ -6,31 +6,23 @@
 //! baselines operate on `Gc` (one vertex per block) and then compose with the
 //! partition to obtain a mapping of `Va`.
 
-use tie_graph::{quotient_graph, Graph};
+use tie_graph::contract::contract;
+use tie_graph::Graph;
 use tie_partition::Partition;
 
-/// Builds the communication graph of `graph` under `partition`. Vertex `b`
-/// of the result corresponds to block `b`; its vertex weight is the total
-/// vertex weight of the block. Blocks that are empty still appear as
-/// isolated, zero-weight vertices so that vertex ids coincide with block ids.
+/// Builds the communication graph of `graph` under `partition` with the
+/// shared contraction kernel. Vertex `b` of the result is block `b`, weighted
+/// by the block's total vertex weight; empty blocks become isolated,
+/// zero-weight vertices, so vertex ids coincide with block ids.
+///
+/// # Panics
+/// Panics if the partition's assignment does not cover exactly the vertices
+/// of `graph`.
 pub fn communication_graph(graph: &Graph, partition: &Partition) -> Graph {
-    let k = partition.k();
-    // quotient_graph compacts block ids; to keep ids aligned with blocks even
-    // when some blocks are empty, build directly.
-    let mut builder = tie_graph::GraphBuilder::new(k);
-    for (b, w) in partition.block_weights(graph).into_iter().enumerate() {
-        builder.set_vertex_weight(b as u32, w);
-    }
-    for (u, v, w) in graph.edges() {
-        let (bu, bv) = (partition.block_of(u), partition.block_of(v));
-        if bu != bv {
-            builder.add_edge(bu, bv, w);
-        }
-    }
-    let gc = builder.build();
+    let gc = contract(graph, partition.assignment(), partition.k());
     debug_assert_eq!(
         gc.total_edge_weight(),
-        quotient_graph(graph, partition.assignment()).cut_weight,
+        partition.edge_cut(graph),
         "communication volume must equal the partition's edge cut"
     );
     gc
@@ -54,7 +46,10 @@ mod tests {
         let p = Partition::new(assignment, 4);
         let gc = communication_graph(&g, &p);
         assert_eq!(gc.num_vertices(), 4);
-        assert_eq!(gc.num_edges(), 4); // quadrants adjacent along sides only
+        // Quadrants are adjacent along sides only, and each side-adjacent
+        // pair shares exactly 2 grid edges.
+        assert_eq!(gc.num_edges(), 4);
+        assert!(gc.edges().all(|(_, _, w)| w == 2));
         assert_eq!(gc.total_edge_weight(), p.edge_cut(&g));
         assert_eq!(gc.vertex_weights(), &[4, 4, 4, 4]);
     }

@@ -1,7 +1,7 @@
 //! Graph contraction along a matching (the coarsening step of the multilevel
 //! scheme).
 
-use tie_graph::{Graph, GraphBuilder, NodeId};
+use tie_graph::{contract_into, ContractScratch, Graph, NodeId};
 
 use crate::matching::Matching;
 
@@ -18,7 +18,9 @@ pub struct CoarseLevel {
 /// coarse vertex whose weight is the sum of the pair's weights; unmatched
 /// vertices are copied. Parallel edges arising from the contraction are
 /// merged with accumulated weights; self-loops (edges inside a pair) vanish.
-pub fn contract(graph: &Graph, matching: &Matching) -> CoarseLevel {
+/// The coarse graph comes from the CSR kernel [`contract_into`], which
+/// reuses `scratch`'s buffers across levels.
+pub fn contract(graph: &Graph, matching: &Matching, scratch: &mut ContractScratch) -> CoarseLevel {
     let n = graph.num_vertices();
     let mut fine_to_coarse = vec![NodeId::MAX; n];
     let mut next = 0 as NodeId;
@@ -33,23 +35,8 @@ pub fn contract(graph: &Graph, matching: &Matching) -> CoarseLevel {
         }
         next += 1;
     }
-    let coarse_n = next as usize;
-    let mut builder = GraphBuilder::new(coarse_n);
-    let mut coarse_weights = vec![0u64; coarse_n];
-    for v in 0..n as NodeId {
-        coarse_weights[fine_to_coarse[v as usize] as usize] += graph.vertex_weight(v);
-    }
-    for (c, &w) in coarse_weights.iter().enumerate() {
-        builder.set_vertex_weight(c as NodeId, w);
-    }
-    for (u, v, w) in graph.edges() {
-        let (cu, cv) = (fine_to_coarse[u as usize], fine_to_coarse[v as usize]);
-        if cu != cv {
-            builder.add_edge(cu, cv, w);
-        }
-    }
     CoarseLevel {
-        graph: builder.build(),
+        graph: contract_into(graph, &fine_to_coarse, next as usize, scratch),
         fine_to_coarse,
     }
 }
@@ -86,24 +73,27 @@ impl Hierarchy {
 /// `target_size` vertices or contraction stalls (less than 10 % shrinkage),
 /// which happens e.g. on star-like graphs where matchings are tiny.
 pub fn coarsen_until(graph: &Graph, target_size: usize, seed: u64) -> Hierarchy {
-    let mut levels = Vec::new();
-    let mut current = graph.clone();
+    let mut hierarchy = Hierarchy { levels: Vec::new() };
+    let mut scratch = ContractScratch::default();
     let mut round = 0u64;
-    while current.num_vertices() > target_size {
-        let matching = crate::matching::heavy_edge_matching(&current, seed.wrapping_add(round));
-        let level = contract(&current, &matching);
+    loop {
+        let current = hierarchy.coarsest(graph);
+        if current.num_vertices() <= target_size {
+            break;
+        }
+        let matching = crate::matching::heavy_edge_matching(current, seed.wrapping_add(round));
+        let level = contract(current, &matching, &mut scratch);
         let shrunk = level.graph.num_vertices();
         if shrunk as f64 > current.num_vertices() as f64 * 0.95 {
             break; // contraction stalled
         }
-        current = level.graph.clone();
-        levels.push(level);
+        hierarchy.levels.push(level);
         round += 1;
         if round > 200 {
             break;
         }
     }
-    Hierarchy { levels }
+    hierarchy
 }
 
 #[cfg(test)]
@@ -116,7 +106,7 @@ mod tests {
     fn contraction_preserves_total_vertex_weight() {
         let g = generators::grid2d(6, 6);
         let m = heavy_edge_matching(&g, 1);
-        let level = contract(&g, &m);
+        let level = contract(&g, &m, &mut ContractScratch::default());
         assert_eq!(level.graph.total_vertex_weight(), g.total_vertex_weight());
         assert_eq!(level.graph.num_vertices(), g.num_vertices() - m.num_pairs);
     }
@@ -125,7 +115,7 @@ mod tests {
     fn contraction_drops_only_intra_pair_weight() {
         let g = generators::cycle_graph(8);
         let m = heavy_edge_matching(&g, 2);
-        let level = contract(&g, &m);
+        let level = contract(&g, &m, &mut ContractScratch::default());
         // Total edge weight decreases exactly by the weight of matched edges.
         let matched_weight: u64 = g
             .edges()

@@ -37,16 +37,16 @@ pub fn multilevel_bisection(
     }
 
     let hierarchy = coarsen_until(graph, config.coarsen_until, seed);
-    let coarsest = hierarchy.coarsest(graph).clone();
+    let coarsest = hierarchy.coarsest(graph);
     let mut coarse = greedy_graph_growing(
-        &coarsest,
+        coarsest,
         target0,
         config.epsilon,
         config.initial_attempts,
         seed.wrapping_add(1),
     );
     refine_bisection(
-        &coarsest,
+        coarsest,
         &mut coarse,
         target0,
         target1,
@@ -56,13 +56,10 @@ pub fn multilevel_bisection(
 
     // Uncoarsen level by level, refining after each projection.
     let mut side_on_level: Vec<u8> = coarse.side;
-    for (idx, _) in hierarchy.levels.iter().enumerate().rev() {
-        let fine_graph: &Graph = if idx == 0 {
-            graph
-        } else {
-            &hierarchy.levels[idx - 1].graph
-        };
-        let level = &hierarchy.levels[idx];
+    for (idx, level) in hierarchy.levels.iter().enumerate().rev() {
+        let fine_graph = idx
+            .checked_sub(1)
+            .map_or(graph, |i| &hierarchy.levels[i].graph);
         let mut fine_side = vec![0u8; level.fine_to_coarse.len()];
         for (v, &c) in level.fine_to_coarse.iter().enumerate() {
             fine_side[v] = side_on_level[c as usize];

@@ -155,7 +155,7 @@ mod tests {
     fn assemble_preserves_label_set() {
         let g = generators::randomize_edge_weights(&generators::barabasi_albert(128, 3, 1), 3, 2);
         let labels: Vec<u64> = (0..128u64).collect();
-        let run = build_hierarchy(&g, labels.clone(), 7, 0b111_1000, 0b000_0111, 1);
+        let run = build_hierarchy(&g, labels.clone(), 7, 0b111_1000, 0b000_0111);
         let result = assemble_labels(&run, 7);
         assert_eq!(sorted(result.labels.clone()), sorted(labels));
     }
@@ -164,7 +164,7 @@ mod tests {
     fn assemble_keeps_lsb_and_msb() {
         let g = generators::cycle_graph(16);
         let labels: Vec<u64> = (0..16u64).collect();
-        let run = build_hierarchy(&g, labels, 4, 0b1100, 0b0011, 1);
+        let run = build_hierarchy(&g, labels, 4, 0b1100, 0b0011);
         let result = assemble_labels(&run, 4);
         for (v, &new) in result.labels.iter().enumerate() {
             if result.repaired == 0 {
@@ -179,7 +179,7 @@ mod tests {
     fn assemble_on_trivial_hierarchy_returns_input() {
         let g = generators::path_graph(4);
         let labels = vec![0u64, 1, 2, 3];
-        let run = build_hierarchy(&g, labels.clone(), 2, 0b10, 0b01, 1);
+        let run = build_hierarchy(&g, labels.clone(), 2, 0b10, 0b01);
         let result = assemble_labels(&run, 2);
         assert_eq!(result.labels, run.levels[0].labels);
         assert_eq!(result.repaired, 0);

@@ -121,9 +121,11 @@ impl Timer {
     /// PE labels, label overflow), and [`TieError::WorkerPanicked`] when a
     /// hierarchy round panics *persistently* (a transient worker panic is
     /// absorbed: the round is quarantined and re-run sequentially, counted
-    /// in `telemetry.worker_panics`). Deadline expiry and cancellation are
-    /// not errors — the run returns best-so-far with the matching
-    /// [`StopReason`].
+    /// in `telemetry.worker_panics`), and [`TieError::InvariantViolated`]
+    /// when the end-of-run checks fail (changed label multiset, or a gate
+    /// that drifted from the final recompute). Deadline expiry and
+    /// cancellation are not errors — the run returns best-so-far with the
+    /// matching [`StopReason`].
     pub fn enhance(
         &self,
         graph: &Graph,
@@ -455,15 +457,15 @@ impl Timer {
             }
         }
 
-        debug_assert_eq!(
-            labeling.sorted_label_set(),
-            original_set,
-            "TIMER must never change the label set (balance preservation)"
-        );
-
         let (final_coco, final_div) =
             coco_and_div_for_labels(graph, &labeling.labels, p_mask, full_e_mask);
-        debug_assert_eq!(gate.coco(), final_coco as i64);
+        check_end_of_run(
+            &labeling.sorted_label_set(),
+            &original_set,
+            &gate,
+            final_coco,
+            cfg.use_diversity.then_some(final_div),
+        )?;
         telemetry.worker_panics = worker_panics;
         telemetry.stop_reason = stop_reason;
         trace.emit(TraceEvent::RunEnd {
@@ -512,6 +514,30 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     } else {
         "worker panicked with a non-string payload".to_string()
     }
+}
+
+/// The end-of-run invariants, checked in every build profile: the sorted
+/// label multiset is unchanged (which preserves the balance of µ), and the
+/// incremental `gate` agrees with the final full recompute — on Coco
+/// always, on Div when the run optimized it (`final_div` is `Some`).
+fn check_end_of_run(
+    final_set: &[u64],
+    original_set: &[u64],
+    gate: &AcceptGate,
+    final_coco: u64,
+    final_div: Option<u64>,
+) -> Result<(), TieError> {
+    let (coco, div) = (gate.coco(), gate.div());
+    let violation = if final_set != original_set {
+        "the label multiset changed, so the mapping's balance is lost".to_string()
+    } else if coco != final_coco as i64 {
+        format!("incremental Coco {coco} drifted from the final recompute {final_coco}")
+    } else if let Some(d) = final_div.filter(|&d| div != d as i64) {
+        format!("incremental Div {div} drifted from the final recompute {d}")
+    } else {
+        return Ok(());
+    };
+    Err(TieError::InvariantViolated(violation))
 }
 
 /// Runs one hierarchy round inside a panic guard: a panicking round (real
@@ -596,16 +622,15 @@ fn run_round(
     let p_mask_perm = permute_label_bits(p_mask, perm, dim);
     let e_mask_perm = permute_label_bits(e_mask, perm, dim);
 
-    // Lines 9-14: swap sweeps interleaved with contractions. Always built
-    // with the sequential sweep: parallelism lives one level up (whole
-    // rounds), which is what keeps the result thread-count-invariant.
+    // Lines 9-14: swap sweeps interleaved with contractions, all on this
+    // thread: parallelism lives one level up (whole rounds), which is what
+    // keeps the result thread-count-invariant.
     let run = build_hierarchy_traced(
         graph,
         permuted,
         dim,
         p_mask_perm,
         e_mask_perm,
-        1,
         Some(round),
         trace,
         scratch,
@@ -795,6 +820,32 @@ mod tests {
             assert_eq!(r.total_swaps, direct.total_swaps, "{label}");
             assert_eq!(r.total_repaired, direct.total_repaired, "{label}");
         }
+    }
+
+    #[test]
+    fn end_of_run_check_rejects_altered_labels_and_gate_drift() {
+        // Feed the release-mode check a real run's end state, then
+        // deliberately altered copies of it.
+        let (ga, _, pcube, mapping) = fixture(1);
+        let r = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(4, 7)).unwrap();
+        let set = r.labeling.sorted_label_set();
+        let (coco, div) = (r.final_coco, r.final_diversity);
+        let gate = AcceptGate::new(coco, div);
+        assert!(check_end_of_run(&set, &set, &gate, coco, Some(div)).is_ok());
+        // Vertex 0 takes vertex 1's label: one label duplicated, one lost.
+        let mut altered = r.labeling.labels.clone();
+        altered[0] = altered[1];
+        altered.sort_unstable();
+        for (final_set, final_coco, final_div, needle) in [
+            (&altered, coco, Some(div), "multiset"),
+            (&set, coco + 1, Some(div), "Coco"),
+            (&set, coco, Some(div + 1), "Div"),
+        ] {
+            let err = check_end_of_run(final_set, &set, &gate, final_coco, final_div);
+            assert!(matches!(err, Err(TieError::InvariantViolated(m)) if m.contains(needle)));
+        }
+        // With diversity off the gate carries no Div, and none is compared.
+        assert!(check_end_of_run(&set, &set, &AcceptGate::new(coco, 0), coco, None).is_ok());
     }
 
     #[test]

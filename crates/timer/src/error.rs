@@ -5,7 +5,8 @@
 //! The taxonomy exists so a long-running service (`mapd`, see
 //! `docs/RESILIENCE.md`) can report and survive failures instead of
 //! panicking: malformed inputs, incompatible topology/labeling pairs,
-//! persistent worker panics and IO failures all surface as values, while
+//! persistent worker panics, IO failures and violated end-of-run
+//! invariants all surface as values, while
 //! deadline expiry, cancellation and the adaptive stopping rule are *not*
 //! errors — they end a run gracefully with the best labeling found so far
 //! and a [`StopReason`] saying why.
@@ -48,6 +49,9 @@ pub enum TieError {
     /// The processor graph is not a partial cube (or its labeling is
     /// internally inconsistent).
     Recognition(RecognitionError),
+    /// An end-of-run invariant of the driver failed (changed label multiset,
+    /// or accept-gate drift): a bug, reported instead of a wrong mapping.
+    InvariantViolated(String),
 }
 
 impl std::fmt::Display for TieError {
@@ -65,6 +69,7 @@ impl std::fmt::Display for TieError {
             TieError::Io(e) => write!(f, "I/O error: {e}"),
             TieError::GraphIo(e) => write!(f, "graph I/O error: {e}"),
             TieError::Recognition(e) => write!(f, "partial-cube recognition failed: {e}"),
+            TieError::InvariantViolated(msg) => write!(f, "invariant violated: {msg}"),
         }
     }
 }
@@ -200,6 +205,10 @@ mod tests {
             (
                 TieError::Recognition(RecognitionError::NotBipartite),
                 "bipartite",
+            ),
+            (
+                TieError::InvariantViolated("label multiset changed".into()),
+                "invariant violated: label multiset",
             ),
         ];
         for (err, needle) in cases {

@@ -18,23 +18,23 @@ use tie_graph::{Graph, NodeId};
 use tie_trace::{Phase, PhaseTimes, TraceEvent, TraceHandle, TraceLevel};
 
 use crate::objective::swap_delta;
-use crate::parallel::parallel_sweep;
 
-/// One level of a TIMER hierarchy.
+/// One level of a TIMER hierarchy: what [`crate::assemble`] needs of it.
+/// The level's graph is not kept — it lives only while the level is swept
+/// and contracted.
 #[derive(Clone, Debug)]
 pub struct Level {
-    /// The (possibly contracted) graph at this level.
-    pub graph: Graph,
-    /// Vertex labels at this level (already truncated by the level index).
+    /// Vertex labels at this level (already truncated by the level index);
+    /// one per vertex of the level's graph.
     pub labels: Vec<u64>,
     /// For every vertex of this level, the vertex of the next coarser level
     /// it is contracted into. Empty for the coarsest level.
     pub fine_to_coarse: Vec<NodeId>,
 }
 
-/// A full hierarchy: `levels[0]` is the application graph itself (with the
-/// labels as left behind by the level-1 swap sweep), `levels.last()` the
-/// coarsest graph with 2-digit labels.
+/// A full hierarchy: `levels[0]` belongs to the application graph itself
+/// (with the labels as left behind by the level-1 swap sweep),
+/// `levels.last()` to the coarsest graph with 2-digit labels.
 #[derive(Clone, Debug)]
 pub struct HierarchyRun {
     /// Levels from finest to coarsest.
@@ -90,24 +90,9 @@ pub fn collect_swap_pairs(labels: &[u64], scratch: &mut SweepScratch) {
     }
 }
 
-/// Returns the candidate swap pairs of a level: all pairs of vertices whose
-/// labels agree on everything but the least significant digit, in
-/// deterministic (label) order. Allocating convenience wrapper around
-/// [`collect_swap_pairs`].
-pub fn swap_pairs(labels: &[u64]) -> Vec<(NodeId, NodeId)> {
-    let mut scratch = SweepScratch::default();
-    collect_swap_pairs(labels, &mut scratch);
-    scratch.pairs
-}
-
-/// Sequential swap sweep: for every candidate pair, swap the labels if that
-/// strictly decreases the objective. Returns the number of swaps performed.
-pub fn sweep(graph: &Graph, labels: &mut [u64], p_mask: u64, e_mask: u64) -> usize {
-    let mut scratch = SweepScratch::default();
-    sweep_with(graph, labels, p_mask, e_mask, &mut scratch)
-}
-
-/// [`sweep`] with caller-provided scratch buffers, for reuse across the
+/// Swap sweep: for every candidate pair of [`collect_swap_pairs`], swap the
+/// labels if that strictly decreases the objective. Returns the number of
+/// swaps performed. `scratch` carries the pair-search buffers across the
 /// levels of a hierarchy.
 pub fn sweep_with(
     graph: &Graph,
@@ -240,15 +225,15 @@ fn contract_level_presorted(
 /// sweeps and contractions until the labels have only two digits left
 /// (Algorithm 1, lines 9–14). `p_mask`/`e_mask` are the PE/extension digit
 /// masks *in the permuted label space*; they are truncated alongside the
-/// labels on coarser levels. `threads > 1` parallelizes the level-1 sweep
-/// (the by far most expensive one).
+/// labels on coarser levels. Every sweep runs on the calling thread;
+/// parallel TIMER runs whole rounds concurrently instead (see
+/// [`crate::driver`]).
 pub fn build_hierarchy(
     graph: &Graph,
     labels: Vec<u64>,
     dim: usize,
     p_mask: u64,
     e_mask: u64,
-    threads: usize,
 ) -> HierarchyRun {
     build_hierarchy_traced(
         graph,
@@ -256,7 +241,6 @@ pub fn build_hierarchy(
         dim,
         p_mask,
         e_mask,
-        threads,
         None,
         &TraceHandle::off(),
         &mut HierarchyScratch::default(),
@@ -270,7 +254,8 @@ pub fn build_hierarchy(
 /// `scratch` carries the sweep and contraction buffers across all levels —
 /// and, when the caller keeps it alive (as the driver's speculative workers
 /// do), across hierarchy rounds. The result never depends on what a
-/// previous run left in the scratch.
+/// previous run left in the scratch. `graph` is borrowed, and of the coarse
+/// graphs only the one being swept and contracted is alive at any time.
 #[allow(clippy::too_many_arguments)] // mirrors build_hierarchy + trace context
 pub fn build_hierarchy_traced(
     graph: &Graph,
@@ -278,14 +263,13 @@ pub fn build_hierarchy_traced(
     dim: usize,
     p_mask: u64,
     e_mask: u64,
-    threads: usize,
     hierarchy_round: Option<usize>,
     trace: &TraceHandle,
     scratch: &mut HierarchyScratch,
 ) -> HierarchyRun {
     let mut levels: Vec<Level> = Vec::new();
     let mut total_swaps = 0usize;
-    let mut current_graph = graph.clone();
+    let mut coarse_graph: Option<Graph> = None;
     let mut current_labels = labels;
     let mut phases = PhaseTimes::default();
     // Cheap enough to collect always; only *emission* is gated on the level.
@@ -304,19 +288,16 @@ pub fn build_hierarchy_traced(
     // Paper: for i = 2 .. dim_Ga - 1; sweep on G^{i-1}, contract into G^i.
     let rounds = dim.saturating_sub(2);
     for round in 0..rounds {
+        let current_graph = coarse_graph.as_ref().unwrap_or(graph);
         let (pm, em) = (p_mask >> round, e_mask >> round);
         let t = Instant::now();
-        total_swaps += if round == 0 && threads > 1 {
-            parallel_sweep(&current_graph, &mut current_labels, pm, em, threads)
-        } else {
-            sweep_with(
-                &current_graph,
-                &mut current_labels,
-                pm,
-                em,
-                &mut scratch.sweep,
-            )
-        };
+        total_swaps += sweep_with(
+            current_graph,
+            &mut current_labels,
+            pm,
+            em,
+            &mut scratch.sweep,
+        );
         let sweep_us = t.elapsed().as_micros() as u64;
         phases.add(Phase::Sweep, sweep_us);
         if per_level {
@@ -328,8 +309,8 @@ pub fn build_hierarchy_traced(
             });
         }
         let t = Instant::now();
-        let (coarse_graph, coarse_labels, fine_to_coarse) =
-            contract_level_presorted(&current_graph, &current_labels, scratch);
+        let (next_graph, coarse_labels, fine_to_coarse) =
+            contract_level_presorted(current_graph, &current_labels, scratch);
         let contract_us = t.elapsed().as_micros() as u64;
         phases.add(Phase::Contract, contract_us);
         if per_level {
@@ -341,16 +322,14 @@ pub fn build_hierarchy_traced(
             });
         }
         levels.push(Level {
-            graph: current_graph,
             labels: current_labels,
             fine_to_coarse,
         });
-        current_graph = coarse_graph;
+        coarse_graph = Some(next_graph);
         current_labels = coarse_labels;
     }
     // Coarsest level (no further contraction).
     levels.push(Level {
-        graph: current_graph,
         labels: current_labels,
         fine_to_coarse: Vec::new(),
     });
@@ -415,10 +394,17 @@ mod tests {
         (g, labels)
     }
 
+    /// The candidate pairs of `labels`, collected on a fresh scratch.
+    fn fresh_pairs(labels: &[u64]) -> Vec<(NodeId, NodeId)> {
+        let mut scratch = SweepScratch::default();
+        collect_swap_pairs(labels, &mut scratch);
+        scratch.pairs
+    }
+
     #[test]
     fn swap_pairs_are_disjoint_and_complete() {
         let labels: Vec<u64> = vec![0b000, 0b001, 0b010, 0b100, 0b101, 0b111];
-        let pairs = swap_pairs(&labels);
+        let pairs = fresh_pairs(&labels);
         // Prefixes: 00 -> (0,1), 01 -> (2) unpaired, 10 -> (3,4), 11 -> (5) unpaired.
         assert_eq!(pairs.len(), 2);
         let mut used = std::collections::HashSet::new();
@@ -437,7 +423,7 @@ mod tests {
         let e_mask = 0b0001;
         let mut l = labels.clone();
         let before = objective_for_labels(&g, &l, p_mask, e_mask);
-        let swaps = sweep(&g, &mut l, p_mask, e_mask);
+        let swaps = sweep_with(&g, &mut l, p_mask, e_mask, &mut SweepScratch::default());
         let after = objective_for_labels(&g, &l, p_mask, e_mask);
         assert!(after <= before, "sweep must not worsen the objective");
         if swaps == 0 {
@@ -492,27 +478,29 @@ mod tests {
         let mut scratch = SweepScratch::default();
         collect_swap_pairs(&labels_a, &mut scratch);
         let fresh_a = scratch.pairs.clone();
-        assert_eq!(fresh_a, swap_pairs(&labels_a));
         // Dirty the scratch with a larger instance, then redo the first one:
         // the result must not depend on leftover scratch contents.
         collect_swap_pairs(&labels_b, &mut scratch);
-        assert_eq!(scratch.pairs, swap_pairs(&labels_b));
+        assert_eq!(scratch.pairs, fresh_pairs(&labels_b));
         collect_swap_pairs(&labels_a, &mut scratch);
         assert_eq!(scratch.pairs, fresh_a);
     }
 
     #[test]
     fn sweep_with_scratch_matches_sweep() {
+        // A scratch dirtied by a larger level must sweep exactly like a
+        // fresh one.
         let g = generators::randomize_edge_weights(&generators::barabasi_albert(96, 3, 5), 4, 5);
         let labels: Vec<u64> = (0..96u64).collect();
         let (p_mask, e_mask) = (0b111_0000, 0b000_1111);
-        let mut plain = labels.clone();
-        let plain_swaps = sweep(&g, &mut plain, p_mask, e_mask);
-        let mut scratched = labels.clone();
+        let mut fresh = labels.clone();
+        let fresh_swaps = sweep_with(&g, &mut fresh, p_mask, e_mask, &mut SweepScratch::default());
+        let mut reused = labels.clone();
         let mut scratch = SweepScratch::default();
-        let scratched_swaps = sweep_with(&g, &mut scratched, p_mask, e_mask, &mut scratch);
-        assert_eq!(plain_swaps, scratched_swaps);
-        assert_eq!(plain, scratched);
+        collect_swap_pairs(&(0..256u64).rev().collect::<Vec<_>>(), &mut scratch);
+        let reused_swaps = sweep_with(&g, &mut reused, p_mask, e_mask, &mut scratch);
+        assert_eq!(fresh_swaps, reused_swaps);
+        assert_eq!(fresh, reused);
     }
 
     #[test]
@@ -529,12 +517,12 @@ mod tests {
     fn hierarchy_has_expected_depth_and_sizes() {
         let (g, labels) = toy();
         let dim = 4;
-        let run = build_hierarchy(&g, labels, dim, 0b1110, 0b0001, 1);
+        let run = build_hierarchy(&g, labels, dim, 0b1110, 0b0001);
         // dim - 1 = 3 levels: 8, 4, 2 vertices.
         assert_eq!(run.levels.len(), 3);
-        assert_eq!(run.levels[0].graph.num_vertices(), 8);
-        assert_eq!(run.levels[1].graph.num_vertices(), 4);
-        assert_eq!(run.levels[2].graph.num_vertices(), 2);
+        assert_eq!(run.levels[0].labels.len(), 8);
+        assert_eq!(run.levels[1].labels.len(), 4);
+        assert_eq!(run.levels[2].labels.len(), 2);
         // Coarsest labels have 2 digits.
         assert!(run.levels[2].labels.iter().all(|&l| l < 4));
         // fine_to_coarse chains are consistent. (Note: the coarse level's
@@ -543,15 +531,15 @@ mod tests {
         for j in 0..run.levels.len() - 1 {
             let lvl = &run.levels[j];
             let next = &run.levels[j + 1];
-            assert_eq!(lvl.fine_to_coarse.len(), lvl.graph.num_vertices());
+            assert_eq!(lvl.fine_to_coarse.len(), lvl.labels.len());
             for &c in lvl.fine_to_coarse.iter() {
-                assert!((c as usize) < next.graph.num_vertices());
+                assert!((c as usize) < next.labels.len());
             }
             // Labels are unique on every level.
             let mut labels = next.labels.clone();
             labels.sort_unstable();
             labels.dedup();
-            assert_eq!(labels.len(), next.graph.num_vertices());
+            assert_eq!(labels.len(), next.labels.len());
         }
     }
 
@@ -559,7 +547,7 @@ mod tests {
     fn hierarchy_on_two_digit_labels_is_single_level() {
         let g = generators::path_graph(4);
         let labels = vec![0u64, 1, 2, 3];
-        let run = build_hierarchy(&g, labels.clone(), 2, 0b10, 0b01, 1);
+        let run = build_hierarchy(&g, labels.clone(), 2, 0b10, 0b01);
         assert_eq!(run.levels.len(), 1);
         assert_eq!(run.levels[0].labels, labels);
         assert_eq!(run.total_swaps, 0);
