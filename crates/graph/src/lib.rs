@@ -34,6 +34,8 @@ pub mod contract;
 pub mod csr;
 pub mod generators;
 pub mod io;
+#[cfg(test)]
+mod quotient;
 pub mod stats;
 pub mod subgraph;
 pub mod traversal;

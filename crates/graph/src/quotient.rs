@@ -1,138 +1,62 @@
-//! Quotient (contracted) graphs.
+//! Quotient graphs: contraction along a block assignment.
 //!
-//! Given a graph and an assignment of its vertices to blocks, the quotient
-//! graph has one vertex per non-empty block; the weight of a quotient edge
-//! aggregates the weights of all original edges whose endpoints lie in the
-//! two blocks. This is exactly the *communication graph* `Gc` of the paper
-//! (Figure 1b) and also the coarsening step of the multilevel partitioner.
-
-use std::collections::HashMap;
-
-use crate::csr::{Graph, NodeId, Weight};
-use crate::GraphBuilder;
-
-/// Result of contracting a graph along a block assignment.
-#[derive(Clone, Debug)]
-pub struct QuotientGraph {
-    /// The contracted graph; vertex `b` represents block `b`.
-    pub graph: Graph,
-    /// For every original vertex, the quotient vertex it was contracted into.
-    pub vertex_to_block: Vec<NodeId>,
-    /// Total vertex weight of each block (same as the quotient vertex weight).
-    pub block_weights: Vec<Weight>,
-    /// Sum of the weights of edges whose endpoints fall into different blocks
-    /// (the edge cut of the assignment).
-    pub cut_weight: Weight,
-}
-
-/// Contracts `graph` along `assignment`, which maps every vertex to a block
-/// id. Block ids need not be contiguous; they are compacted and the quotient
-/// vertex of block `b` is the rank of `b` among the used ids — but when the
-/// ids are already `0..k`, quotient vertex `i` corresponds to block `i`.
-///
-/// # Panics
-/// Panics if `assignment.len() != graph.num_vertices()`.
-pub fn quotient_graph(graph: &Graph, assignment: &[u32]) -> QuotientGraph {
-    assert_eq!(
-        assignment.len(),
-        graph.num_vertices(),
-        "assignment length mismatch"
-    );
-    // Compact block ids while preserving their numeric order.
-    let mut used: Vec<u32> = assignment.to_vec();
-    used.sort_unstable();
-    used.dedup();
-    let rank: HashMap<u32, NodeId> = used
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| (b, i as NodeId))
-        .collect();
-    let k = used.len();
-
-    let vertex_to_block: Vec<NodeId> = assignment.iter().map(|b| rank[b]).collect();
-
-    let mut block_weights = vec![0 as Weight; k];
-    for v in graph.vertices() {
-        block_weights[vertex_to_block[v as usize] as usize] += graph.vertex_weight(v);
-    }
-
-    let mut builder = GraphBuilder::new(k);
-    for (b, &w) in block_weights.iter().enumerate() {
-        builder.set_vertex_weight(b as NodeId, w);
-    }
-    let mut cut_weight = 0 as Weight;
-    for (u, v, w) in graph.edges() {
-        let (bu, bv) = (vertex_to_block[u as usize], vertex_to_block[v as usize]);
-        if bu != bv {
-            builder.add_edge(bu, bv, w);
-            cut_weight += w;
-        }
-    }
-    QuotientGraph {
-        graph: builder.build(),
-        vertex_to_block,
-        block_weights,
-        cut_weight,
-    }
-}
+//! The quotient graph of a partition has one vertex per block, weighted by
+//! the block's total vertex weight; the weight of a quotient edge aggregates
+//! the weights of all original edges whose endpoints lie in the two blocks.
+//! It is the *communication graph* `Gc` of the paper (Figure 1b). It has no
+//! code of its own: [`crate::contract::contract`], with the assignment as
+//! merge map and the block count as coarse size, builds it. These tests pin
+//! that use of the kernel.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::generators;
+    use crate::contract::contract;
+    use crate::{generators, GraphBuilder, NodeId};
 
     #[test]
     fn contraction_of_figure1_style_instance() {
         // A 4x4 grid split into 4 quadrant blocks: the communication graph is
         // a 2x2 grid-like structure with aggregated weights.
         let g = generators::grid2d(4, 4);
-        let mut assignment = vec![0u32; 16];
+        let mut assignment = vec![0 as NodeId; 16];
         for x in 0..4usize {
             for y in 0..4usize {
                 let v = x * 4 + y;
-                assignment[v] = ((x / 2) * 2 + (y / 2)) as u32;
+                assignment[v] = ((x / 2) * 2 + (y / 2)) as NodeId;
             }
         }
-        let q = quotient_graph(&g, &assignment);
-        assert_eq!(q.graph.num_vertices(), 4);
-        assert_eq!(q.block_weights, vec![4, 4, 4, 4]);
+        let q = contract(&g, &assignment, 4);
+        assert_eq!(q.num_vertices(), 4);
+        assert_eq!(q.vertex_weights(), &[4, 4, 4, 4]);
         // Each pair of adjacent quadrants shares exactly 2 grid edges.
-        for (_, _, w) in q.graph.edges() {
+        for (_, _, w) in q.edges() {
             assert_eq!(w, 2);
         }
-        assert_eq!(q.cut_weight, 8);
+        // The quotient's edges carry exactly the cut weight.
+        assert_eq!(q.total_edge_weight(), 8);
         // Quadrants touching only at the corner are not adjacent.
-        assert_eq!(q.graph.num_edges(), 4);
+        assert_eq!(q.num_edges(), 4);
     }
 
     #[test]
     fn singleton_blocks_reproduce_graph() {
         let g = generators::cycle_graph(6);
-        let assignment: Vec<u32> = (0..6).collect();
-        let q = quotient_graph(&g, &assignment);
-        assert_eq!(q.graph.num_vertices(), 6);
-        assert_eq!(q.graph.num_edges(), 6);
-        assert_eq!(q.cut_weight, g.total_edge_weight());
+        let assignment: Vec<NodeId> = (0..6).collect();
+        let q = contract(&g, &assignment, 6);
+        assert_eq!(q.num_vertices(), 6);
+        assert_eq!(q.num_edges(), 6);
+        assert_eq!(q.total_edge_weight(), g.total_edge_weight());
+        assert_eq!(q, g);
     }
 
     #[test]
     fn single_block_yields_single_vertex() {
         let g = generators::complete_graph(5);
-        let q = quotient_graph(&g, &[3u32; 5]);
-        assert_eq!(q.graph.num_vertices(), 1);
-        assert_eq!(q.graph.num_edges(), 0);
-        assert_eq!(q.cut_weight, 0);
-        assert_eq!(q.block_weights, vec![5]);
-    }
-
-    #[test]
-    fn non_contiguous_block_ids_are_compacted() {
-        let g = generators::path_graph(4);
-        let q = quotient_graph(&g, &[10, 10, 40, 40]);
-        assert_eq!(q.graph.num_vertices(), 2);
-        assert_eq!(q.vertex_to_block, vec![0, 0, 1, 1]);
-        assert_eq!(q.graph.edge_weight(0, 1), Some(1));
-        assert_eq!(q.cut_weight, 1);
+        let q = contract(&g, &[0; 5], 1);
+        assert_eq!(q.num_vertices(), 1);
+        assert_eq!(q.num_edges(), 0);
+        assert_eq!(q.total_edge_weight(), 0);
+        assert_eq!(q.vertex_weights(), &[5]);
     }
 
     #[test]
@@ -143,15 +67,15 @@ mod tests {
         b.add_edge(1, 2, 5);
         b.add_edge(0, 1, 7); // intra-block
         let g = b.build();
-        let q = quotient_graph(&g, &[0, 0, 1, 1]);
-        assert_eq!(q.graph.edge_weight(0, 1), Some(12));
-        assert_eq!(q.cut_weight, 12);
+        let q = contract(&g, &[0, 0, 1, 1], 2);
+        assert_eq!(q.edge_weight(0, 1), Some(12));
+        assert_eq!(q.total_edge_weight(), 12);
     }
 
     #[test]
     #[should_panic]
     fn wrong_assignment_length_panics() {
         let g = generators::path_graph(3);
-        let _ = quotient_graph(&g, &[0, 1]);
+        let _ = contract(&g, &[0, 1], 2);
     }
 }
