@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use tie_bench::workloads::{paper_networks, Scale};
-use tie_mapping::{communication_graph, drb, greedy, identity_mapping, refine_by_swaps};
+use tie_mapping::{communication_graph, drb, greedy, identity_mapping};
 use tie_partition::{partition, PartitionConfig};
 use tie_topology::Topology;
 
@@ -31,12 +31,6 @@ fn baselines(c: &mut Criterion) {
     });
     group.bench_function("drb", |b| {
         b.iter(|| drb::dual_recursive_bisection(&gc, &topo.graph, 3))
-    });
-    group.bench_function("ncm_swap_refinement", |b| {
-        b.iter(|| {
-            let mut nu: Vec<u32> = (0..topo.num_pes() as u32).collect();
-            refine_by_swaps(&gc, &topo.graph, &mut nu, 5)
-        })
     });
     group.finish();
 }

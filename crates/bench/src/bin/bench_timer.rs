@@ -21,16 +21,15 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use tie_bench::harness::make_trace_handle;
 use tie_bench::report::{format_bench_json, TimerBenchEntry};
 use tie_bench::workloads::{paper_networks, Scale};
 use tie_fault::FaultHandle;
 use tie_graph::generators::random_permutation;
+use tie_mapd::cli::{has_flag, parsed_flag, trace_from_flags, try_flag_value};
 use tie_mapping::Mapping;
 use tie_partition::{partition, PartitionConfig};
 use tie_timer::{enhance_mapping, RoundTelemetry, TimerConfig};
 use tie_topology::{recognize_partial_cube, Topology};
-use tie_trace::{TraceHandle, TraceLevel};
 
 const NETWORK: &str = "PGPgiantcompo";
 const SEED: u64 = 1;
@@ -60,51 +59,20 @@ fn main() -> ExitCode {
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value = |flag: &str| -> Option<&str> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(|s| s.as_str())
-    };
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = flag_value("--out").unwrap_or("BENCH_timer.json");
-    let nh: usize = match flag_value("--nh") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--nh needs a number, got {v:?}"))?,
-        None => {
-            if quick {
-                6
-            } else {
-                40
-            }
-        }
-    };
-    let reps: usize = match flag_value("--reps") {
-        Some(v) => match v.parse() {
-            Ok(r) if r >= 1 => r,
-            _ => return Err(format!("--reps needs a positive number, got {v:?}")),
-        },
-        None => 1,
-    };
+    let quick = has_flag(&args, "--quick");
+    let out_path = try_flag_value(&args, "--out")?.unwrap_or("BENCH_timer.json");
+    let nh: usize = parsed_flag(&args, "--nh", if quick { 6 } else { 40 })?;
+    let reps: usize = parsed_flag(&args, "--reps", 1)?;
+    if reps == 0 {
+        return Err("--reps must be at least 1".to_string());
+    }
     let scales: &[Scale] = if quick {
         &[Scale::Tiny]
     } else {
         &[Scale::Tiny, Scale::Small, Scale::Medium]
     };
     let thread_counts = [1usize, 2, 4];
-    let trace = match flag_value("--trace-out") {
-        Some(path) => {
-            let level = match flag_value("--trace-level") {
-                Some(v) => TraceLevel::parse(v).ok_or_else(|| {
-                    format!("--trace-level needs off|gate|phase|debug, got {v:?}")
-                })?,
-                None => TraceLevel::Phase,
-            };
-            make_trace_handle(path, level)?
-        }
-        None => TraceHandle::off(),
-    };
+    let trace = trace_from_flags(&args)?;
     let faults = FaultHandle::from_env().map_err(|e| format!("invalid TIE_FAULTS: {e}"))?;
     let hardware_threads = std::thread::available_parallelism()
         .map(|n| n.get())

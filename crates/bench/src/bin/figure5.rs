@@ -12,46 +12,35 @@
 
 use std::process::ExitCode;
 
-use tie_bench::experiment::ExperimentCase;
 use tie_bench::harness::{quality_rows, run_sweep, USAGE};
 use tie_bench::report::format_quality_table;
 use tie_bench::{paper_networks, parse_options, quick_networks};
+use tie_mapd::cli::try_flag_value;
+use tie_mapd::MapCase;
 use tie_topology::Topology;
+
+/// The case selected by `--case`, if any.
+fn parse_case(args: &[String]) -> Result<Option<MapCase>, String> {
+    try_flag_value(args, "--case")?
+        .map(|c| MapCase::parse(c).ok_or_else(|| format!("unknown case {c:?} (use c1|c2|c3|c4)")))
+        .transpose()
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match parse_options(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("figure5: {e}");
-            eprintln!("{USAGE} [--case c1|c2|c3|c4]");
-            return ExitCode::from(2);
-        }
-    };
+    let (options, selected_case) =
+        match parse_options(&args).and_then(|o| Ok((o, parse_case(&args)?))) {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                eprintln!("figure5: {e}");
+                eprintln!("{USAGE} [--case c1|c2|c3|c4]");
+                return ExitCode::from(2);
+            }
+        };
     let full_networks = args.iter().any(|a| a == "--full" || a == "--all-networks");
     let paper_topos = args
         .iter()
         .any(|a| a == "--full" || a == "--paper-topologies");
-    let selected_case = match args
-        .iter()
-        .position(|a| a == "--case")
-        .and_then(|i| args.get(i + 1))
-        .map(|c| match c.as_str() {
-            "c1" => Ok(ExperimentCase::C1Drb),
-            "c2" => Ok(ExperimentCase::C2Identity),
-            "c3" => Ok(ExperimentCase::C3GreedyAllC),
-            "c4" => Ok(ExperimentCase::C4GreedyMin),
-            other => Err(format!("unknown case {other:?} (use c1|c2|c3|c4)")),
-        })
-        .transpose()
-    {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("figure5: {e}");
-            eprintln!("{USAGE} [--case c1|c2|c3|c4]");
-            return ExitCode::from(2);
-        }
-    };
 
     let networks = if full_networks {
         paper_networks()
@@ -64,15 +53,15 @@ fn main() -> ExitCode {
         Topology::small_topologies()
     };
 
-    let cases: Vec<ExperimentCase> = match selected_case {
+    let cases: Vec<MapCase> = match selected_case {
         Some(c) => vec![c],
-        None => ExperimentCase::all().to_vec(),
+        None => MapCase::all().to_vec(),
     };
-    let figure_letter = |case: ExperimentCase| match case {
-        ExperimentCase::C1Drb => "5a",
-        ExperimentCase::C2Identity => "5b",
-        ExperimentCase::C3GreedyAllC => "5c",
-        ExperimentCase::C4GreedyMin => "5d",
+    let figure_letter = |case: MapCase| match case {
+        MapCase::C1Drb => "5a",
+        MapCase::C2Identity => "5b",
+        MapCase::C3GreedyAllC => "5c",
+        MapCase::C4GreedyMin => "5d",
     };
 
     println!(

@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use tie_fault::FaultHandle;
-use tie_mapd::cli::{flag_value, has_flag, parsed_flag, trace_from_flags};
+use tie_mapd::cli::{has_flag, parsed_flag, trace_from_flags, try_flag_value};
 use tie_mapd::protocol::{GraphSource, MapRequest, MapResponse, Response, ShutdownMode};
 use tie_mapd::{Service, ServiceOptions};
 
@@ -47,7 +47,7 @@ fn build_request(args: &[String]) -> Result<MapRequest, String> {
     // Without --graph a demo network is generated so the binary is runnable
     // out of the box. It travels inline even in client mode, so local and
     // served runs rebuild the identical graph.
-    let graph = match flag_value(args, "--graph") {
+    let graph = match try_flag_value(args, "--graph")? {
         Some(path) => GraphSource::Path(path.to_string()),
         None => {
             eprintln!("no --graph given; using a demo Barabási–Albert network with 4096 vertices");
@@ -60,10 +60,10 @@ fn build_request(args: &[String]) -> Result<MapRequest, String> {
     };
     Ok(MapRequest {
         graph,
-        topology: flag_value(args, "--topology")
+        topology: try_flag_value(args, "--topology")?
             .unwrap_or("grid8x8")
             .to_string(),
-        case: flag_value(args, "--case").unwrap_or("c2").to_string(),
+        case: try_flag_value(args, "--case")?.unwrap_or("c2").to_string(),
         nh: parsed_flag(args, "--nh", 50)?,
         eps: parsed_flag(args, "--eps", 0.03)?,
         seed,
@@ -81,7 +81,7 @@ fn render(resp: &MapResponse, args: &[String]) -> Result<(), String> {
     } else {
         eprintln!(
             "case {}: cache {}, {} accepted hierarchies, {} swaps, stop: {}",
-            flag_value(args, "--case").unwrap_or("c2"),
+            try_flag_value(args, "--case")?.unwrap_or("c2"),
             resp.cache,
             resp.hierarchies_accepted,
             resp.total_swaps,
@@ -100,7 +100,7 @@ fn render(resp: &MapResponse, args: &[String]) -> Result<(), String> {
             "imbalance", b.imbalance, a.imbalance
         );
     }
-    if let Some(path) = flag_value(args, "--out") {
+    if let Some(path) = try_flag_value(args, "--out")? {
         let mut content = String::new();
         for &pe in &resp.mapping {
             let _ = writeln!(content, "{pe}");
@@ -121,7 +121,7 @@ fn run_client(socket: &str, args: &[String], faults: FaultHandle) -> Result<(), 
     let request = if has_flag(args, "--ping") {
         Request::Ping
     } else if has_flag(args, "--shutdown") {
-        let mode = match flag_value(args, "--shutdown-mode") {
+        let mode = match try_flag_value(args, "--shutdown-mode")? {
             Some(m) => ShutdownMode::parse(m)
                 .ok_or_else(|| format!("--shutdown-mode needs drain|cancel, got {m:?}"))?,
             None => ShutdownMode::Drain,
@@ -155,7 +155,10 @@ fn run_client(_socket: &str, _args: &[String], _faults: FaultHandle) -> Result<(
 
 fn run(args: &[String]) -> Result<(), String> {
     let faults = FaultHandle::from_env().map_err(|e| format!("invalid TIE_FAULTS: {e}"))?;
-    if let Some(socket) = flag_value(args, "--client") {
+    // `render` reads `--out` only after the mapping ran; reject a missing
+    // path before doing the work.
+    try_flag_value(args, "--out")?;
+    if let Some(socket) = try_flag_value(args, "--client")? {
         return run_client(socket, args, faults);
     }
     let service = Service::new(ServiceOptions {

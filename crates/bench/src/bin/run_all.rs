@@ -11,44 +11,30 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use tie_bench::experiment::ExperimentCase;
 use tie_bench::harness::{quality_rows, run_sweep, timing_rows, USAGE};
 use tie_bench::report::{
     format_inventory, format_partition_times, format_quality_table, format_sweep_json,
     format_timing_table,
 };
 use tie_bench::{parse_options, quick_networks};
+use tie_mapd::cli::try_flag_value;
+use tie_mapd::MapCase;
 use tie_partition::{partition, PartitionConfig};
 use tie_topology::Topology;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let options = match parse_options(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("run_all: {e}");
-            eprintln!("{USAGE} [--out PATH]");
-            return ExitCode::from(2);
-        }
-    };
     // `--out` is run_all-specific; parse_options ignores flags it does not
     // know so binaries can add their own.
-    let mut out_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--out" {
-            match args.get(i + 1) {
-                Some(p) => out_path = Some(p.clone()),
-                None => {
-                    eprintln!("run_all: --out needs a path");
-                    eprintln!("{USAGE} [--out PATH]");
-                    return ExitCode::from(2);
-                }
+    let (options, out_path) =
+        match parse_options(&args).and_then(|o| Ok((o, try_flag_value(&args, "--out")?))) {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                eprintln!("run_all: {e}");
+                eprintln!("{USAGE} [--out PATH]");
+                return ExitCode::from(2);
             }
-            i += 1;
-        }
-        i += 1;
-    }
+        };
     let networks = quick_networks();
     let topologies = Topology::small_topologies();
 
@@ -106,7 +92,7 @@ fn main() -> ExitCode {
     // Figures 5a-5d and Table 2. Failing repetitions are collected per cell
     // and surfaced below instead of aborting the whole evaluation.
     let mut per_case = Vec::new();
-    for case in ExperimentCase::all() {
+    for case in MapCase::all() {
         eprintln!("running case {} ...", case.name());
         let cells = run_sweep(&networks, &topologies, case, &options);
         for cell in &cells {
@@ -140,7 +126,7 @@ fn main() -> ExitCode {
     }
     if let Some(path) = out_path {
         let json = format_sweep_json(&per_case);
-        if let Err(e) = std::fs::write(&path, json) {
+        if let Err(e) = std::fs::write(path, json) {
             eprintln!("run_all: cannot write {path:?}: {e}");
             return ExitCode::from(2);
         }

@@ -9,10 +9,10 @@
 
 use std::process::ExitCode;
 
-use tie_bench::experiment::ExperimentCase;
 use tie_bench::harness::{run_sweep, timing_rows, USAGE};
 use tie_bench::report::format_timing_table;
 use tie_bench::{paper_networks, parse_options, quick_networks};
+use tie_mapd::MapCase;
 use tie_topology::Topology;
 
 fn main() -> ExitCode {
@@ -46,7 +46,7 @@ fn main() -> ExitCode {
         options.scale, options.repetitions, options.num_hierarchies
     );
     let mut per_case = Vec::new();
-    for case in ExperimentCase::all() {
+    for case in MapCase::all() {
         eprintln!("running case {} ...", case.name());
         let cells = run_sweep(&networks, &topologies, case, &options);
         for cell in &cells {

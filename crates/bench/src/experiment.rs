@@ -15,57 +15,12 @@ use std::time::{Duration, Instant};
 
 use tie_fault::FaultHandle;
 use tie_graph::Graph;
-use tie_mapping::{drb, greedy, identity_mapping, Mapping};
+use tie_mapd::MapCase;
 use tie_metrics::{evaluate, MappingQuality};
 use tie_partition::{partition, PartitionConfig};
 use tie_timer::{enhance_mapping, StopReason, TieError, TimerConfig};
 use tie_topology::{recognize_partial_cube, Topology};
 use tie_trace::TraceHandle;
-
-/// The four experimental cases of Section 7.1.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExperimentCase {
-    /// c1: initial mapping from dual recursive bisection (SCOTCH stand-in).
-    C1Drb,
-    /// c2: IDENTITY mapping on top of the partition.
-    C2Identity,
-    /// c3: GREEDYALLC construction.
-    C3GreedyAllC,
-    /// c4: GREEDYMIN construction (LibTopoMap-style construct method).
-    C4GreedyMin,
-}
-
-impl ExperimentCase {
-    /// All four cases in paper order.
-    pub fn all() -> [ExperimentCase; 4] {
-        [
-            ExperimentCase::C1Drb,
-            ExperimentCase::C2Identity,
-            ExperimentCase::C3GreedyAllC,
-            ExperimentCase::C4GreedyMin,
-        ]
-    }
-
-    /// Short name used in reports (matches the paper's figures).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExperimentCase::C1Drb => "c1 (SCOTCH-like DRB)",
-            ExperimentCase::C2Identity => "c2 (IDENTITY)",
-            ExperimentCase::C3GreedyAllC => "c3 (GREEDYALLC)",
-            ExperimentCase::C4GreedyMin => "c4 (GREEDYMIN)",
-        }
-    }
-
-    /// Identifier like `c1`.
-    pub fn id(&self) -> &'static str {
-        match self {
-            ExperimentCase::C1Drb => "c1",
-            ExperimentCase::C2Identity => "c2",
-            ExperimentCase::C3GreedyAllC => "c3",
-            ExperimentCase::C4GreedyMin => "c4",
-        }
-    }
-}
 
 /// Parameters shared by all experiments.
 #[derive(Clone, Debug)]
@@ -170,17 +125,16 @@ impl CaseResult {
 pub fn run_case(
     ga: &Graph,
     topology: &Topology,
-    case: ExperimentCase,
+    case: MapCase,
     config: &ExperimentConfig,
 ) -> Result<CaseResult, TieError> {
     let gp = &topology.graph;
-    let num_pes = gp.num_vertices();
     let pcube = recognize_partial_cube(gp)?;
 
     // Step 1: topology-oblivious partition (KaHIP stand-in).
     let part_cfg = PartitionConfig {
         epsilon: config.epsilon,
-        ..PartitionConfig::new(num_pes, config.seed)
+        ..PartitionConfig::new(gp.num_vertices(), config.seed)
     };
     let t0 = Instant::now();
     let part = partition(ga, &part_cfg);
@@ -188,12 +142,7 @@ pub fn run_case(
 
     // Step 2: initial mapping µ1.
     let t1 = Instant::now();
-    let initial_mapping: Mapping = match case {
-        ExperimentCase::C1Drb => drb::drb_mapping(ga, &part, gp, config.seed),
-        ExperimentCase::C2Identity => identity_mapping(&part, num_pes),
-        ExperimentCase::C3GreedyAllC => greedy::greedy_allc_mapping(ga, &part, gp),
-        ExperimentCase::C4GreedyMin => greedy::greedy_min_mapping(ga, &part, gp),
-    };
+    let initial_mapping = case.initial_mapping(ga, &part, gp, config.seed);
     let initial_mapping_time = t1.elapsed();
 
     // Step 3: TIMER enhancement.
@@ -244,7 +193,7 @@ mod tests {
             num_hierarchies: 5,
             ..Default::default()
         };
-        for case in ExperimentCase::all() {
+        for case in MapCase::all() {
             let r = run_case(&ga, &topo, case, &config).unwrap();
             // TIMER accepts rounds by Coco+ (Coco - Div), so plain Coco may
             // drift up marginally in unlucky runs; anything beyond a few
@@ -267,9 +216,9 @@ mod tests {
 
     #[test]
     fn case_names_and_ids() {
-        assert_eq!(ExperimentCase::all().len(), 4);
-        assert_eq!(ExperimentCase::C1Drb.id(), "c1");
-        assert!(ExperimentCase::C4GreedyMin.name().contains("GREEDYMIN"));
+        assert_eq!(MapCase::all().len(), 4);
+        assert_eq!(MapCase::C1Drb.id(), "c1");
+        assert!(MapCase::C4GreedyMin.name().contains("GREEDYMIN"));
     }
 
     #[test]
@@ -281,7 +230,7 @@ mod tests {
             num_hierarchies: 2,
             ..Default::default()
         };
-        let r = run_case(&ga, &topo, ExperimentCase::C2Identity, &config).unwrap();
+        let r = run_case(&ga, &topo, MapCase::C2Identity, &config).unwrap();
         assert!(r.time_quotient(Duration::from_millis(100)).is_finite());
         assert!(r.time_quotient(Duration::ZERO).is_infinite());
     }

@@ -5,10 +5,12 @@
 use std::time::Duration;
 
 use tie_fault::FaultHandle;
+use tie_mapd::cli::{has_flag, parsed_flag, trace_from_flags, try_flag_value};
+use tie_mapd::MapCase;
 use tie_topology::Topology;
-use tie_trace::{TraceHandle, TraceLevel};
+use tie_trace::TraceHandle;
 
-use crate::experiment::{run_case, ExperimentCase, ExperimentConfig};
+use crate::experiment::{run_case, ExperimentConfig};
 use crate::report::{QualityRow, TimingRow};
 use crate::stats::{aggregate_summaries, Summary};
 use crate::workloads::{NetworkSpec, Scale};
@@ -79,7 +81,7 @@ pub struct CellObservations {
 pub fn run_sweep(
     networks: &[NetworkSpec],
     topologies: &[Topology],
-    case: ExperimentCase,
+    case: MapCase,
     options: &SweepOptions,
 ) -> Vec<CellObservations> {
     let mut cells = Vec::new();
@@ -118,7 +120,7 @@ pub fn run_sweep(
                 // (the paper divides by SCOTCH's mapping time there), the
                 // partitioning time for c2-c4 (divided by KaHIP's time).
                 let baseline: Duration = match case {
-                    ExperimentCase::C1Drb => result.initial_mapping_time,
+                    MapCase::C1Drb => result.initial_mapping_time,
                     _ => result.partition_time,
                 };
                 time_q.push(result.time_quotient(baseline));
@@ -172,7 +174,7 @@ pub fn quality_rows(cells: &[CellObservations], topologies: &[Topology]) -> Vec<
 /// Aggregates raw observations of several cases into Table-2-style timing
 /// rows.
 pub fn timing_rows(
-    per_case: &[(ExperimentCase, Vec<CellObservations>)],
+    per_case: &[(MapCase, Vec<CellObservations>)],
     topologies: &[Topology],
 ) -> Vec<TimingRow> {
     topologies
@@ -208,104 +210,52 @@ pub const USAGE: &str = "options: [--scale tiny|small|medium] [--reps N] [--nh N
 
 /// Parses the flags shared by the binaries (`--scale`, `--reps`, `--nh`,
 /// `--threads`, `--batch`, `--full`, `--deadline-ms`, `--trace-out`,
-/// `--trace-level`). Unknown flags are ignored so binaries can add their
-/// own; a *malformed* value for a known flag is an `Err` with a one-line
-/// explanation — callers print it with [`USAGE`] and exit instead of
-/// panicking mid-parse.
+/// `--trace-level`) with the `tie_mapd::cli` helpers. Unknown flags are
+/// ignored so binaries can add their own; a known flag with a *missing or
+/// malformed* value is an `Err` with a one-line explanation — callers print
+/// it with [`USAGE`] and exit instead of panicking mid-parse.
 ///
+/// `--full` selects the paper's setting (5 repetitions, NH = 50, medium
+/// scale); explicit `--reps`/`--nh`/`--scale` override it.
 /// `--trace-out <path>` enables the flight recorder and writes JSONL events
 /// to `<path>` (`-` streams human-readable lines to stderr instead).
 /// `--trace-level <gate|phase|debug>` controls verbosity; it defaults to
-/// `phase` once `--trace-out` is given and is ignored otherwise.
+/// `phase` (see [`trace_from_flags`]).
 /// `--deadline-ms <n>` bounds each TIMER run by a wall-clock deadline.
 /// The `TIE_FAULTS` environment variable arms deterministic fault
 /// injection (see the `tie-fault` crate for the grammar).
 pub fn parse_options(args: &[String]) -> Result<SweepOptions, String> {
-    fn number(args: &[String], i: usize, flag: &str) -> Result<usize, String> {
-        args[i + 1]
-            .parse()
-            .map_err(|_| format!("{flag} needs a number, got {:?}", args[i + 1]))
-    }
-
     let mut opts = SweepOptions::default();
-    let mut trace_out: Option<String> = None;
-    let mut trace_level: Option<TraceLevel> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" if i + 1 < args.len() => {
-                opts.scale = match args[i + 1].as_str() {
-                    "tiny" => Scale::Tiny,
-                    "small" => Scale::Small,
-                    "medium" => Scale::Medium,
-                    other => {
-                        return Err(format!("unknown scale {other:?} (use tiny|small|medium)"))
-                    }
-                };
-                i += 1;
-            }
-            "--reps" if i + 1 < args.len() => {
-                opts.repetitions = number(args, i, "--reps")?;
-                i += 1;
-            }
-            "--nh" if i + 1 < args.len() => {
-                opts.num_hierarchies = number(args, i, "--nh")?;
-                i += 1;
-            }
-            "--threads" if i + 1 < args.len() => {
-                opts.threads = number(args, i, "--threads")?;
-                if opts.threads == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                i += 1;
-            }
-            "--batch" if i + 1 < args.len() => {
-                opts.batch = number(args, i, "--batch")?;
-                i += 1;
-            }
-            "--full" => {
-                // The paper's setting: 5 repetitions, NH = 50.
-                opts.repetitions = 5;
-                opts.num_hierarchies = 50;
-                opts.scale = Scale::Medium;
-            }
-            "--deadline-ms" if i + 1 < args.len() => {
-                let ms = number(args, i, "--deadline-ms")?;
-                if ms == 0 {
-                    return Err("--deadline-ms must be positive".to_string());
-                }
-                opts.deadline = Some(Duration::from_millis(ms as u64));
-                i += 1;
-            }
-            "--trace-out" if i + 1 < args.len() => {
-                trace_out = Some(args[i + 1].clone());
-                i += 1;
-            }
-            "--trace-level" if i + 1 < args.len() => {
-                trace_level = Some(TraceLevel::parse(&args[i + 1]).ok_or_else(|| {
-                    format!(
-                        "--trace-level needs off|gate|phase|debug, got {:?}",
-                        args[i + 1]
-                    )
-                })?);
-                i += 1;
-            }
-            _ => {}
+    if has_flag(args, "--full") {
+        opts.repetitions = 5;
+        opts.num_hierarchies = 50;
+        opts.scale = Scale::Medium;
+    }
+    if let Some(scale) = try_flag_value(args, "--scale")? {
+        opts.scale = match scale {
+            "tiny" => Scale::Tiny,
+            "small" => Scale::Small,
+            "medium" => Scale::Medium,
+            other => return Err(format!("unknown scale {other:?} (use tiny|small|medium)")),
+        };
+    }
+    opts.repetitions = parsed_flag(args, "--reps", opts.repetitions)?;
+    opts.num_hierarchies = parsed_flag(args, "--nh", opts.num_hierarchies)?;
+    opts.threads = parsed_flag(args, "--threads", opts.threads)?;
+    if opts.threads == 0 {
+        return Err("--threads must be at least 1".to_string());
+    }
+    opts.batch = parsed_flag(args, "--batch", opts.batch)?;
+    if let Some(ms) = try_flag_value(args, "--deadline-ms")? {
+        match ms.parse() {
+            Ok(ms) if ms > 0 => opts.deadline = Some(Duration::from_millis(ms)),
+            _ => return Err(format!("--deadline-ms needs a positive number, got {ms:?}")),
         }
-        i += 1;
     }
-    if let Some(path) = trace_out {
-        opts.trace = make_trace_handle(&path, trace_level.unwrap_or(TraceLevel::Phase))?;
-    }
+    opts.trace = trace_from_flags(args)?;
     opts.faults = FaultHandle::from_env().map_err(|e| format!("invalid TIE_FAULTS: {e}"))?;
     Ok(opts)
 }
-
-/// Builds a [`TraceHandle`] for `--trace-out`: `-` streams human-readable
-/// events to stderr, any other value is a JSONL output path. An unwritable
-/// path is reported as an `Err` instead of panicking. (Re-exported from the
-/// service crate so the daemon and the experiment binaries agree.)
-pub use tie_mapd::cli::make_trace_handle;
 
 #[cfg(test)]
 mod tests {
@@ -322,7 +272,7 @@ mod tests {
             num_hierarchies: 3,
             ..Default::default()
         };
-        let cells = run_sweep(networks, &topologies, ExperimentCase::C2Identity, &options);
+        let cells = run_sweep(networks, &topologies, MapCase::C2Identity, &options);
         assert_eq!(cells.len(), networks.len() * topologies.len());
         for cell in &cells {
             assert!(cell.errors.is_empty(), "{:?}", cell.errors);
@@ -336,7 +286,7 @@ mod tests {
         for row in &rows {
             assert!(row.coco.mean <= 1.05, "{}: {}", row.topology, row.coco.mean);
         }
-        let timing = timing_rows(&[(ExperimentCase::C2Identity, cells)], &topologies);
+        let timing = timing_rows(&[(MapCase::C2Identity, cells)], &topologies);
         assert_eq!(timing.len(), 2);
         assert_eq!(timing[0].per_case.len(), 1);
     }
@@ -382,12 +332,13 @@ mod tests {
             &["--deadline-ms", "soon"],
             &["--deadline-ms", "0"],
             &["--trace-level", "loud"],
+            &["--threads"],
         ];
         for case in cases {
             let args: Vec<String> = case.iter().map(|s| s.to_string()).collect();
             let err = parse_options(&args).unwrap_err();
             assert!(
-                err.contains(case[0]) || err.contains(case[1]),
+                case.iter().any(|part| err.contains(part)),
                 "error for {case:?} should name the flag or value: {err}"
             );
         }
@@ -417,7 +368,7 @@ mod tests {
         }];
         // Every repetition failed: no fabricated "quotient 1.0" rows.
         assert!(quality_rows(&cells, &topologies).is_empty());
-        let timing = timing_rows(&[(ExperimentCase::C2Identity, cells)], &topologies);
+        let timing = timing_rows(&[(MapCase::C2Identity, cells)], &topologies);
         assert_eq!(timing.len(), 1);
         assert!(timing[0].per_case.is_empty());
     }

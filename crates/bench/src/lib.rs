@@ -26,7 +26,7 @@ pub mod report;
 pub mod stats;
 pub mod workloads;
 
-pub use experiment::{run_case, CaseResult, ExperimentCase, ExperimentConfig};
+pub use experiment::{run_case, CaseResult, ExperimentConfig};
 pub use harness::{parse_options, quality_rows, run_sweep, timing_rows, SweepOptions};
 pub use stats::{geometric_mean, geometric_std_dev, Summary};
 pub use workloads::{paper_networks, quick_networks, NetworkSpec, Scale};

@@ -8,10 +8,10 @@
 
 use std::fmt::Write as _;
 
+use tie_mapd::MapCase;
 use tie_timer::RoundTelemetry;
 use tie_trace::LogHistogram;
 
-use crate::experiment::ExperimentCase;
 use crate::harness::CellObservations;
 use crate::stats::Summary;
 
@@ -159,7 +159,7 @@ fn format_f64_list(values: &[f64]) -> String {
 /// artifact `run_all --out` writes. Rows whose repetitions failed carry
 /// their error strings instead of silently disappearing, so a partially
 /// failed overnight campaign is still a complete, auditable record.
-pub fn format_sweep_json(per_case: &[(ExperimentCase, Vec<CellObservations>)]) -> String {
+pub fn format_sweep_json(per_case: &[(MapCase, Vec<CellObservations>)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
     let _ = writeln!(out, "  \"report\": \"sweep\",");
@@ -498,7 +498,7 @@ mod tests {
                 errors: vec!["rep 0: worker panicked in hierarchy round 3: \"boom\"".into()],
             },
         ];
-        let s = format_sweep_json(&[(ExperimentCase::C2Identity, cells)]);
+        let s = format_sweep_json(&[(MapCase::C2Identity, cells)]);
         assert_eq!(s.matches('{').count(), s.matches('}').count());
         assert_eq!(s.matches('[').count(), s.matches(']').count());
         assert!(s.contains("\"total_errors\": 1"));

@@ -20,7 +20,6 @@
 //!   coarse levels and TIMER's label-prefix hierarchy all go through it,
 //! * [`bucket_queue`] — the gain bucket priority queue used by the
 //!   Fiduccia–Mattheyses refinement in `tie-partition`,
-//! * [`union_find`] — a disjoint-set forest,
 //! * [`io`] — METIS-format and edge-list readers/writers.
 //!
 //! All vertex identifiers are `u32` ([`NodeId`]); all weights are `u64`
@@ -36,17 +35,14 @@ pub mod generators;
 pub mod io;
 #[cfg(test)]
 mod quotient;
-pub mod stats;
 pub mod subgraph;
 pub mod traversal;
-pub mod union_find;
 
 pub use builder::GraphBuilder;
 pub use contract::{contract_into, ContractScratch};
 pub use csr::{Graph, NodeId, Weight};
 pub use subgraph::{induced_subgraph, Subgraph};
 pub use traversal::{bfs_distances, connected_components, is_connected};
-pub use union_find::UnionFind;
 
 /// Signed weight type used for gains and deltas of objective functions.
 pub type Gain = i64;

@@ -131,37 +131,6 @@ pub fn largest_connected_component(graph: &Graph) -> (Graph, Vec<Option<NodeId>>
     (sub.graph, remap)
 }
 
-/// Returns a BFS ordering of the vertices starting from `source`; vertices in
-/// other components are appended in id order. Useful for locality-friendly
-/// initial numberings.
-pub fn bfs_order(graph: &Graph, source: NodeId) -> Vec<NodeId> {
-    let n = graph.num_vertices();
-    let mut order = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    let mut queue = VecDeque::new();
-    let mut start = source;
-    loop {
-        if !seen[start as usize] {
-            seen[start as usize] = true;
-            queue.push_back(start);
-            while let Some(u) = queue.pop_front() {
-                order.push(u);
-                for &v in graph.neighbors(u) {
-                    if !seen[v as usize] {
-                        seen[v as usize] = true;
-                        queue.push_back(v);
-                    }
-                }
-            }
-        }
-        match seen.iter().position(|&s| !s) {
-            Some(next) => start = next as NodeId,
-            None => break,
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,15 +192,6 @@ mod tests {
         assert_eq!(lcc.num_edges(), 3);
         assert!(remap[0].is_some() && remap[3].is_none() && remap[5].is_none());
         assert!(is_connected(&lcc));
-    }
-
-    #[test]
-    fn bfs_order_visits_all_vertices() {
-        let g = Graph::from_edges(5, &[(0, 1), (2, 3)]);
-        let order = bfs_order(&g, 0);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

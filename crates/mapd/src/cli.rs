@@ -1,4 +1,5 @@
-//! Small flag-parsing helpers shared by `mapd` and the `map_file` CLI.
+//! Small flag-parsing helpers shared by `mapd`, the `map_file` CLI and the
+//! experiment binaries.
 //!
 //! Nothing here panics: malformed flags surface as `Err(String)` so binaries
 //! can print the message plus their usage line and exit with code 2.
@@ -8,12 +9,24 @@ use std::sync::Arc;
 
 use tie_trace::{JsonlSink, StderrSink, TraceHandle, TraceLevel};
 
-/// The value following `flag`, if present.
+/// The value following `flag`: `Ok(None)` when the flag is absent.
+///
+/// # Errors
+/// A one-line message when `flag` is the last argument, with no value.
+pub fn try_flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(v) => Ok(Some(v)),
+            None => Err(format!("{flag} needs a value")),
+        },
+    }
+}
+
+/// The value following `flag`, if present; the lenient form of
+/// [`try_flag_value`], reading a flag without a value as absent.
 pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
+    try_flag_value(args, flag).ok().flatten()
 }
 
 /// Whether `flag` appears at all (valueless switches like `--json`).
@@ -24,9 +37,9 @@ pub fn has_flag(args: &[String], flag: &str) -> bool {
 /// Parses the value of `flag`, falling back to `default` when absent.
 ///
 /// # Errors
-/// A one-line message naming the flag and the unparsable value.
+/// A one-line message naming the flag and the missing or unparsable value.
 pub fn parsed_flag<T: FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
-    match flag_value(args, flag) {
+    match try_flag_value(args, flag)? {
         Some(v) => v
             .parse()
             .map_err(|_| format!("{flag} needs a valid value, got {v:?}")),
@@ -34,37 +47,25 @@ pub fn parsed_flag<T: FromStr>(args: &[String], flag: &str, default: T) -> Resul
     }
 }
 
-/// Builds a [`TraceHandle`] for `--trace-out`: `-` streams human-readable
-/// events to stderr, any other value is a JSONL output path.
-///
-/// # Errors
-/// An unwritable path is reported as an `Err` instead of panicking.
-pub fn make_trace_handle(path: &str, level: TraceLevel) -> Result<TraceHandle, String> {
-    if path == "-" {
-        Ok(TraceHandle::new(Arc::new(StderrSink), level))
-    } else {
-        let sink = JsonlSink::create(path)
-            .map_err(|e| format!("cannot open trace output {path:?}: {e}"))?;
-        Ok(TraceHandle::new(Arc::new(sink), level))
-    }
-}
-
 /// Resolves `--trace-out PATH|-` and `--trace-level off|gate|phase|debug`
 /// into a handle: off when no `--trace-out` is given, level `phase` by
-/// default when it is.
+/// default when it is. `-` streams human-readable events to stderr, any
+/// other path receives JSONL.
 ///
 /// # Errors
-/// Unknown levels and unwritable paths.
+/// Missing values, unknown levels and unwritable paths.
 pub fn trace_from_flags(args: &[String]) -> Result<TraceHandle, String> {
-    match flag_value(args, "--trace-out") {
+    let level = match try_flag_value(args, "--trace-level")? {
+        Some(v) => TraceLevel::parse(v)
+            .ok_or_else(|| format!("--trace-level needs off|gate|phase|debug, got {v:?}"))?,
+        None => TraceLevel::Phase,
+    };
+    match try_flag_value(args, "--trace-out")? {
+        Some("-") => Ok(TraceHandle::new(Arc::new(StderrSink), level)),
         Some(path) => {
-            let level = match flag_value(args, "--trace-level") {
-                Some(v) => TraceLevel::parse(v).ok_or_else(|| {
-                    format!("--trace-level needs off|gate|phase|debug, got {v:?}")
-                })?,
-                None => TraceLevel::Phase,
-            };
-            make_trace_handle(path, level)
+            let sink = JsonlSink::create(path)
+                .map_err(|e| format!("cannot open trace output {path:?}: {e}"))?;
+            Ok(TraceHandle::new(Arc::new(sink), level))
         }
         None => Ok(TraceHandle::off()),
     }
@@ -88,6 +89,11 @@ mod tests {
         assert_eq!(parsed_flag(&a, "--nh", 50usize).unwrap(), 12);
         assert_eq!(parsed_flag(&a, "--seed", 7u64).unwrap(), 7);
         assert!(parsed_flag::<usize>(&args(&["--nh", "x"]), "--nh", 1).is_err());
+        // A flag given last, with no value, is an error, not its default.
+        let dangling = args(&["--seed", "3", "--nh"]);
+        assert!(try_flag_value(&dangling, "--nh").is_err());
+        assert!(parsed_flag(&dangling, "--nh", 50usize).is_err());
+        assert_eq!(try_flag_value(&dangling, "--seed").unwrap(), Some("3"));
     }
 
     #[test]
@@ -99,5 +105,6 @@ mod tests {
         assert!(h.enabled(TraceLevel::Phase));
         assert!(!h.enabled(TraceLevel::Debug));
         assert!(trace_from_flags(&args(&["--trace-out", "-", "--trace-level", "bogus"])).is_err());
+        assert!(trace_from_flags(&args(&["--trace-out"])).is_err());
     }
 }

@@ -25,10 +25,10 @@ fn run(args: &[String]) -> Result<(), String> {
     use std::sync::Arc;
 
     use tie_fault::FaultHandle;
-    use tie_mapd::cli::{flag_value, parsed_flag, trace_from_flags};
+    use tie_mapd::cli::{parsed_flag, trace_from_flags, try_flag_value};
     use tie_mapd::{server, Service, ServiceOptions};
 
-    let socket = PathBuf::from(flag_value(args, "--socket").unwrap_or("mapd.sock"));
+    let socket = PathBuf::from(try_flag_value(args, "--socket")?.unwrap_or("mapd.sock"));
     let cache_capacity: usize = parsed_flag(args, "--cache-capacity", 8)?;
     let max_inflight: usize = parsed_flag(args, "--max-inflight", 0)?;
     let trace = trace_from_flags(args)?;

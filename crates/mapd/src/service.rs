@@ -11,9 +11,9 @@ use std::time::{Duration, Instant};
 
 use tie_fault::FaultHandle;
 use tie_graph::{io, Graph, GraphBuilder};
-use tie_mapping::{drb::drb_mapping, greedy, identity_mapping};
+use tie_mapping::{drb::drb_mapping, greedy, identity_mapping, Mapping};
 use tie_metrics::evaluate;
-use tie_partition::{partition, PartitionConfig};
+use tie_partition::{partition, Partition, PartitionConfig};
 use tie_timer::{CancelToken, TieError, Timer, TimerConfig, TopologyContext};
 use tie_trace::TraceHandle;
 
@@ -22,30 +22,34 @@ use crate::cache::{CacheStats, TopologyCache};
 use crate::protocol::{GraphSource, MapRequest, MapResponse, QualitySummary};
 use crate::topo::parse_topology;
 
-/// The four experimental cases of the paper's Section 7 pipeline, selecting
-/// how the initial mapping is derived from the partition.
+/// The four experimental cases of Section 7.1, selecting how the initial
+/// mapping µ₁ is derived from the partition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MapCase {
-    /// Dual recursive bisection.
+    /// c1: dual recursive bisection (SCOTCH stand-in).
     C1Drb,
-    /// Identity block-to-PE bijection.
+    /// c2: IDENTITY block-to-PE bijection on top of the partition.
     C2Identity,
-    /// Greedy all-communication.
+    /// c3: GREEDYALLC construction.
     C3GreedyAllC,
-    /// Greedy minimum.
+    /// c4: GREEDYMIN construction (LibTopoMap-style construct method).
     C4GreedyMin,
 }
 
 impl MapCase {
+    /// All four cases in paper order.
+    pub fn all() -> [MapCase; 4] {
+        [
+            MapCase::C1Drb,
+            MapCase::C2Identity,
+            MapCase::C3GreedyAllC,
+            MapCase::C4GreedyMin,
+        ]
+    }
+
     /// Parses the wire/CLI id (`c1`..`c4`).
     pub fn parse(s: &str) -> Option<MapCase> {
-        match s {
-            "c1" => Some(MapCase::C1Drb),
-            "c2" => Some(MapCase::C2Identity),
-            "c3" => Some(MapCase::C3GreedyAllC),
-            "c4" => Some(MapCase::C4GreedyMin),
-            _ => None,
-        }
+        MapCase::all().into_iter().find(|c| c.id() == s)
     }
 
     /// The stable id.
@@ -55,6 +59,33 @@ impl MapCase {
             MapCase::C2Identity => "c2",
             MapCase::C3GreedyAllC => "c3",
             MapCase::C4GreedyMin => "c4",
+        }
+    }
+
+    /// Label used in reports (matches the paper's figures).
+    pub fn name(self) -> &'static str {
+        match self {
+            MapCase::C1Drb => "c1 (SCOTCH-like DRB)",
+            MapCase::C2Identity => "c2 (IDENTITY)",
+            MapCase::C3GreedyAllC => "c3 (GREEDYALLC)",
+            MapCase::C4GreedyMin => "c4 (GREEDYMIN)",
+        }
+    }
+
+    /// Builds this case's initial mapping µ₁ of `ga` onto `gp` from
+    /// `partition` (`seed` drives DRB's randomized bisections).
+    pub fn initial_mapping(
+        self,
+        ga: &Graph,
+        partition: &Partition,
+        gp: &Graph,
+        seed: u64,
+    ) -> Mapping {
+        match self {
+            MapCase::C1Drb => drb_mapping(ga, partition, gp, seed),
+            MapCase::C2Identity => identity_mapping(partition, gp.num_vertices()),
+            MapCase::C3GreedyAllC => greedy::greedy_allc_mapping(ga, partition, gp),
+            MapCase::C4GreedyMin => greedy::greedy_min_mapping(ga, partition, gp),
         }
     }
 }
@@ -181,12 +212,7 @@ impl Service {
                 ..PartitionConfig::new(topo.num_pes(), req.seed)
             },
         );
-        let initial = match case {
-            MapCase::C1Drb => drb_mapping(&ga, &part, &topo.graph, req.seed),
-            MapCase::C2Identity => identity_mapping(&part, topo.num_pes()),
-            MapCase::C3GreedyAllC => greedy::greedy_allc_mapping(&ga, &part, &topo.graph),
-            MapCase::C4GreedyMin => greedy::greedy_min_mapping(&ga, &part, &topo.graph),
-        };
+        let initial = case.initial_mapping(&ga, &part, &topo.graph, req.seed);
 
         let mut cfg = TimerConfig::new(req.nh, req.seed)
             .with_threads(req.threads)

@@ -14,8 +14,8 @@
 //!   GREEDYALLC and GREEDYMIN of Brandfass et al. / Glantz et al.,
 //! * [`drb`] — case c1: dual recursive bisection in the spirit of SCOTCH's
 //!   generic mapping routine,
-//! * [`ncm`] — a Walshaw–Cross style pairwise-swap refinement on the
-//!   communication graph (network-cost-matrix baseline, used in ablations),
+//! * [`random`] — a seeded random block-to-PE bijection, the reference the
+//!   baselines are tested against,
 //! * [`comm`] — communication-graph construction (`Gc` of Figure 1).
 //!
 //! The central type is [`Mapping`]: an assignment of every application-graph
@@ -27,17 +27,12 @@ pub mod comm;
 pub mod drb;
 pub mod greedy;
 pub mod identity;
-pub mod multisection;
-pub mod ncm;
 pub mod random;
 
 pub use comm::communication_graph;
 pub use drb::dual_recursive_bisection;
 pub use greedy::{greedy_allc, greedy_min};
 pub use identity::identity_mapping;
-pub use multisection::{multisection, multisection_mapping};
-pub use ncm::refine_by_swaps;
-pub use random::{random_mapping, round_robin_mapping};
 
 use tie_graph::{Graph, NodeId, Weight};
 use tie_partition::Partition;

@@ -1,18 +1,11 @@
-//! Control baselines: random and round-robin block-to-PE bijections.
+//! Control baseline: a random block-to-PE bijection.
 //!
-//! These are not serious mapping algorithms — they exist to calibrate the
-//! other baselines and TIMER in the benchmarks (any topology-aware method
-//! must beat a random bijection on Coco) and to provide worst-case-ish
-//! starting points for stress-testing the enhancer.
+//! Not a serious mapping algorithm — it calibrates the other baselines (any
+//! topology-aware method must beat a random bijection on Coco).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-use tie_graph::Graph;
-use tie_partition::Partition;
-
-use crate::Mapping;
 
 /// A uniformly random bijection `block -> PE`.
 ///
@@ -27,46 +20,12 @@ pub fn random_bijection(k: usize, num_pes: usize, seed: u64) -> Vec<u32> {
     pes
 }
 
-/// Random mapping of a partitioned application graph.
-pub fn random_mapping(partition: &Partition, num_pes: usize, seed: u64) -> Mapping {
-    let nu = random_bijection(partition.k(), num_pes, seed);
-    Mapping::from_partition(partition, &nu, num_pes)
-}
-
-/// Maps vertex `v` of the application graph directly to PE `v mod num_pes`
-/// (ignoring any partition): the classic round-robin / block-cyclic
-/// assignment used as a strawman in mapping papers. Balanced by construction
-/// but oblivious to both communication and topology.
-pub fn round_robin_mapping(graph: &Graph, num_pes: usize) -> Mapping {
-    let assignment: Vec<u32> = graph
-        .vertices()
-        .map(|v| (v as usize % num_pes) as u32)
-        .collect();
-    Mapping::new(assignment, num_pes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mapping;
     use tie_graph::generators;
-    use tie_metrics_check::coco_check;
     use tie_partition::PartitionConfig;
-
-    /// Minimal local Coco computation to avoid a circular dev-dependency on
-    /// tie-metrics.
-    mod tie_metrics_check {
-        use tie_graph::traversal::all_pairs_distances;
-        use tie_graph::Graph;
-
-        use crate::Mapping;
-
-        pub fn coco_check(ga: &Graph, gp: &Graph, m: &Mapping) -> u64 {
-            let dist = all_pairs_distances(gp);
-            ga.edges()
-                .map(|(u, v, w)| w * dist.get(m.pe_of(u), m.pe_of(v)) as u64)
-                .sum()
-        }
-    }
 
     #[test]
     fn random_bijection_is_injective_and_seeded() {
@@ -81,25 +40,10 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_is_balanced_but_topology_oblivious() {
-        let ga = generators::barabasi_albert(640, 3, 1);
-        let gp = generators::grid2d(4, 4);
-        let m = round_robin_mapping(&ga, 16);
-        assert!(m.is_balanced(0.0));
-        // A partition-based greedy mapping should beat round robin on Coco.
-        let part = tie_partition::partition(&ga, &PartitionConfig::new(16, 1));
-        let greedy = crate::greedy::greedy_allc_mapping(&ga, &part, &gp);
-        assert!(
-            coco_check(&ga, &gp, &greedy) < coco_check(&ga, &gp, &m),
-            "topology-aware mapping must beat round robin"
-        );
-    }
-
-    #[test]
     fn random_mapping_composes_with_partition() {
         let ga = generators::watts_strogatz(320, 4, 0.1, 2);
         let part = tie_partition::partition(&ga, &PartitionConfig::new(16, 3));
-        let m = random_mapping(&part, 16, 9);
+        let m = Mapping::from_partition(&part, &random_bijection(part.k(), 16, 9), 16);
         assert_eq!(m.num_tasks(), 320);
         assert!(m.is_balanced(0.1));
     }

@@ -7,11 +7,11 @@ use proptest::prelude::*;
 use tie_graph::traversal::all_pairs_distances;
 use tie_graph::{generators, Graph};
 use tie_mapping::{
-    communication_graph, dual_recursive_bisection, greedy_allc, greedy_min, multisection,
+    communication_graph, dual_recursive_bisection, greedy_allc, greedy_min,
     random::random_bijection,
 };
 use tie_partition::{partition, PartitionConfig};
-use tie_topology::{recognize_partial_cube, Topology};
+use tie_topology::Topology;
 
 fn coco_of_nu(gc: &Graph, gp: &Graph, nu: &[u32]) -> u64 {
     let dist = all_pairs_distances(gp);
@@ -28,7 +28,7 @@ fn injective(nu: &[u32]) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// All four constructive baselines produce valid bijections on random
+    /// All three constructive baselines produce valid bijections on random
     /// partitioned complex networks and arbitrary small-topology targets.
     #[test]
     fn baselines_produce_bijections(
@@ -44,7 +44,6 @@ proptest! {
             Topology::grid3d(4, 2, 2),
         ];
         let topo = &topologies[topo_idx];
-        let pcube = recognize_partial_cube(&topo.graph).unwrap();
         let k = topo.num_pes();
         let part = partition(&ga, &PartitionConfig::new(k, seed));
         let gc = communication_graph(&ga, &part);
@@ -53,7 +52,6 @@ proptest! {
             ("greedy_allc", greedy_allc(&gc, &topo.graph)),
             ("greedy_min", greedy_min(&gc, &topo.graph)),
             ("drb", dual_recursive_bisection(&gc, &topo.graph, seed)),
-            ("multisection", multisection(&gc, &pcube, seed)),
         ] {
             prop_assert_eq!(nu.len(), k, "{}", name);
             prop_assert!(injective(&nu), "{} must be injective", name);
@@ -66,7 +64,6 @@ proptest! {
     #[test]
     fn baselines_beat_random_on_structured_instances(seed in 0..50u64) {
         let topo = Topology::grid2d(4, 4);
-        let pcube = recognize_partial_cube(&topo.graph).unwrap();
         let gc = generators::randomize_edge_weights(&generators::grid2d(4, 4), 5, seed);
         // Average random cost over a handful of random bijections.
         let random_costs: Vec<u64> = (0..5)
@@ -77,7 +74,6 @@ proptest! {
             ("greedy_allc", greedy_allc(&gc, &topo.graph)),
             ("greedy_min", greedy_min(&gc, &topo.graph)),
             ("drb", dual_recursive_bisection(&gc, &topo.graph, seed)),
-            ("multisection", multisection(&gc, &pcube, seed)),
         ] {
             let cost = coco_of_nu(&gc, &topo.graph, &nu) as f64;
             prop_assert!(

@@ -19,8 +19,8 @@
 //!    ([`recursive`]), plus a final greedy k-way boundary pass
 //!    ([`kway_refine`]).
 //!
-//! The entry point is [`partition`] with a [`PartitionConfig`]; the result is
-//! a [`Partition`] (block assignment plus quality accessors).
+//! The entry point is [`partition()`] with a [`PartitionConfig`]; the result
+//! is a [`Partition`] (block assignment plus quality accessors).
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
@@ -28,13 +28,11 @@ pub mod coarsen;
 pub mod fm;
 pub mod initial;
 pub mod kway_refine;
-pub mod label_propagation;
 pub mod matching;
 pub mod multilevel;
 pub mod partition;
 pub mod recursive;
 
-pub use label_propagation::{label_propagation_partition, LabelPropagationConfig};
 pub use partition::Partition;
 
 use tie_graph::Graph;
@@ -49,29 +47,11 @@ pub struct PartitionConfig {
     pub epsilon: f64,
     /// Seed for all randomized components (matching order, initial seeds).
     pub seed: u64,
-    /// Coarsening stops once the graph has at most this many vertices
-    /// (per bisection call).
-    pub coarsen_until: usize,
-    /// Number of random attempts for the initial bisection of the coarsest
-    /// graph; the best one is kept.
-    pub initial_attempts: usize,
-    /// Maximum number of FM passes per level.
-    pub fm_passes: usize,
-    /// Whether to run the final greedy k-way refinement pass.
-    pub kway_refinement: bool,
 }
 
 impl Default for PartitionConfig {
     fn default() -> Self {
-        PartitionConfig {
-            k: 2,
-            epsilon: 0.03,
-            seed: 0,
-            coarsen_until: 60,
-            initial_attempts: 8,
-            fm_passes: 6,
-            kway_refinement: true,
-        }
+        PartitionConfig::new(2, 0)
     }
 }
 
@@ -81,8 +61,8 @@ impl PartitionConfig {
     pub fn new(k: usize, seed: u64) -> Self {
         PartitionConfig {
             k,
+            epsilon: 0.03,
             seed,
-            ..Default::default()
         }
     }
 

@@ -7,6 +7,14 @@ use crate::fm::refine_bisection;
 use crate::initial::{greedy_graph_growing, Bisection};
 use crate::PartitionConfig;
 
+/// Coarsening stops once the graph has at most this many vertices.
+const COARSEN_UNTIL: usize = 60;
+/// Random attempts for the initial bisection of the coarsest graph; the best
+/// one is kept.
+const INITIAL_ATTEMPTS: usize = 8;
+/// Maximum number of FM passes per level.
+const FM_PASSES: usize = 6;
+
 /// Bisects `graph` into two sides with target weights `target0` and
 /// `total - target0` using the full multilevel pipeline.
 pub fn multilevel_bisection(
@@ -17,32 +25,19 @@ pub fn multilevel_bisection(
 ) -> Bisection {
     let total = graph.total_vertex_weight();
     let target1 = total.saturating_sub(target0);
-    if graph.num_vertices() <= config.coarsen_until {
-        let mut b = greedy_graph_growing(
-            graph,
-            target0,
-            config.epsilon,
-            config.initial_attempts,
-            seed,
-        );
-        refine_bisection(
-            graph,
-            &mut b,
-            target0,
-            target1,
-            config.epsilon,
-            config.fm_passes,
-        );
+    if graph.num_vertices() <= COARSEN_UNTIL {
+        let mut b = greedy_graph_growing(graph, target0, config.epsilon, INITIAL_ATTEMPTS, seed);
+        refine_bisection(graph, &mut b, target0, target1, config.epsilon, FM_PASSES);
         return b;
     }
 
-    let hierarchy = coarsen_until(graph, config.coarsen_until, seed);
+    let hierarchy = coarsen_until(graph, COARSEN_UNTIL, seed);
     let coarsest = hierarchy.coarsest(graph);
     let mut coarse = greedy_graph_growing(
         coarsest,
         target0,
         config.epsilon,
-        config.initial_attempts,
+        INITIAL_ATTEMPTS,
         seed.wrapping_add(1),
     );
     refine_bisection(
@@ -51,7 +46,7 @@ pub fn multilevel_bisection(
         target0,
         target1,
         config.epsilon,
-        config.fm_passes,
+        FM_PASSES,
     );
 
     // Uncoarsen level by level, refining after each projection.
@@ -71,7 +66,7 @@ pub fn multilevel_bisection(
             target0,
             target1,
             config.epsilon,
-            config.fm_passes,
+            FM_PASSES,
         );
         side_on_level = bis.side;
     }

@@ -8,7 +8,7 @@ use crate::partition::Partition;
 use crate::PartitionConfig;
 
 /// Partitions `graph` into `config.k` blocks by recursive multilevel
-/// bisection followed (optionally) by a greedy k-way refinement pass.
+/// bisection followed by a greedy k-way refinement pass.
 ///
 /// # Panics
 /// Panics if `config.k` is zero.
@@ -34,9 +34,7 @@ pub fn recursive_bisection(graph: &Graph, config: &PartitionConfig) -> Partition
         // (Eq. (1)) hold explicitly, then improve the cut locally without
         // violating it again.
         crate::kway_refine::rebalance(graph, &mut partition, config.epsilon);
-        if config.kway_refinement {
-            crate::kway_refine::greedy_kway_refine(graph, &mut partition, config.epsilon, 3);
-        }
+        crate::kway_refine::greedy_kway_refine(graph, &mut partition, config.epsilon, 3);
     }
     partition
 }

@@ -15,19 +15,16 @@
 //! * [`partial_cube`] — bipartiteness test, Djoković relation, partial-cube
 //!   recognition and the vertex labelling `lp(·)` of Section 3,
 //! * [`label`] — bitvector label utilities (Hamming distance, digit
-//!   permutations) shared with `tie-timer`,
-//! * [`hierarchy`] — the permutation-induced hierarchies of partitions of
-//!   Section 2 (Figure 2).
+//!   permutations) shared with `tie-timer`, whose label-prefix hierarchies
+//!   are the permutation-induced hierarchies of Section 2 (Figure 2).
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
 pub mod builders;
-pub mod hierarchy;
 pub mod label;
 pub mod partial_cube;
 
 pub use builders::{Topology, TopologyKind};
-pub use hierarchy::Hierarchy;
 pub use label::{hamming, permute_label_bits, Label};
 pub use partial_cube::{
     is_bipartite, recognize_partial_cube, verify_labeling, PartialCubeLabeling, RecognitionError,

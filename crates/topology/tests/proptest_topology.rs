@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use tie_graph::traversal::all_pairs_distances;
 use tie_topology::label::{format_label, invert_permutation, permute_label_bits};
-use tie_topology::{hamming, recognize_partial_cube, Hierarchy, Topology};
+use tie_topology::{hamming, recognize_partial_cube, Topology};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -66,20 +66,6 @@ proptest! {
                 prop_assert_eq!(hamming(p, q), hamming(labels[i], labels[j]));
             }
         }
-    }
-
-    /// Hierarchies built from random digit permutations are proper
-    /// hierarchies with monotone block counts, on a mid-sized grid.
-    #[test]
-    fn random_hierarchies_are_proper(seed in 0..200u64) {
-        let t = Topology::grid2d(4, 4);
-        let labeling = recognize_partial_cube(&t.graph).unwrap();
-        let perm = tie_graph::generators::random_permutation(labeling.dim, seed)
-            .into_iter().map(|x| x as usize).collect::<Vec<_>>();
-        let h = Hierarchy::new(labeling.labels, labeling.dim, perm);
-        prop_assert!(h.is_proper_hierarchy());
-        prop_assert_eq!(h.num_blocks_at_level(0), 1);
-        prop_assert_eq!(h.num_blocks_at_level(h.num_levels()), 16);
     }
 
     /// format_label produces dim characters of 0/1 and round-trips through

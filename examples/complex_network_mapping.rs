@@ -5,8 +5,9 @@
 //!
 //! Run with: `cargo run --release --example complex_network_mapping`
 
-use tie_bench::experiment::{run_case, ExperimentCase, ExperimentConfig};
+use tie_bench::experiment::{run_case, ExperimentConfig};
 use tie_bench::workloads::{paper_networks, Scale};
+use tie_mapd::MapCase;
 use tie_topology::Topology;
 
 fn main() {
@@ -34,7 +35,7 @@ fn main() {
         "{:<24} {:>12} {:>12} {:>9} {:>12} {:>12}",
         "initial mapping", "Coco before", "Coco after", "impr.", "Cut before", "Cut after"
     );
-    for case in ExperimentCase::all() {
+    for case in MapCase::all() {
         let r = run_case(&ga, &topo, case, &config).unwrap();
         println!(
             "{:<24} {:>12} {:>12} {:>8.1}% {:>12} {:>12}",

@@ -4,8 +4,10 @@
 //!
 //! Run with: `cargo run --release --example hierarchies`
 
-use tie_topology::label::format_label;
-use tie_topology::{recognize_partial_cube, Hierarchy, Topology};
+use std::collections::BTreeSet;
+
+use tie_topology::label::{bit, format_label};
+use tie_topology::{recognize_partial_cube, Topology};
 
 fn main() {
     // Figure 2: hierarchies of the 4-D hypercube.
@@ -27,13 +29,21 @@ fn main() {
             (0..labeling.dim).collect::<Vec<_>>(),
         ),
     ] {
-        let h = Hierarchy::new(labeling.labels.clone(), labeling.dim, perm);
+        // Level i groups the PEs by the first i permuted label digits, so
+        // its blocks are the distinct i-digit prefixes.
         println!("hierarchy {name}");
-        for level in 0..=h.num_levels() {
-            let blocks = h.num_blocks_at_level(level);
-            println!("  level {level}: {blocks} block(s)");
+        for level in 0..=labeling.dim {
+            let prefixes: BTreeSet<u64> = labeling
+                .labels
+                .iter()
+                .map(|&l| {
+                    perm[..level]
+                        .iter()
+                        .fold(0, |key, &d| (key << 1) | bit(l, d))
+                })
+                .collect();
+            println!("  level {level}: {} block(s)", prefixes.len());
         }
-        assert!(h.is_proper_hierarchy());
         println!();
     }
 

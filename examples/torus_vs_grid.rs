@@ -4,9 +4,10 @@
 //!
 //! Run with: `cargo run --release --example torus_vs_grid`
 
-use tie_bench::experiment::{run_case, ExperimentCase, ExperimentConfig};
+use tie_bench::experiment::{run_case, ExperimentConfig};
 use tie_bench::stats::geometric_mean;
 use tie_bench::workloads::{quick_networks, Scale};
+use tie_mapd::MapCase;
 use tie_topology::Topology;
 
 fn main() {
@@ -28,7 +29,7 @@ fn main() {
         let mut quotients = Vec::new();
         for spec in &networks {
             let ga = spec.build(Scale::Tiny);
-            let r = run_case(&ga, topo, ExperimentCase::C3GreedyAllC, &config).unwrap();
+            let r = run_case(&ga, topo, MapCase::C3GreedyAllC, &config).unwrap();
             quotients.push(r.coco_quotient());
         }
         let gm = geometric_mean(&quotients).expect("no networks were swept");

@@ -8,16 +8,17 @@
 
 use std::time::Instant;
 
-use tie_bench::experiment::{run_case, ExperimentCase, ExperimentConfig};
+use tie_bench::experiment::{run_case, ExperimentConfig};
 use tie_bench::stats::geometric_mean;
 use tie_bench::workloads::{quick_networks, Scale};
+use tie_mapd::MapCase;
 use tie_topology::Topology;
 
 /// Every run in this suite pins its seed through `ExperimentConfig` so the
 /// asserted quotients are reproducible run-to-run (no ambient randomness).
 const SUITE_SEED: u64 = 1;
 
-fn mean_quotients(case: ExperimentCase, topo: &Topology, nh: usize) -> (f64, f64) {
+fn mean_quotients(case: MapCase, topo: &Topology, nh: usize) -> (f64, f64) {
     let config = ExperimentConfig {
         num_hierarchies: nh,
         seed: SUITE_SEED,
@@ -41,7 +42,7 @@ fn timer_reduces_coco_for_scrambled_like_initial_mappings() {
     // Case c1 (DRB) leaves the most room for improvement per the paper; at
     // minimum TIMER must not lose quality, and on the 2D grid it should gain.
     let topo = Topology::grid2d(8, 8);
-    let (coco_q, _) = mean_quotients(ExperimentCase::C1Drb, &topo, 10);
+    let (coco_q, _) = mean_quotients(MapCase::C1Drb, &topo, 10);
     assert!(
         coco_q <= 1.0 + 1e-9,
         "geometric mean Coco quotient {coco_q} should not exceed 1"
@@ -51,7 +52,7 @@ fn timer_reduces_coco_for_scrambled_like_initial_mappings() {
 #[test]
 fn identity_case_improves_on_grid() {
     let topo = Topology::grid2d(8, 8);
-    let (coco_q, cut_q) = mean_quotients(ExperimentCase::C2Identity, &topo, 10);
+    let (coco_q, cut_q) = mean_quotients(MapCase::C2Identity, &topo, 10);
     assert!(
         coco_q < 1.0,
         "TIMER should improve Coco of IDENTITY mappings on the grid (got {coco_q})"
@@ -67,8 +68,8 @@ fn hypercube_improves_no_more_than_grid() {
     // improve Coco (results are poorest on the hypercube)."
     let grid = Topology::grid2d(8, 8);
     let hq = Topology::hypercube(6);
-    let (grid_q, _) = mean_quotients(ExperimentCase::C3GreedyAllC, &grid, 8);
-    let (hq_q, _) = mean_quotients(ExperimentCase::C3GreedyAllC, &hq, 8);
+    let (grid_q, _) = mean_quotients(MapCase::C3GreedyAllC, &grid, 8);
+    let (hq_q, _) = mean_quotients(MapCase::C3GreedyAllC, &hq, 8);
     // Allow a small tolerance: at tiny scale the ordering can tie.
     assert!(
         grid_q <= hq_q + 0.05,
@@ -90,7 +91,7 @@ fn timer_runtime_is_comparable_to_partitioning() {
         ..Default::default()
     };
     let start = Instant::now();
-    let r = run_case(&ga, &topo, ExperimentCase::C2Identity, &config).unwrap();
+    let r = run_case(&ga, &topo, MapCase::C2Identity, &config).unwrap();
     let _total = start.elapsed();
     let ratio = r.timer_time.as_secs_f64() / r.partition_time.as_secs_f64().max(1e-6);
     assert!(
@@ -114,8 +115,8 @@ fn more_hierarchies_help_or_tie() {
         seed: SUITE_SEED,
         ..Default::default()
     };
-    let few = run_case(&ga, &topo, ExperimentCase::C2Identity, &cfg_few).unwrap();
-    let many = run_case(&ga, &topo, ExperimentCase::C2Identity, &cfg_many).unwrap();
+    let few = run_case(&ga, &topo, MapCase::C2Identity, &cfg_few).unwrap();
+    let many = run_case(&ga, &topo, MapCase::C2Identity, &cfg_many).unwrap();
     // Same seed, more rounds: the accepted objective can only improve.
     assert!(many.enhanced.coco as f64 <= few.enhanced.coco as f64 * 1.02);
 }
@@ -130,8 +131,8 @@ fn experiments_are_deterministic_in_the_config_seed() {
         seed: SUITE_SEED,
         ..Default::default()
     };
-    let a = run_case(&ga, &topo, ExperimentCase::C2Identity, &config).unwrap();
-    let b = run_case(&ga, &topo, ExperimentCase::C2Identity, &config).unwrap();
+    let a = run_case(&ga, &topo, MapCase::C2Identity, &config).unwrap();
+    let b = run_case(&ga, &topo, MapCase::C2Identity, &config).unwrap();
     assert_eq!(a.initial.coco, b.initial.coco);
     assert_eq!(a.enhanced.coco, b.enhanced.coco);
     assert_eq!(a.enhanced.edge_cut, b.enhanced.edge_cut);

@@ -110,7 +110,8 @@ fn timer_on_all_small_topologies() {
 fn run_case_with_speculative_threads_matches_sequential() {
     // The experiment harness threads flag must not change any reported
     // number: the batched driver reproduces the sequential trajectory.
-    use tie_bench::experiment::{run_case, ExperimentCase, ExperimentConfig};
+    use tie_bench::experiment::{run_case, ExperimentConfig};
+    use tie_mapd::MapCase;
 
     let (ga, topo) = fixture();
     let sequential_cfg = ExperimentConfig {
@@ -122,8 +123,8 @@ fn run_case_with_speculative_threads_matches_sequential() {
         threads: 4,
         ..sequential_cfg.clone()
     };
-    let a = run_case(&ga, &topo, ExperimentCase::C2Identity, &sequential_cfg).unwrap();
-    let b = run_case(&ga, &topo, ExperimentCase::C2Identity, &threaded_cfg).unwrap();
+    let a = run_case(&ga, &topo, MapCase::C2Identity, &sequential_cfg).unwrap();
+    let b = run_case(&ga, &topo, MapCase::C2Identity, &threaded_cfg).unwrap();
     assert_eq!(a.enhanced.coco, b.enhanced.coco);
     assert_eq!(a.enhanced.edge_cut, b.enhanced.edge_cut);
     assert_eq!(a.hierarchies_accepted, b.hierarchies_accepted);
