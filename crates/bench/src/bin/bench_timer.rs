@@ -2,8 +2,9 @@
 //! × thread count and writes the machine-readable `BENCH_timer.json`
 //! artifact, so the wall-clock/quality trajectory of the batched driver is
 //! tracked across PRs. The batched driver is byte-identical to the
-//! sequential one, so `final_coco` must agree across thread counts within a
-//! scale — the harness asserts it.
+//! sequential one, so the trajectory (see `trajectory_mismatch`) must
+//! agree across thread counts within a scale — the harness fails the run
+//! when it does not.
 //!
 //! Usage:
 //!   cargo run -p tie-bench --bin bench_timer --release -- \
@@ -13,10 +14,11 @@
 //! `--quick` restricts to the tiny scale with a small NH (for CI smoke runs).
 //! `--reps N` repeats every cell N times and reports min/median wall-clock,
 //! so single-shot noise cannot masquerade as a perf claim; the trajectory
-//! (final Coco, gate telemetry) must be identical across repetitions and the
-//! harness asserts it. `--trace-out` streams flight-recorder events (JSONL;
-//! `-` = human-readable stderr) from every run; independent of the gate
-//! telemetry that is always embedded in the JSON artifact.
+//! must be identical across repetitions too, and the harness fails the run
+//! naming the first field that differs. `--trace-out` streams
+//! flight-recorder events (JSONL; `-` = human-readable stderr) from every
+//! run; independent of the gate telemetry that is always embedded in the
+//! JSON artifact.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -28,7 +30,7 @@ use tie_graph::generators::random_permutation;
 use tie_mapd::cli::{has_flag, parsed_flag, trace_from_flags, try_flag_value};
 use tie_mapping::Mapping;
 use tie_partition::{partition, PartitionConfig};
-use tie_timer::{enhance_mapping, RoundTelemetry, TimerConfig};
+use tie_timer::{enhance_mapping, RoundTelemetry, TimerConfig, TimerResult};
 use tie_topology::{recognize_partial_cube, Topology};
 
 const NETWORK: &str = "PGPgiantcompo";
@@ -43,6 +45,28 @@ fn scale_name(scale: Scale) -> &'static str {
         Scale::Tiny => "tiny",
         Scale::Small => "small",
         Scale::Medium => "medium",
+    }
+}
+
+/// The first field of the deterministic trajectory on which `run` differs
+/// from `reference`, or `None` when they agree: the final Coco, the kept
+/// rounds, swap and repair totals, the gate telemetry
+/// ([`RoundTelemetry::same_gate_trajectory`]) and the final labels.
+fn trajectory_mismatch(reference: &TimerResult, run: &TimerResult) -> Option<&'static str> {
+    if run.final_coco != reference.final_coco {
+        Some("final_coco")
+    } else if run.hierarchies_accepted != reference.hierarchies_accepted {
+        Some("hierarchies_accepted")
+    } else if run.total_swaps != reference.total_swaps {
+        Some("total_swaps")
+    } else if run.total_repaired != reference.total_repaired {
+        Some("total_repaired")
+    } else if !reference.telemetry.same_gate_trajectory(&run.telemetry) {
+        Some("gate telemetry")
+    } else if run.labeling.labels != reference.labeling.labels {
+        Some("final labels")
+    } else {
+        None
     }
 }
 
@@ -102,8 +126,8 @@ fn run() -> Result<(), String> {
             ga.num_vertices(),
             ga.num_edges()
         );
-        let mut reference_coco: Option<u64> = None;
-        let mut reference_telemetry: Option<RoundTelemetry> = None;
+        // The threads = 1 result every other thread count must reproduce.
+        let mut reference: Option<TimerResult> = None;
         for &threads in &thread_counts {
             let oversubscribed = threads > hardware_threads;
             if oversubscribed {
@@ -130,10 +154,15 @@ fn run() -> Result<(), String> {
                 walls_ms.push(start.elapsed().as_secs_f64() * 1e3);
                 match &result {
                     None => result = Some(rep_result),
-                    Some(first) => assert_eq!(
-                        rep_result.final_coco, first.final_coco,
-                        "rep {rep} diverged from rep 0 at the same cell"
-                    ),
+                    Some(first) => {
+                        if let Some(field) = trajectory_mismatch(first, &rep_result) {
+                            return Err(format!(
+                                "scale {}, threads {threads}: rep {rep} diverged from rep 0 \
+                                 ({field} differs)",
+                                scale_name(scale)
+                            ));
+                        }
+                    }
                 }
             }
             let result = result.expect("reps >= 1 is enforced at parse time");
@@ -160,23 +189,17 @@ fn run() -> Result<(), String> {
                     String::new()
                 }
             );
-            match reference_coco {
-                None => reference_coco = Some(result.final_coco),
-                Some(reference) => assert_eq!(
-                    result.final_coco, reference,
-                    "batched driver diverged from the sequential trajectory"
-                ),
-            }
-            // Gate outcomes (accept/reject/tie counts and delta histograms)
-            // must be byte-identical across thread counts; only the phase
-            // wall-clock may differ. The embedded record is the threads = 1
-            // run's, so the phase breakdown reads as sequential time.
-            match &reference_telemetry {
-                None => reference_telemetry = Some(result.telemetry.clone()),
-                Some(reference) => assert!(
-                    reference.same_gate_trajectory(&result.telemetry),
-                    "gate telemetry diverged across thread counts"
-                ),
+            // The whole trajectory, gate telemetry included, must be
+            // byte-identical across thread counts; only the phase wall-clock
+            // may differ.
+            if let Some(first) = &reference {
+                if let Some(field) = trajectory_mismatch(first, &result) {
+                    return Err(format!(
+                        "scale {}: threads {threads} diverged from the sequential \
+                         trajectory ({field} differs)",
+                        scale_name(scale)
+                    ));
+                }
             }
             entries.push(TimerBenchEntry {
                 scale: scale_name(scale).to_string(),
@@ -190,9 +213,14 @@ fn run() -> Result<(), String> {
                 total_swaps: result.total_swaps,
                 threads_oversubscribed: oversubscribed,
             });
+            if reference.is_none() {
+                reference = Some(result);
+            }
         }
-        if let Some(t) = reference_telemetry {
-            telemetry.push((scale_name(scale).to_string(), t));
+        // The embedded record is the threads = 1 run's, so the phase
+        // breakdown reads as sequential time.
+        if let Some(first) = reference {
+            telemetry.push((scale_name(scale).to_string(), first.telemetry));
         }
     }
 

@@ -322,6 +322,12 @@ pub fn format_bench_json(
             "      \"delta_div_hist\": {},",
             format_histogram_json(&t.delta_div)
         );
+        let _ = writeln!(out, "      \"total_repaired\": {},", t.total_repaired);
+        let _ = writeln!(
+            out,
+            "      \"repaired_hist\": {},",
+            format_histogram_json(&t.repaired)
+        );
         let mut phases = String::from("{");
         for (j, (phase, us)) in t.phases.iter().enumerate() {
             if j > 0 {
@@ -437,9 +443,9 @@ mod tests {
             },
         ];
         let mut tel = RoundTelemetry::default();
-        tel.record_gate(-20, -5, true, false);
-        tel.record_gate(3, 3, true, true);
-        tel.record_gate(7, 0, false, false);
+        tel.record_gate(-20, -5, 0, true, false);
+        tel.record_gate(3, 3, 12, true, true);
+        tel.record_gate(7, 0, 600, false, false);
         use tie_trace::Phase;
         tel.phases.add(Phase::Sweep, 1234);
         tel.phases.add(Phase::DeltaScan, 56);
@@ -468,6 +474,9 @@ mod tests {
         assert!(s.contains("\"delta_coco_hist\": ["));
         assert!(s.contains("{\"lo\": -31, \"hi\": -16, \"count\": 1}"));
         assert!(s.contains("\"delta_div_hist\": ["));
+        assert!(s.contains("\"total_repaired\": 612,"));
+        assert!(s.contains("\"repaired_hist\": [{\"lo\": 0, \"hi\": 0, \"count\": 1}"));
+        assert!(s.contains("{\"lo\": 512, \"hi\": 1023, \"count\": 1}"));
         assert!(s.contains("\"phases_us\": {"));
         assert!(s.contains("\"sweep\": 1234"));
         assert!(s.contains("\"delta_scan\": 56"));

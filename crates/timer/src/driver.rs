@@ -386,11 +386,18 @@ impl Timer {
                 let accepted = gate.offer(outcome.coco_delta, outcome.div_delta);
                 // An equal-objective keep: `ΔCoco⁺ = ΔCoco − ΔDiv = 0`.
                 let tie = accepted && outcome.coco_delta == outcome.div_delta;
-                telemetry.record_gate(outcome.coco_delta, outcome.div_delta, accepted, tie);
+                telemetry.record_gate(
+                    outcome.coco_delta,
+                    outcome.div_delta,
+                    outcome.repaired,
+                    accepted,
+                    tie,
+                );
                 trace.emit(TraceEvent::Gate {
                     round: next + i,
                     coco_delta: outcome.coco_delta,
                     div_delta: outcome.div_delta,
+                    repaired: outcome.repaired,
                     accepted,
                     tie,
                     coco: gate.coco(),
@@ -651,7 +658,7 @@ fn run_round(
     faults.delay("assemble");
     // tie-lint: allow(no-wallclock) — assemble-phase telemetry
     let assemble_start = Instant::now();
-    let assembled = assemble_labels(&run, dim);
+    let assembled = assemble_labels(&run, dim, scratch);
     let labels: Vec<u64> = assembled
         .labels
         .iter()
@@ -994,6 +1001,7 @@ mod tests {
                     tie,
                     coco,
                     div,
+                    ..
                 } => Some((round, coco_delta, div_delta, accepted, tie, coco, div)),
                 _ => None,
             })

@@ -17,6 +17,7 @@ use tie_graph::contract::{contract_into, ContractScratch};
 use tie_graph::{Graph, NodeId};
 use tie_trace::{Phase, PhaseTimes, TraceEvent, TraceHandle, TraceLevel};
 
+use crate::assemble::AssembleScratch;
 use crate::objective::swap_delta;
 
 /// One level of a TIMER hierarchy: what [`crate::assemble`] needs of it.
@@ -112,11 +113,12 @@ pub fn sweep_with(
     swaps
 }
 
-/// Reusable buffers for a full hierarchy construction: the sweep's
-/// prefix-bucket pair search ([`SweepScratch`]), the sorted-deduped prefix
-/// array of the contraction, and the counting-sort buffers of the CSR
-/// contraction kernel ([`ContractScratch`]). One scratch serves all
-/// `dim − 1` levels of a hierarchy — and, threaded through the driver's
+/// Reusable buffers for a full hierarchy round: the sweep's prefix-bucket
+/// pair search ([`SweepScratch`]), the sorted-deduped prefix array of the
+/// contraction, the counting-sort buffers of the CSR contraction kernel
+/// ([`ContractScratch`]) and the label trie of
+/// [`assemble_labels`](crate::assemble::assemble_labels). One scratch serves
+/// all `dim − 1` levels of a hierarchy — and, threaded through the driver's
 /// speculative workers, all rounds a worker ever executes: buffers grow to
 /// the largest level once and are never reallocated again. Results never
 /// depend on leftover scratch contents.
@@ -132,6 +134,8 @@ pub struct HierarchyScratch {
     sorted_set: Vec<u64>,
     /// Counting-sort buffers of the CSR contraction kernel.
     contract: ContractScratch,
+    /// Label trie and repair buffers of the assemble step.
+    pub(crate) assemble: AssembleScratch,
 }
 
 impl HierarchyScratch {
@@ -148,6 +152,7 @@ impl HierarchyScratch {
             prefixes: Vec::with_capacity(n),
             sorted_set: Vec::with_capacity(n),
             contract: ContractScratch::default(),
+            assemble: AssembleScratch::default(),
         }
     }
 }

@@ -36,6 +36,12 @@ pub struct RoundTelemetry {
     pub delta_coco: LogHistogram,
     /// Distribution of the per-round `ΔDiv` the gate ruled on.
     pub delta_div: LogHistogram,
+    /// Distribution of the per-round count of vertices the bijection repair
+    /// relabelled, over the rounds the gate ruled on.
+    pub repaired: LogHistogram,
+    /// Repaired vertices summed over the rounds the gate ruled on. Mirrors
+    /// `TimerResult::total_repaired`.
+    pub total_repaired: usize,
     /// Accumulated wall-clock per pipeline phase across the whole run
     /// (including invalidated speculations — real work is counted).
     pub phases: PhaseTimes,
@@ -50,8 +56,16 @@ pub struct RoundTelemetry {
 }
 
 impl RoundTelemetry {
-    /// Records one gate verdict. `tie` implies `accepted`.
-    pub fn record_gate(&mut self, coco_delta: i64, div_delta: i64, accepted: bool, tie: bool) {
+    /// Records one gate verdict on a round whose assemble step repaired
+    /// `repaired` vertices. `tie` implies `accepted`.
+    pub fn record_gate(
+        &mut self,
+        coco_delta: i64,
+        div_delta: i64,
+        repaired: usize,
+        accepted: bool,
+        tie: bool,
+    ) {
         debug_assert!(accepted || !tie, "a tie is by definition kept");
         if accepted {
             self.accepted += 1;
@@ -63,6 +77,8 @@ impl RoundTelemetry {
         }
         self.delta_coco.record(coco_delta);
         self.delta_div.record(div_delta);
+        self.repaired.record(repaired as i64);
+        self.total_repaired += repaired;
     }
 
     /// Total rounds the gate ruled on (`accepted + rejected`).
@@ -79,6 +95,8 @@ impl RoundTelemetry {
             && self.ties == other.ties
             && self.delta_coco == other.delta_coco
             && self.delta_div == other.delta_div
+            && self.repaired == other.repaired
+            && self.total_repaired == other.total_repaired
     }
 }
 
@@ -89,10 +107,10 @@ mod tests {
     #[test]
     fn gate_recording_counts_and_histograms() {
         let mut t = RoundTelemetry::default();
-        t.record_gate(-5, -1, true, false);
-        t.record_gate(0, 0, true, true);
-        t.record_gate(3, -2, false, false);
-        t.record_gate(2, 2, true, true);
+        t.record_gate(-5, -1, 0, true, false);
+        t.record_gate(0, 0, 7, true, true);
+        t.record_gate(3, -2, 600, false, false);
+        t.record_gate(2, 2, 0, true, true);
         assert_eq!(t.accepted, 3);
         assert_eq!(t.rejected, 1);
         assert_eq!(t.ties, 2);
@@ -101,18 +119,27 @@ mod tests {
         assert_eq!(t.delta_div.count(), 4);
         assert_eq!(t.delta_coco.min(), Some(-5));
         assert_eq!(t.delta_coco.max(), Some(3));
+        assert_eq!(t.repaired.count(), 4);
+        assert_eq!(t.repaired.zeros(), 2);
+        assert_eq!(t.repaired.max(), Some(600));
+        assert_eq!(t.total_repaired, 607);
     }
 
     #[test]
     fn gate_trajectory_comparison_ignores_phases() {
         let mut a = RoundTelemetry::default();
         let mut b = RoundTelemetry::default();
-        a.record_gate(-1, 0, true, false);
-        b.record_gate(-1, 0, true, false);
+        a.record_gate(-1, 0, 3, true, false);
+        b.record_gate(-1, 0, 3, true, false);
         a.phases.add(tie_trace::Phase::Sweep, 123);
         b.phases.add(tie_trace::Phase::Sweep, 456);
         assert!(a.same_gate_trajectory(&b));
-        b.record_gate(1, 1, true, true);
+        let mut c = b.clone();
+        b.record_gate(1, 1, 0, true, true);
         assert!(!a.same_gate_trajectory(&b));
+        // The same verdicts with a different repair count diverge too.
+        a.record_gate(0, 0, 4, true, true);
+        c.record_gate(0, 0, 5, true, true);
+        assert!(!a.same_gate_trajectory(&c));
     }
 }

@@ -37,6 +37,9 @@ pub enum TraceEvent {
         coco_delta: i64,
         /// Exact `Div` change of the candidate vs the accepted labeling.
         div_delta: i64,
+        /// Vertices whose assembled label the round's bijection repair
+        /// replaced.
+        repaired: usize,
         /// Whether the candidate was kept.
         accepted: bool,
         /// Whether it was kept as an equal-objective tie
@@ -166,6 +169,7 @@ impl TraceEvent {
                 round,
                 coco_delta,
                 div_delta,
+                repaired,
                 accepted,
                 tie,
                 coco,
@@ -174,8 +178,8 @@ impl TraceEvent {
                 let _ = write!(
                     s,
                     ", \"round\": {round}, \"coco_delta\": {coco_delta}, \
-                     \"div_delta\": {div_delta}, \"accepted\": {accepted}, \"tie\": {tie}, \
-                     \"coco\": {coco}, \"div\": {div}"
+                     \"div_delta\": {div_delta}, \"repaired\": {repaired}, \
+                     \"accepted\": {accepted}, \"tie\": {tie}, \"coco\": {coco}, \"div\": {div}"
                 );
             }
             TraceEvent::Phase {
@@ -265,6 +269,7 @@ impl TraceEvent {
                 round,
                 coco_delta,
                 div_delta,
+                repaired,
                 accepted,
                 tie,
                 coco,
@@ -278,7 +283,7 @@ impl TraceEvent {
                 let _ = write!(
                     s,
                     "round {round:>3}: {verdict} dCoco={coco_delta:+} dDiv={div_delta:+} \
-                     dObj={:+} -> Coco={coco} Div={div}",
+                     dObj={:+} repaired={repaired} -> Coco={coco} Div={div}",
                     coco_delta - div_delta
                 );
             }
@@ -367,6 +372,7 @@ mod tests {
                 round: 3,
                 coco_delta: -12,
                 div_delta: 40,
+                repaired: 604,
                 accepted: false,
                 tie: false,
                 coco: 71581,
@@ -436,6 +442,7 @@ mod tests {
             round: 17,
             coco_delta: -3,
             div_delta: 5,
+            repaired: 9,
             accepted: false,
             tie: false,
             coco: 100,
@@ -445,6 +452,7 @@ mod tests {
         assert!(json.contains("\"round\": 17"));
         assert!(json.contains("\"coco_delta\": -3"));
         assert!(json.contains("\"div_delta\": 5"));
+        assert!(json.contains("\"repaired\": 9"));
         assert!(json.contains("\"accepted\": false"));
         assert!(json.contains("\"tie\": false"));
     }
@@ -505,6 +513,7 @@ mod tests {
             round: 0,
             coco_delta: 0,
             div_delta: 0,
+            repaired: 0,
             accepted: true,
             tie: true,
             coco: 0,

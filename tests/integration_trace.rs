@@ -76,17 +76,26 @@ fn jsonl_trace_is_parseable_and_covers_every_round() {
     // Telemetry agrees with the event stream.
     assert_eq!(result.telemetry.rounds(), NH);
 
-    // Every gate line carries the accept verdict and both deltas.
+    // Every gate line carries the accept verdict, both deltas and the
+    // round's repair count; the counts add up to the run's total.
+    let mut repaired = 0usize;
     for line in lines.iter().filter(|l| l.contains("\"event\": \"gate\"")) {
         for key in [
             "\"round\": ",
             "\"coco_delta\": ",
             "\"div_delta\": ",
+            "\"repaired\": ",
             "\"accepted\": ",
         ] {
             assert!(line.contains(key), "missing {key} in {line}");
         }
+        let value = line.split("\"repaired\": ").nth(1).unwrap();
+        let digits: String = value.chars().take_while(char::is_ascii_digit).collect();
+        repaired += digits.parse::<usize>().unwrap();
     }
+    assert_eq!(repaired, result.total_repaired);
+    assert_eq!(result.telemetry.total_repaired, result.total_repaired);
+    assert_eq!(result.telemetry.repaired.count(), NH as u64);
 }
 
 #[test]
@@ -114,6 +123,7 @@ fn tracing_never_changes_the_result() {
             assert_eq!(r.final_coco, baseline.final_coco);
             assert_eq!(r.hierarchies_accepted, baseline.hierarchies_accepted);
             assert_eq!(r.total_swaps, baseline.total_swaps);
+            assert_eq!(r.total_repaired, baseline.total_repaired);
             // Gate-side telemetry is deterministic too (phases are
             // wall-clock and may differ).
             assert!(r.telemetry.same_gate_trajectory(&baseline.telemetry));
