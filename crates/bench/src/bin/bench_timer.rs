@@ -50,7 +50,8 @@ fn scale_name(scale: Scale) -> &'static str {
 
 /// The first field of the deterministic trajectory on which `run` differs
 /// from `reference`, or `None` when they agree: the final Coco, the kept
-/// rounds, swap and repair totals, the gate telemetry
+/// rounds, swap and repair totals, the arcs the hierarchies swept and
+/// contracted, the gate telemetry
 /// ([`RoundTelemetry::same_gate_trajectory`]) and the final labels.
 fn trajectory_mismatch(reference: &TimerResult, run: &TimerResult) -> Option<&'static str> {
     if run.final_coco != reference.final_coco {
@@ -61,6 +62,10 @@ fn trajectory_mismatch(reference: &TimerResult, run: &TimerResult) -> Option<&'s
         Some("total_swaps")
     } else if run.total_repaired != reference.total_repaired {
         Some("total_repaired")
+    } else if run.telemetry.sweep_arcs != reference.telemetry.sweep_arcs {
+        Some("sweep_arcs")
+    } else if run.telemetry.contract_arcs != reference.telemetry.contract_arcs {
+        Some("contract_arcs")
     } else if !reference.telemetry.same_gate_trajectory(&run.telemetry) {
         Some("gate telemetry")
     } else if run.labeling.labels != reference.labeling.labels {

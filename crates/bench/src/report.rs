@@ -258,9 +258,9 @@ fn format_histogram_json(hist: &LogHistogram) -> String {
 /// JSON crate is available offline, so the (flat, numeric) structure is
 /// emitted by hand.
 ///
-/// `telemetry` carries one accept-gate record per scale (gate outcomes are
-/// byte-identical across thread counts, so one record covers all rows of a
-/// scale; the phase breakdown comes from that scale's threads = 1 run, and
+/// `telemetry` carries one accept-gate record per scale (gate outcomes and
+/// hierarchy work counts are byte-identical across thread counts, so one
+/// record covers all rows of a scale; the phase breakdown comes from that scale's threads = 1 run, and
 /// with `reps > 1` from that run's first repetition).
 #[allow(clippy::too_many_arguments)] // flat artifact header, one field each
 pub fn format_bench_json(
@@ -328,6 +328,8 @@ pub fn format_bench_json(
             "      \"repaired_hist\": {},",
             format_histogram_json(&t.repaired)
         );
+        let _ = writeln!(out, "      \"sweep_arcs\": {},", t.sweep_arcs);
+        let _ = writeln!(out, "      \"contract_arcs\": {},", t.contract_arcs);
         let mut phases = String::from("{");
         for (j, (phase, us)) in t.phases.iter().enumerate() {
             if j > 0 {
@@ -446,6 +448,8 @@ mod tests {
         tel.record_gate(-20, -5, 0, true, false);
         tel.record_gate(3, 3, 12, true, true);
         tel.record_gate(7, 0, 600, false, false);
+        tel.sweep_arcs = 5_620;
+        tel.contract_arcs = 2_320;
         use tie_trace::Phase;
         tel.phases.add(Phase::Sweep, 1234);
         tel.phases.add(Phase::DeltaScan, 56);
@@ -477,6 +481,8 @@ mod tests {
         assert!(s.contains("\"total_repaired\": 612,"));
         assert!(s.contains("\"repaired_hist\": [{\"lo\": 0, \"hi\": 0, \"count\": 1}"));
         assert!(s.contains("{\"lo\": 512, \"hi\": 1023, \"count\": 1}"));
+        assert!(s.contains("\"sweep_arcs\": 5620,"));
+        assert!(s.contains("\"contract_arcs\": 2320,"));
         assert!(s.contains("\"phases_us\": {"));
         assert!(s.contains("\"sweep\": 1234"));
         assert!(s.contains("\"delta_scan\": 56"));

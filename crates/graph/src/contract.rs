@@ -1,7 +1,9 @@
 //! Sort-based CSR contraction kernel: the workspace's only code that
 //! contracts a graph along a vertex map. The communication graph
-//! (`tie-mapping`), the partitioner's coarse levels (`tie-partition`) and
-//! TIMER's label-prefix hierarchy (`tie-timer`) all call [`contract_into`].
+//! (`tie-mapping`) and the partitioner's coarse levels (`tie-partition`)
+//! call [`contract_into`], and so does TIMER's label-prefix hierarchy
+//! (`tie-timer`) — but only for the levels it materializes, once a level has
+//! shrunk 4×, along the map composed over all levels since the last one.
 //!
 //! The fine vertices are counting-sorted by coarse id (an O(n) pass), and
 //! the arc list is then emitted head-major in that order, so every tail
@@ -13,8 +15,9 @@
 //!
 //! The kernel is pinned to produce **byte-identical** output to the
 //! `GraphBuilder` path: same vertex order, same sorted adjacency lists, same
-//! coalesced weights (see the equivalence proptest below and the oracle test
-//! in `tie-timer::hierarchy`).
+//! coalesced weights (see the equivalence proptest below). In `tie-timer`,
+//! the whole-hierarchy oracle proptest of `hierarchy` checks the hierarchies
+//! built on this kernel against a per-level `GraphBuilder` contraction.
 
 use crate::csr::{Graph, NodeId, Weight};
 

@@ -307,12 +307,6 @@ pub fn from_edge_list_str(content: &str) -> Result<Graph, IoError> {
     Ok(builder.build())
 }
 
-/// Writes a graph to `path` as a weighted edge list.
-pub fn write_edge_list<P: AsRef<Path>>(graph: &Graph, path: P) -> Result<(), IoError> {
-    fs::write(path, to_edge_list_string(graph))?;
-    Ok(())
-}
-
 /// Reads a weighted edge list from `path`.
 pub fn read_edge_list<P: AsRef<Path>>(path: P) -> Result<Graph, IoError> {
     read_edge_list_with(path, &FaultHandle::off())
@@ -453,7 +447,7 @@ mod tests {
         let p2 = dir.join("tie_graph_io_test.edges");
         let g = generators::watts_strogatz(40, 4, 0.2, 7);
         write_metis(&g, &p1).unwrap();
-        write_edge_list(&g, &p2).unwrap();
+        std::fs::write(&p2, to_edge_list_string(&g)).unwrap();
         assert_eq!(read_metis(&p1).unwrap(), g);
         assert_eq!(read_edge_list(&p2).unwrap(), g);
         let _ = std::fs::remove_file(p1);

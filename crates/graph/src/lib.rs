@@ -17,7 +17,8 @@
 //! * [`contract`] — the allocation-free, sort-based CSR contraction kernel
 //!   (`contract_into` + `ContractScratch`), the one code path that contracts
 //!   a graph along a vertex map: the communication graph, the partitioner's
-//!   coarse levels and TIMER's label-prefix hierarchy all go through it,
+//!   coarse levels and the levels TIMER's label-prefix hierarchy
+//!   materializes all go through it,
 //! * [`bucket_queue`] — the gain bucket priority queue used by the
 //!   Fiduccia–Mattheyses refinement in `tie-partition`,
 //! * [`io`] — METIS-format and edge-list readers/writers.

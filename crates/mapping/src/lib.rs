@@ -60,25 +60,6 @@ impl Mapping {
         }
     }
 
-    /// Fallible variant of [`Mapping::new`] for untrusted assignments (e.g.
-    /// read from a file): an out-of-range PE id is reported as an error
-    /// naming the offending vertex instead of panicking.
-    pub fn try_new(assignment: Vec<u32>, num_pes: usize) -> Result<Self, String> {
-        if let Some((v, &p)) = assignment
-            .iter()
-            .enumerate()
-            .find(|(_, &p)| (p as usize) >= num_pes)
-        {
-            return Err(format!(
-                "vertex {v} is assigned to PE {p}, but only PEs 0..{num_pes} exist"
-            ));
-        }
-        Ok(Mapping {
-            assignment,
-            num_pes,
-        })
-    }
-
     /// Builds a mapping from a partition of `Ga` and a bijection
     /// `block -> PE` (`nu[b]` is the PE of block `b`).
     ///

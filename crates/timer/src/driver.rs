@@ -382,6 +382,8 @@ impl Timer {
             for (i, outcome) in outcomes.into_iter().enumerate() {
                 total_swaps += outcome.swaps;
                 total_repaired += outcome.repaired;
+                telemetry.sweep_arcs += outcome.sweep_arcs;
+                telemetry.contract_arcs += outcome.contract_arcs;
                 committed += 1;
                 let accepted = gate.offer(outcome.coco_delta, outcome.div_delta);
                 // An equal-objective keep: `ΔCoco⁺ = ΔCoco − ΔDiv = 0`.
@@ -589,6 +591,10 @@ struct RoundOutcome {
     swaps: usize,
     /// Vertices whose assembled label needed the bijection repair.
     repaired: usize,
+    /// Base-graph arcs the round's sweeps read.
+    sweep_arcs: usize,
+    /// Arcs the round fed to the contraction kernel.
+    contract_arcs: usize,
     /// Wall-clock breakdown of this round's phases.
     phases: PhaseTimes,
 }
@@ -695,6 +701,8 @@ fn run_round(
         div_delta,
         swaps: run.total_swaps,
         repaired: assembled.repaired,
+        sweep_arcs: run.sweep_arcs,
+        contract_arcs: run.contract_arcs,
         phases,
     }
 }

@@ -10,6 +10,34 @@
 //! encode a recursive bipartition of `Ga` induced by the processor topology —
 //! oblivious to `Ga`'s own edge structure, which is exactly the diversity the
 //! TIMER search exploits.
+//!
+//! # Levels are views
+//!
+//! Most levels are swept without building their graph. A level is a view
+//! over a *base* graph — at first `Ga` itself, borrowed: `anc[b]` is the
+//! level vertex that base vertex `b` belongs to, and the base vertices of
+//! every level vertex form one contiguous range of a grouped order. Level 0
+//! is the identity view, so one sweep serves every level.
+//!
+//! * **Closed-form swap delta.** A candidate pair's labels are equal or
+//!   differ only in digit 0, so a swap changes only that digit's share of
+//!   each arc's cost. With `s = [digit 0 ∈ p_mask] − [digit 0 ∈ e_mask]`,
+//!   `Δ = s · Σ w · (2·[bit0(label[anc b]) = bit0(label[self])] − 1)`,
+//!   summed over the base arcs `a → b` with `a` in the range of either pair
+//!   member and `anc[b]` outside the pair (`self` is the member whose range
+//!   holds `a`). This equals [`swap_delta`](crate::objective::swap_delta) on
+//!   the contracted level graph exactly: contraction only sums arc weights
+//!   and drops the arcs inside a group, and the skipped arcs are those
+//!   dropped arcs plus the pair's own arc, which `swap_delta` skips too.
+//! * **Contraction is bookkeeping.** Contracting a level ranks its label
+//!   prefixes into the `fine_to_coarse` map its [`Level`] stores, moves
+//!   every base vertex to its new level vertex, and regroups the ranges.
+//! * **Materialization.** Once a level to be swept has at most a quarter of
+//!   the base's vertices (`MATERIALIZE_FACTOR`), one [`contract_into`]
+//!   call along the composed map — equal to the chain of per-level
+//!   contractions — makes it the new base, and the view restarts as the
+//!   identity. So deep levels do not re-read all of `Ga`, and the levels in
+//!   between allocate no graph.
 
 use std::time::Instant;
 
@@ -18,12 +46,17 @@ use tie_graph::{Graph, NodeId};
 use tie_trace::{Phase, PhaseTimes, TraceEvent, TraceHandle, TraceLevel};
 
 use crate::assemble::AssembleScratch;
-use crate::objective::swap_delta;
+
+/// A level about to be swept becomes the new base graph once it has at most
+/// `1 / MATERIALIZE_FACTOR` of the current base's vertices. Sequential
+/// `hierarchy_build` of the medium `bench_timer` row (40 rounds, 2 vCPUs):
+/// never materializing 543–556 ms, factor 2 407–415 ms, factor 4 341–391 ms,
+/// factor 8 324–340 ms, every level 769–792 ms. Results do not depend on it.
+const MATERIALIZE_FACTOR: usize = 4;
 
 /// One level of a TIMER hierarchy: what [`crate::assemble`] needs of it.
-/// The level's graph is not kept — it lives only while the level is swept
-/// and contracted.
-#[derive(Clone, Debug)]
+/// The level's graph is not kept — most levels never build one.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Level {
     /// Vertex labels at this level (already truncated by the level index);
     /// one per vertex of the level's graph.
@@ -42,6 +75,12 @@ pub struct HierarchyRun {
     pub levels: Vec<Level>,
     /// Number of label swaps performed across all sweeps.
     pub total_swaps: usize,
+    /// Base-graph arcs the sweeps read while pricing candidate pairs. Like
+    /// `total_swaps` a function of the input alone.
+    pub sweep_arcs: usize,
+    /// Arcs of the base graphs handed to [`contract_into`] to materialize a
+    /// level. Deterministic as well.
+    pub contract_arcs: usize,
     /// Wall-clock spent in the sweeps and contractions of this hierarchy
     /// (accumulated per [`Phase`]; always collected, the cost is two
     /// monotonic-clock reads per level).
@@ -50,8 +89,8 @@ pub struct HierarchyRun {
 
 /// Reusable buffers for the prefix-bucket pair search of
 /// [`collect_swap_pairs`]. One hierarchy performs `dim − 1` sweeps; sharing
-/// one scratch across all of them (and across candidate-pair collection in
-/// the contraction) avoids reallocating the buckets on every level.
+/// one scratch across all of them (and with the prefix ranking of the
+/// contraction) avoids reallocating the buckets on every level.
 #[derive(Clone, Debug, Default)]
 pub struct SweepScratch {
     /// `(label >> 1, vertex)` pairs, sorted to group prefix buckets.
@@ -91,21 +130,107 @@ pub fn collect_swap_pairs(labels: &[u64], scratch: &mut SweepScratch) {
     }
 }
 
-/// Swap sweep: for every candidate pair of [`collect_swap_pairs`], swap the
-/// labels if that strictly decreases the objective. Returns the number of
-/// swaps performed. `scratch` carries the pair-search buffers across the
-/// levels of a hierarchy.
-pub fn sweep_with(
-    graph: &Graph,
+/// The view a level is swept through (see the module docs): which level
+/// vertex every base vertex belongs to, and the base vertices of every
+/// level vertex as one range.
+#[derive(Clone, Debug, Default)]
+struct LevelView {
+    /// Level vertex of every base vertex.
+    anc: Vec<NodeId>,
+    /// Base vertices grouped by level vertex, ascending within a group.
+    order: Vec<NodeId>,
+    /// `order[start[u]..start[u + 1]]` are the base vertices of level
+    /// vertex `u`.
+    start: Vec<usize>,
+}
+
+impl LevelView {
+    /// The identity view of a base with `n` vertices.
+    fn reset(&mut self, n: usize) {
+        self.anc.clear();
+        self.anc.extend(0..n as NodeId);
+        self.order.clear();
+        self.order.extend(0..n as NodeId);
+        self.start.clear();
+        self.start.extend(0..=n);
+    }
+
+    /// Moves the view one level down: every base vertex follows its level
+    /// vertex through `fine_to_coarse`, and a counting sort over the
+    /// `coarse_n` new level vertices regroups the ranges. Correct for any
+    /// map; no order of the coarse ids is assumed.
+    fn compose(&mut self, fine_to_coarse: &[NodeId], coarse_n: usize) {
+        let start = &mut self.start;
+        start.clear();
+        start.resize(coarse_n + 1, 0);
+        for a in &mut self.anc {
+            *a = fine_to_coarse[*a as usize];
+            start[*a as usize] += 1;
+        }
+        // Inclusive prefix sums make `start[c]` the end of group `c`; the
+        // backward scatter then walks it down to the group's beginning and
+        // leaves every group in ascending base-vertex order.
+        let mut end = 0;
+        for s in &mut start[..coarse_n] {
+            end += *s;
+            *s = end;
+        }
+        start[coarse_n] = end;
+        for (b, &c) in self.anc.iter().enumerate().rev() {
+            start[c as usize] -= 1;
+            self.order[start[c as usize]] = b as NodeId;
+        }
+    }
+
+    /// The sum of the closed-form swap delta of level vertices `u` and `v`
+    /// (the delta is `s` times it) and the number of base arcs read.
+    fn pair_sum(&self, base: &Graph, labels: &[u64], u: NodeId, v: NodeId) -> (i64, usize) {
+        let (xadj, adjncy, adjwgt) = (base.xadj(), base.adjncy(), base.adjwgt());
+        let mut sum = 0i64;
+        let mut arcs = 0usize;
+        for x in [u, v] {
+            let bit = labels[x as usize] & 1;
+            let group = &self.order[self.start[x as usize]..self.start[x as usize + 1]];
+            for &a in group {
+                let row = xadj[a as usize]..xadj[a as usize + 1];
+                arcs += row.len();
+                for (&b, &w) in adjncy[row.clone()].iter().zip(&adjwgt[row]) {
+                    let c = self.anc[b as usize];
+                    if c != u && c != v {
+                        let w = w as i64;
+                        sum += if labels[c as usize] & 1 == bit { w } else { -w };
+                    }
+                }
+            }
+        }
+        (sum, arcs)
+    }
+}
+
+/// Swap sweep of one level through `view`: for every candidate pair of
+/// [`collect_swap_pairs`], swap the labels if the closed-form delta is
+/// negative. Returns the number of swaps; adds the base arcs read to
+/// `arcs_read`.
+fn sweep_level(
+    base: &Graph,
+    view: &LevelView,
     labels: &mut [u64],
     p_mask: u64,
     e_mask: u64,
-    scratch: &mut SweepScratch,
+    pairs: &[(NodeId, NodeId)],
+    arcs_read: &mut usize,
 ) -> usize {
-    collect_swap_pairs(labels, scratch);
+    // Digit 0's cost per differing arc: +1 as a PE digit, −1 as an
+    // extension digit.
+    let s = (p_mask & 1) as i64 - (e_mask & 1) as i64;
     let mut swaps = 0usize;
-    for &(u, v) in &scratch.pairs {
-        if swap_delta(graph, labels, p_mask, e_mask, u, v) < 0 {
+    for &(u, v) in pairs {
+        if labels[u as usize] == labels[v as usize] {
+            continue;
+        }
+        let (sum, arcs) = view.pair_sum(base, labels, u, v);
+        *arcs_read += arcs;
+        if s * sum < 0 {
             labels.swap(u as usize, v as usize);
             swaps += 1;
         }
@@ -113,10 +238,26 @@ pub fn sweep_with(
     swaps
 }
 
+/// The contraction's prefix ranking: every vertex maps to the rank of its
+/// label prefix among the level's distinct prefixes, which are the coarse
+/// labels in ascending order. Reads the `(prefix, vertex)` keys sorted by
+/// [`collect_swap_pairs`]; they stay valid after the sweep, because a swap
+/// exchanges two labels with the same prefix.
+fn rank_prefixes(keyed: &[(u64, NodeId)]) -> (Vec<u64>, Vec<NodeId>) {
+    let mut coarse_labels: Vec<u64> = Vec::new();
+    let mut fine_to_coarse = vec![0 as NodeId; keyed.len()];
+    for &(prefix, v) in keyed {
+        if coarse_labels.last() != Some(&prefix) {
+            coarse_labels.push(prefix);
+        }
+        fine_to_coarse[v as usize] = (coarse_labels.len() - 1) as NodeId;
+    }
+    (coarse_labels, fine_to_coarse)
+}
+
 /// Reusable buffers for a full hierarchy round: the sweep's prefix-bucket
-/// pair search ([`SweepScratch`]), the sorted-deduped prefix array of the
-/// contraction, the counting-sort buffers of the CSR contraction kernel
-/// ([`ContractScratch`]) and the label trie of
+/// pair search ([`SweepScratch`]), the level view, the counting-sort buffers
+/// of the CSR contraction kernel ([`ContractScratch`]) and the label trie of
 /// [`assemble_labels`](crate::assemble::assemble_labels). One scratch serves
 /// all `dim − 1` levels of a hierarchy — and, threaded through the driver's
 /// speculative workers, all rounds a worker ever executes: buffers grow to
@@ -124,14 +265,10 @@ pub fn sweep_with(
 /// depend on leftover scratch contents.
 #[derive(Clone, Debug, Default)]
 pub struct HierarchyScratch {
-    /// Pair-search buffers shared by the sweeps.
+    /// Pair-search buffers shared by the sweeps and the prefix ranking.
     sweep: SweepScratch,
-    /// Sorted, deduped label prefixes of the level being contracted.
-    prefixes: Vec<u64>,
-    /// Sorted label multiset of the current level. Sweeps only swap labels,
-    /// so the hierarchy loop sorts once per round and every contraction
-    /// derives its prefix array from this set in linear time.
-    sorted_set: Vec<u64>,
+    /// The view of the level being swept.
+    view: LevelView,
     /// Counting-sort buffers of the CSR contraction kernel.
     contract: ContractScratch,
     /// Label trie and repair buffers of the assemble step.
@@ -149,81 +286,15 @@ impl HierarchyScratch {
                 keyed: Vec::with_capacity(n),
                 pairs: Vec::with_capacity(n / 2),
             },
-            prefixes: Vec::with_capacity(n),
-            sorted_set: Vec::with_capacity(n),
+            view: LevelView {
+                anc: Vec::with_capacity(n),
+                order: Vec::with_capacity(n),
+                start: Vec::with_capacity(n + 1),
+            },
             contract: ContractScratch::default(),
             assemble: AssembleScratch::default(),
         }
     }
-}
-
-/// Contracts every candidate pair (vertices sharing all but the last label
-/// digit) into a single coarse vertex and cuts the last digit off every
-/// label. Unpaired vertices are carried over unchanged (minus the digit).
-/// Allocating convenience wrapper around [`contract_level_with`].
-pub fn contract_level(graph: &Graph, labels: &[u64]) -> (Graph, Vec<u64>, Vec<NodeId>) {
-    contract_level_with(graph, labels, &mut HierarchyScratch::default())
-}
-
-/// [`contract_level`] with caller-provided scratch: the coarse vertex ids
-/// are the ranks of the distinct label prefixes (sorted prefix order, for
-/// determinism), found by binary search over the sorted-deduped prefix
-/// array; the coarse graph is built by the sort-based CSR kernel
-/// ([`contract_into`]) — no hash map anywhere on the path.
-pub fn contract_level_with(
-    graph: &Graph,
-    labels: &[u64],
-    scratch: &mut HierarchyScratch,
-) -> (Graph, Vec<u64>, Vec<NodeId>) {
-    scratch.sorted_set.clear();
-    scratch.sorted_set.extend_from_slice(labels);
-    scratch.sorted_set.sort_unstable();
-    contract_level_presorted(graph, labels, scratch)
-}
-
-/// [`contract_level_with`] for callers that already hold the sorted label
-/// multiset in `scratch.sorted_set` (the hierarchy loop: sweeps only swap
-/// labels, and each contraction's `coarse_labels` is the next level's set
-/// already sorted). Skips the per-level sort; everything else is identical.
-fn contract_level_presorted(
-    graph: &Graph,
-    labels: &[u64],
-    scratch: &mut HierarchyScratch,
-) -> (Graph, Vec<u64>, Vec<NodeId>) {
-    let n = graph.num_vertices();
-    debug_assert!(
-        {
-            let mut set = labels.to_vec();
-            set.sort_unstable();
-            set == scratch.sorted_set
-        },
-        "sorted_set out of sync with the level's label multiset"
-    );
-    let prefixes = &mut scratch.prefixes;
-    prefixes.clear();
-    prefixes.extend(scratch.sorted_set.iter().map(|&l| l >> 1));
-    prefixes.dedup();
-
-    let mut fine_to_coarse = vec![0 as NodeId; n];
-    for (v, &l) in labels.iter().enumerate() {
-        fine_to_coarse[v] = match prefixes.binary_search(&(l >> 1)) {
-            Ok(i) => i as NodeId,
-            // Unreachable: every prefix was inserted into the array above.
-            Err(_) => unreachable!("label prefix missing from its own prefix array"),
-        };
-    }
-    let coarse_labels: Vec<u64> = prefixes.clone();
-    // The coarse level's label multiset *is* the (sorted) prefix array:
-    // keep `sorted_set` current so the next contraction skips its sort.
-    scratch.sorted_set.clear();
-    scratch.sorted_set.extend_from_slice(&coarse_labels);
-    let coarse_graph = contract_into(
-        graph,
-        &fine_to_coarse,
-        coarse_labels.len(),
-        &mut scratch.contract,
-    );
-    (coarse_graph, coarse_labels, fine_to_coarse)
 }
 
 /// Builds the full hierarchy for one permutation round: alternating swap
@@ -255,12 +326,13 @@ pub fn build_hierarchy(
 /// [`build_hierarchy`] with flight-recorder context and caller-provided
 /// scratch: per-level sweep and contraction spans are emitted through
 /// `trace` (at `TraceLevel::Debug`) and tagged with `hierarchy_round` so
-/// concurrent speculated rounds stay distinguishable in the recording.
-/// `scratch` carries the sweep and contraction buffers across all levels —
-/// and, when the caller keeps it alive (as the driver's speculative workers
-/// do), across hierarchy rounds. The result never depends on what a
-/// previous run left in the scratch. `graph` is borrowed, and of the coarse
-/// graphs only the one being swept and contracted is alive at any time.
+/// concurrent speculated rounds stay distinguishable in the recording. A
+/// level's contraction span includes the materialization of the next level,
+/// if any. `scratch` carries the sweep, view and contraction buffers across
+/// all levels — and, when the caller keeps it alive (as the driver's
+/// speculative workers do), across hierarchy rounds. The result never
+/// depends on what a previous run left in the scratch. `graph` is borrowed,
+/// and of the materialized graphs only the current base is alive.
 #[allow(clippy::too_many_arguments)] // mirrors build_hierarchy + trace context
 pub fn build_hierarchy_traced(
     graph: &Graph,
@@ -272,65 +344,77 @@ pub fn build_hierarchy_traced(
     trace: &TraceHandle,
     scratch: &mut HierarchyScratch,
 ) -> HierarchyRun {
+    debug_assert_eq!(labels.len(), graph.num_vertices(), "one label per vertex");
     let mut levels: Vec<Level> = Vec::new();
     let mut total_swaps = 0usize;
-    let mut coarse_graph: Option<Graph> = None;
+    let mut sweep_arcs = 0usize;
+    let mut contract_arcs = 0usize;
+    let mut materialized: Option<Graph> = None;
     let mut current_labels = labels;
     let mut phases = PhaseTimes::default();
     // Cheap enough to collect always; only *emission* is gated on the level.
     let per_level = trace.enabled(TraceLevel::Debug);
-
-    // Seed the sorted label multiset once per hierarchy: sweeps only swap
-    // labels and every contraction leaves the next level's set behind
-    // sorted, so this is the only full label sort of the whole round. Timed
-    // as contract work — it exists purely to feed the contractions.
-    let t = Instant::now();
-    scratch.sorted_set.clear();
-    scratch.sorted_set.extend_from_slice(&current_labels);
-    scratch.sorted_set.sort_unstable();
-    phases.add(Phase::Contract, t.elapsed().as_micros() as u64);
+    let emit = |phase: Phase, level: usize, elapsed_us: u64| {
+        if per_level {
+            trace.emit(TraceEvent::Phase {
+                phase,
+                round: hierarchy_round,
+                level: Some(level),
+                elapsed_us,
+            });
+        }
+    };
+    let HierarchyScratch {
+        sweep,
+        view,
+        contract,
+        ..
+    } = scratch;
 
     // Paper: for i = 2 .. dim_Ga - 1; sweep on G^{i-1}, contract into G^i.
     let rounds = dim.saturating_sub(2);
-    for round in 0..rounds {
-        let current_graph = coarse_graph.as_ref().unwrap_or(graph);
-        let (pm, em) = (p_mask >> round, e_mask >> round);
+    if rounds > 0 {
         let t = Instant::now();
-        total_swaps += sweep_with(
-            current_graph,
+        view.reset(graph.num_vertices());
+        phases.add(Phase::Contract, t.elapsed().as_micros() as u64);
+    }
+    for round in 0..rounds {
+        let base = materialized.as_ref().unwrap_or(graph);
+        let t = Instant::now();
+        collect_swap_pairs(&current_labels, sweep);
+        total_swaps += sweep_level(
+            base,
+            view,
             &mut current_labels,
-            pm,
-            em,
-            &mut scratch.sweep,
+            p_mask >> round,
+            e_mask >> round,
+            &sweep.pairs,
+            &mut sweep_arcs,
         );
         let sweep_us = t.elapsed().as_micros() as u64;
         phases.add(Phase::Sweep, sweep_us);
-        if per_level {
-            trace.emit(TraceEvent::Phase {
-                phase: Phase::Sweep,
-                round: hierarchy_round,
-                level: Some(round),
-                elapsed_us: sweep_us,
-            });
-        }
+        emit(Phase::Sweep, round, sweep_us);
+
         let t = Instant::now();
-        let (next_graph, coarse_labels, fine_to_coarse) =
-            contract_level_presorted(current_graph, &current_labels, scratch);
+        let (coarse_labels, fine_to_coarse) = rank_prefixes(&sweep.keyed);
+        let coarse_n = coarse_labels.len();
+        // The coarsest level is never swept, so it needs no view.
+        if round + 1 < rounds {
+            view.compose(&fine_to_coarse, coarse_n);
+            if MATERIALIZE_FACTOR * coarse_n <= base.num_vertices() {
+                contract_arcs += base.num_arcs();
+                let next = contract_into(base, &view.anc, coarse_n, contract);
+                view.reset(coarse_n);
+                materialized = Some(next);
+            }
+        }
         let contract_us = t.elapsed().as_micros() as u64;
         phases.add(Phase::Contract, contract_us);
-        if per_level {
-            trace.emit(TraceEvent::Phase {
-                phase: Phase::Contract,
-                round: hierarchy_round,
-                level: Some(round),
-                elapsed_us: contract_us,
-            });
-        }
+        emit(Phase::Contract, round, contract_us);
         levels.push(Level {
             labels: current_labels,
             fine_to_coarse,
         });
-        coarse_graph = Some(next_graph);
         current_labels = coarse_labels;
     }
     // Coarsest level (no further contraction).
@@ -341,6 +425,8 @@ pub fn build_hierarchy_traced(
     HierarchyRun {
         levels,
         total_swaps,
+        sweep_arcs,
+        contract_arcs,
         phases,
     }
 }
@@ -348,13 +434,15 @@ pub fn build_hierarchy_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::objective_for_labels;
+    use crate::objective::{objective_for_labels, swap_delta};
     use proptest::prelude::*;
+    use tie_graph::contract::contract;
     use tie_graph::{generators, GraphBuilder};
 
     /// The pre-kernel contraction path (prefix `HashMap` + `GraphBuilder`
-    /// edge coalescer), kept verbatim as the oracle the sort-based kernel is
-    /// pinned against: `contract_level` must reproduce this byte for byte.
+    /// edge coalescer): coarse vertex ids are the ranks of the distinct label
+    /// prefixes, unpaired vertices are carried over, parallel coarse edges
+    /// are coalesced.
     fn contract_level_reference(graph: &Graph, labels: &[u64]) -> (Graph, Vec<u64>, Vec<NodeId>) {
         use std::collections::HashMap;
         let n = graph.num_vertices();
@@ -391,6 +479,95 @@ mod tests {
         (builder.build(), coarse_labels, fine_to_coarse)
     }
 
+    /// The sweep before the closed form: every candidate pair priced by
+    /// [`swap_delta`] on the level's own graph.
+    fn sweep_with(
+        graph: &Graph,
+        labels: &mut [u64],
+        p_mask: u64,
+        e_mask: u64,
+        scratch: &mut SweepScratch,
+    ) -> usize {
+        collect_swap_pairs(labels, scratch);
+        let mut swaps = 0usize;
+        for &(u, v) in &scratch.pairs {
+            if swap_delta(graph, labels, p_mask, e_mask, u, v) < 0 {
+                labels.swap(u as usize, v as usize);
+                swaps += 1;
+            }
+        }
+        swaps
+    }
+
+    /// The hierarchy loop before the level views, kept as the oracle: every
+    /// level's graph is built by [`contract_level_reference`] and every
+    /// sweep is priced by [`swap_delta`]. Returns the levels and the swap
+    /// count.
+    fn build_hierarchy_reference(
+        graph: &Graph,
+        labels: Vec<u64>,
+        dim: usize,
+        p_mask: u64,
+        e_mask: u64,
+    ) -> (Vec<Level>, usize) {
+        let mut levels: Vec<Level> = Vec::new();
+        let mut total_swaps = 0usize;
+        let mut coarse_graph: Option<Graph> = None;
+        let mut current_labels = labels;
+        let mut scratch = SweepScratch::default();
+        for round in 0..dim.saturating_sub(2) {
+            let current_graph = coarse_graph.as_ref().unwrap_or(graph);
+            let (pm, em) = (p_mask >> round, e_mask >> round);
+            total_swaps += sweep_with(current_graph, &mut current_labels, pm, em, &mut scratch);
+            let (next_graph, coarse_labels, fine_to_coarse) =
+                contract_level_reference(current_graph, &current_labels);
+            levels.push(Level {
+                labels: current_labels,
+                fine_to_coarse,
+            });
+            coarse_graph = Some(next_graph);
+            current_labels = coarse_labels;
+        }
+        levels.push(Level {
+            labels: current_labels,
+            fine_to_coarse: Vec::new(),
+        });
+        (levels, total_swaps)
+    }
+
+    /// For every swept level, whether it was swept through a graph
+    /// materialized for it (`true`) or through a view over a larger base.
+    /// Replays [`MATERIALIZE_FACTOR`]'s rule on the level sizes; level 0 is
+    /// swept on `Ga` itself and reported as materialized.
+    fn materialized_levels(run: &HierarchyRun) -> Vec<bool> {
+        let swept = run.levels.len() - 1;
+        let mut base_n = run.levels[0].labels.len();
+        (0..swept)
+            .map(|i| {
+                let n = run.levels[i].labels.len();
+                let fresh = i == 0 || MATERIALIZE_FACTOR * n <= base_n;
+                if fresh {
+                    base_n = n;
+                }
+                fresh
+            })
+            .collect()
+    }
+
+    /// Asserts that `run` reproduces the reference loop level for level.
+    fn assert_matches_reference(
+        run: &HierarchyRun,
+        graph: &Graph,
+        labels: Vec<u64>,
+        dim: usize,
+        p_mask: u64,
+        e_mask: u64,
+    ) {
+        let (levels, swaps) = build_hierarchy_reference(graph, labels, dim, p_mask, e_mask);
+        assert_eq!(run.levels, levels);
+        assert_eq!(run.total_swaps, swaps);
+    }
+
     /// A small instance with unique 4-digit labels on an 8-vertex graph.
     fn toy() -> (Graph, Vec<u64>) {
         let g = generators::cycle_graph(8);
@@ -404,6 +581,23 @@ mod tests {
         let mut scratch = SweepScratch::default();
         collect_swap_pairs(labels, &mut scratch);
         scratch.pairs
+    }
+
+    /// `build_hierarchy_traced` on a caller-provided scratch.
+    fn build_with(
+        graph: &Graph,
+        labels: Vec<u64>,
+        dim: usize,
+        p_mask: u64,
+        e_mask: u64,
+        scratch: &mut HierarchyScratch,
+    ) -> HierarchyRun {
+        let trace = TraceHandle::off();
+        build_hierarchy_traced(graph, labels, dim, p_mask, e_mask, None, &trace, scratch)
+    }
+
+    fn low_mask(digits: usize) -> u64 {
+        (1u64 << digits) - 1
     }
 
     #[test]
@@ -424,14 +618,15 @@ mod tests {
     #[test]
     fn sweep_never_increases_objective() {
         let (g, labels) = toy();
-        let p_mask = 0b1110;
-        let e_mask = 0b0001;
-        let mut l = labels.clone();
-        let before = objective_for_labels(&g, &l, p_mask, e_mask);
-        let swaps = sweep_with(&g, &mut l, p_mask, e_mask, &mut SweepScratch::default());
-        let after = objective_for_labels(&g, &l, p_mask, e_mask);
+        let p_mask = 0b110;
+        let e_mask = 0b001;
+        let before = objective_for_labels(&g, &labels, p_mask, e_mask);
+        // Three digits: one sweep (level 0), one contraction.
+        let run = build_hierarchy(&g, labels, 3, p_mask, e_mask);
+        let l = &run.levels[0].labels;
+        let after = objective_for_labels(&g, l, p_mask, e_mask);
         assert!(after <= before, "sweep must not worsen the objective");
-        if swaps == 0 {
+        if run.total_swaps == 0 {
             assert_eq!(after, before);
         }
         // The label multiset is preserved.
@@ -441,39 +636,98 @@ mod tests {
     }
 
     #[test]
+    fn closed_form_delta_equals_swap_delta() {
+        // Level vertices group the base vertices of a weighted random graph
+        // through a scattered map; the closed form over the view must equal
+        // `swap_delta` on the contracted graph for every pair whose labels
+        // differ in digit 0, under every sign of that digit.
+        let g = generators::randomize_edge_weights(&generators::barabasi_albert(96, 3, 5), 9, 5);
+        let coarse_n = 40;
+        let f2c: Vec<NodeId> = (0..96u32).map(|v| (v * 17 + 3) % coarse_n).collect();
+        let coarse = contract(&g, &f2c, coarse_n as usize);
+        let mut grouped = LevelView::default();
+        grouped.reset(g.num_vertices());
+        grouped.compose(&f2c, coarse_n as usize);
+        let mut identity = LevelView::default();
+        identity.reset(g.num_vertices());
+        let base_labels: Vec<u64> = (0..96u64).map(|v| (v * 37) % 64).collect();
+        let coarse_labels: Vec<u64> = base_labels[..coarse_n as usize].to_vec();
+        let masks = [(0b11_1110, 0b1), (0b1, 0b11_1110), (0b11, 0b1), (0b10, 0)];
+        let mut checked = 0;
+        // (view over `g`, the level graph it stands for, level labels)
+        for (view, level_graph, labels) in [
+            (&grouped, &coarse, &coarse_labels),
+            (&identity, &g, &base_labels),
+        ] {
+            for u in 0..labels.len() as NodeId {
+                for v in 0..labels.len() as NodeId {
+                    if labels[u as usize] ^ labels[v as usize] != 1 {
+                        continue;
+                    }
+                    let (sum, _) = view.pair_sum(&g, labels, u, v);
+                    for (p_mask, e_mask) in masks {
+                        let s = (p_mask & 1) as i64 - (e_mask & 1) as i64;
+                        assert_eq!(
+                            s * sum,
+                            swap_delta(level_graph, labels, p_mask, e_mask, u, v),
+                            "pair ({u}, {v}), masks ({p_mask:#b}, {e_mask:#b})"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked >= 40, "too few pairs differ in digit 0: {checked}");
+    }
+
+    #[test]
     fn contraction_merges_pairs_and_cuts_digit() {
         let (g, labels) = toy();
-        let (cg, cl, f2c) = contract_level(&g, &labels);
-        assert_eq!(cg.num_vertices(), 4);
-        assert_eq!(cl, vec![0, 1, 2, 3]);
-        assert_eq!(f2c, vec![0, 0, 1, 1, 2, 2, 3, 3]);
-        assert_eq!(cg.total_vertex_weight(), g.total_vertex_weight());
-        // Cycle of 8 contracted along consecutive pairs is a cycle of 4.
-        assert_eq!(cg.num_edges(), 4);
+        // Three digits: level 1 is the contraction of level 0, unswept.
+        let run = build_hierarchy(&g, labels, 3, 0b110, 0b001);
+        assert_eq!(run.levels.len(), 2);
+        assert_eq!(run.levels[0].fine_to_coarse, vec![0, 0, 1, 1, 2, 2, 3, 3]);
+        assert_eq!(run.levels[1].labels, vec![0, 1, 2, 3]);
+    }
+
+    /// Level-1 vertices A (fine 0, 1), B (2, 3), C (4, 5) and D (6), plus
+    /// `padding` isolated fine vertices sharing one more prefix. A–C are
+    /// joined by three fine edges of weight 2 + 3 + 5 = 10 and B–C by one of
+    /// weight `bc`; the pair's own edge A–B and the edge inside A must not
+    /// count. So A and B swap at level 1 exactly when `10 − bc < 0`.
+    fn coalescing_instance(bc: u64, padding: usize) -> (Graph, Vec<u64>) {
+        let mut b = GraphBuilder::new(7 + padding);
+        b.add_edge(0, 4, 2);
+        b.add_edge(0, 5, 3);
+        b.add_edge(1, 4, 5);
+        b.add_edge(2, 5, bc);
+        b.add_edge(0, 2, 100); // the pair's own edge
+        b.add_edge(0, 1, 50); // inside A
+        let mut labels = vec![0b0000u64, 0b0001, 0b0010, 0b0011, 0b0100, 0b0101, 0b0110];
+        labels.resize(7 + padding, 0b1111);
+        (b.build(), labels)
     }
 
     #[test]
     fn contraction_coalesces_parallel_coarse_edges() {
-        // Vertices 0,1 share prefix 0 and 2,3 share prefix 1, so contraction
-        // yields two coarse vertices. Three distinct fine edges cross between
-        // the pairs; they must merge into ONE coarse edge of summed weight.
-        let mut b = GraphBuilder::new(4);
-        b.add_edge(0, 2, 2);
-        b.add_edge(0, 3, 3);
-        b.add_edge(1, 2, 5);
-        b.add_edge(0, 1, 7); // intra-pair edge: vanishes in the coarse graph
-        let g = b.build();
-        let labels = vec![0b00u64, 0b01, 0b10, 0b11];
-        let (cg, cl, f2c) = contract_level(&g, &labels);
-        assert_eq!(cg.num_vertices(), 2);
-        assert_eq!(
-            cg.num_edges(),
-            1,
-            "fine edges between the same coarse pair must be coalesced"
-        );
-        assert_eq!(cg.edge_weight(0, 1), Some(2 + 3 + 5));
-        assert_eq!(cl, vec![0, 1]);
-        assert_eq!(f2c, vec![0, 0, 1, 1]);
+        let (p_mask, e_mask) = (0b1110, 0b0001);
+        // Without padding level 1 is swept through a view of `Ga`; with 16
+        // padding vertices it has 5 of 23 vertices and is materialized.
+        for padding in [0usize, 16] {
+            for (bc, swapped) in [(9u64, false), (10, false), (11, true)] {
+                let (g, labels) = coalescing_instance(bc, padding);
+                let run = build_hierarchy(&g, labels.clone(), 4, p_mask, e_mask);
+                assert_eq!(run.contract_arcs > 0, padding > 0);
+                let ab = &run.levels[1].labels[..2];
+                let expected: &[u64] = if swapped {
+                    &[0b001, 0b000]
+                } else {
+                    &[0b000, 0b001]
+                };
+                assert_eq!(ab, expected, "bc {bc}, padding {padding}");
+                assert_matches_reference(&run, &g, labels, 4, p_mask, e_mask);
+            }
+        }
     }
 
     #[test]
@@ -493,29 +747,30 @@ mod tests {
 
     #[test]
     fn sweep_with_scratch_matches_sweep() {
-        // A scratch dirtied by a larger level must sweep exactly like a
-        // fresh one.
+        // A scratch whose pair search was dirtied by a larger level must
+        // sweep exactly like a fresh one, and like the `swap_delta` sweep.
         let g = generators::randomize_edge_weights(&generators::barabasi_albert(96, 3, 5), 4, 5);
         let labels: Vec<u64> = (0..96u64).collect();
         let (p_mask, e_mask) = (0b111_0000, 0b000_1111);
-        let mut fresh = labels.clone();
-        let fresh_swaps = sweep_with(&g, &mut fresh, p_mask, e_mask, &mut SweepScratch::default());
-        let mut reused = labels.clone();
-        let mut scratch = SweepScratch::default();
-        collect_swap_pairs(&(0..256u64).rev().collect::<Vec<_>>(), &mut scratch);
-        let reused_swaps = sweep_with(&g, &mut reused, p_mask, e_mask, &mut scratch);
-        assert_eq!(fresh_swaps, reused_swaps);
-        assert_eq!(fresh, reused);
+        let fresh = build_hierarchy(&g, labels.clone(), 7, p_mask, e_mask);
+        let mut scratch = HierarchyScratch::default();
+        collect_swap_pairs(&(0..256u64).rev().collect::<Vec<_>>(), &mut scratch.sweep);
+        let reused = build_with(&g, labels.clone(), 7, p_mask, e_mask, &mut scratch);
+        assert_eq!(fresh.total_swaps, reused.total_swaps);
+        assert_eq!(fresh.levels, reused.levels);
+        let mut swept = labels;
+        let swaps = sweep_with(&g, &mut swept, p_mask, e_mask, &mut SweepScratch::default());
+        assert_eq!(fresh.levels[0].labels, swept);
+        assert!(swaps > 0, "the fixture must exercise the sweep");
     }
 
     #[test]
     fn contraction_keeps_unpaired_vertices() {
         let g = generators::path_graph(3);
-        let labels = vec![0b00u64, 0b01, 0b10];
-        let (cg, cl, f2c) = contract_level(&g, &labels);
-        assert_eq!(cg.num_vertices(), 2);
-        assert_eq!(cl, vec![0, 1]);
-        assert_eq!(f2c, vec![0, 0, 1]);
+        let labels = vec![0b000u64, 0b001, 0b010];
+        let run = build_hierarchy(&g, labels, 3, 0b110, 0b001);
+        assert_eq!(run.levels[1].labels, vec![0, 1]);
+        assert_eq!(run.levels[0].fine_to_coarse, vec![0, 0, 1]);
     }
 
     #[test]
@@ -556,73 +811,116 @@ mod tests {
         assert_eq!(run.levels.len(), 1);
         assert_eq!(run.levels[0].labels, labels);
         assert_eq!(run.total_swaps, 0);
+        assert_eq!((run.sweep_arcs, run.contract_arcs), (0, 0));
     }
 
     #[test]
-    fn contract_level_matches_reference_oracle_on_fixtures() {
+    fn hierarchy_matches_reference_oracle_on_fixtures() {
         let (g, labels) = toy();
-        assert_eq!(
-            contract_level(&g, &labels),
-            contract_level_reference(&g, &labels)
-        );
-        let g = generators::randomize_edge_weights(&generators::barabasi_albert(96, 3, 5), 4, 5);
-        let labels: Vec<u64> = (0..96u64).collect();
-        assert_eq!(
-            contract_level(&g, &labels),
-            contract_level_reference(&g, &labels)
-        );
+        for dim in [3, 4, 5] {
+            let run = build_hierarchy(&g, labels.clone(), dim, low_mask(dim) - 1, 1);
+            assert_matches_reference(&run, &g, labels.clone(), dim, low_mask(dim) - 1, 1);
+        }
+        // 600 distinct 12-digit labels: the first levels barely shrink and
+        // are swept through views, the deep ones are materialized.
+        let g = generators::randomize_edge_weights(&generators::barabasi_albert(600, 3, 5), 4, 5);
+        let labels: Vec<u64> = generators::random_permutation(1 << 12, 5)[..600]
+            .iter()
+            .map(|&l| u64::from(l))
+            .collect();
+        let (p_mask, e_mask) = (0b1111_1100_0000, 0b0000_0011_1111);
+        let run = build_hierarchy(&g, labels.clone(), 12, p_mask, e_mask);
+        let kinds = materialized_levels(&run);
+        assert!(kinds[1..].contains(&false), "no level swept through a view");
+        assert!(kinds[1..].contains(&true), "no level materialized");
+        assert!(run.contract_arcs > 0 && run.sweep_arcs > 0);
+        assert_matches_reference(&run, &g, labels, 12, p_mask, e_mask);
     }
 
     #[test]
     fn contract_scratch_reuse_is_stateless() {
         let (g_a, labels_a) = toy();
-        let g_b = generators::randomize_edge_weights(&generators::barabasi_albert(64, 3, 2), 4, 3);
-        let labels_b: Vec<u64> = (0..64u64).rev().collect();
+        let g_b = generators::randomize_edge_weights(&generators::barabasi_albert(256, 3, 2), 4, 3);
+        let labels_b: Vec<u64> = (0..256u64).rev().collect();
         let mut scratch = HierarchyScratch::default();
-        let fresh_a = contract_level_with(&g_a, &labels_a, &mut scratch);
-        // Dirty the scratch with a larger instance, then redo the first one:
-        // the result must not depend on leftover scratch contents.
-        let fresh_b = contract_level_with(&g_b, &labels_b, &mut scratch);
-        assert_eq!(fresh_b, contract_level_reference(&g_b, &labels_b));
-        assert_eq!(contract_level_with(&g_a, &labels_a, &mut scratch), fresh_a);
+        let fresh_a = build_with(&g_a, labels_a.clone(), 5, 0b11110, 1, &mut scratch);
+        // Dirty the scratch with a larger instance that materializes levels,
+        // then redo the first one: the result must not depend on leftover
+        // scratch contents.
+        let run_b = build_with(
+            &g_b,
+            labels_b.clone(),
+            10,
+            0b11_1111_0000,
+            0b1111,
+            &mut scratch,
+        );
+        assert!(run_b.contract_arcs > 0);
+        assert_matches_reference(&run_b, &g_b, labels_b, 10, 0b11_1111_0000, 0b1111);
+        let again_a = build_with(&g_a, labels_a, 5, 0b11110, 1, &mut scratch);
+        assert_eq!(again_a.levels, fresh_a.levels);
+        assert_eq!(again_a.total_swaps, fresh_a.total_swaps);
+        assert_eq!(
+            (again_a.sweep_arcs, again_a.contract_arcs),
+            (fresh_a.sweep_arcs, fresh_a.contract_arcs)
+        );
+    }
+
+    /// `n` labels of `dim` digits: distinct when `unique` and `2^dim ≥ n`,
+    /// otherwise drawn with repetition (duplicates whenever `2^dim < n`).
+    fn random_labels(n: usize, dim: usize, unique: bool, seed: u64) -> Vec<u64> {
+        if unique && n <= 1 << dim {
+            generators::random_permutation(1 << dim, seed)[..n]
+                .iter()
+                .map(|&l| u64::from(l))
+                .collect()
+        } else {
+            (0..n as u64)
+                .map(|v| {
+                    let x = v.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(seed);
+                    (x >> 17) & low_mask(dim)
+                })
+                .collect()
+        }
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// On random graphs × random labelings, the sort-based contraction
-        /// kernel's `(Graph, coarse_labels, fine_to_coarse)` triple is
-        /// identical to the old HashMap path (the `GraphBuilder` coalescer),
-        /// including the raw CSR arrays of the coarse graph — the invariant
-        /// the whole refactor is pinned by.
+        /// On random weighted G(n, m) graphs × random labelings (distinct
+        /// labels or multisets with duplicates, `dim` 2–14) × random digit
+        /// masks, the lazy hierarchy reproduces the per-level reference loop
+        /// — every level's labels and `fine_to_coarse`, and the swap count —
+        /// on a fresh scratch and on one dirtied by an unrelated hierarchy.
         #[test]
-        fn contraction_kernel_equivalent_to_hashmap_reference(
-            n in 1..150usize,
-            m in 0..400usize,
-            dim in 2..8u32,
-            seed in 0..1000u64,
-            dirty_seed in 0..4u64,
+        fn lazy_hierarchy_equivalent_to_per_level_reference(
+            n in 2..302usize,
+            m in 0..1200usize,
+            dim in 2..15usize,
+            seed in 0..10_000u64,
+            unique in 0..3u32,
+            p_bits in 0..(1u64 << 14),
+            e_bits in 0..(1u64 << 14),
+            dirty in 0..2u32,
         ) {
+            // Two thirds distinct labels, one third with repetition.
+            let labels = random_labels(n, dim, unique > 0, seed);
             let base = generators::erdos_renyi_gnm(n, m.min(n * (n - 1) / 2), seed);
             let g = generators::randomize_edge_weights(&base, 7, seed ^ 0xc0ffee);
-            // Random labels over `dim` digits; duplicates are allowed (the
-            // contraction only groups by prefix, uniqueness is not required).
-            let labels: Vec<u64> = (0..n)
-                .map(|v| {
-                    let x = (v as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(seed);
-                    (x >> 17) & ((1u64 << dim) - 1)
-                })
-                .collect();
+            // Mostly a PE/extension split of the digits; some digits of the
+            // raw bit draws fall in neither or both masks.
+            let e_mask = e_bits & low_mask(dim);
+            let p_mask = if seed % 4 == 0 { p_bits & low_mask(dim) } else { low_mask(dim) & !e_mask };
             let mut scratch = HierarchyScratch::default();
-            if dirty_seed > 0 {
-                // Pre-dirty the scratch with an unrelated contraction so the
-                // equivalence also covers reused buffers.
-                let other: Vec<u64> = (0..n as u64).map(|v| v ^ dirty_seed).collect();
-                let _ = contract_level_with(&g, &other, &mut scratch);
+            if dirty == 1 {
+                let other = generators::barabasi_albert(n + 64, 3, seed ^ 0x5eed);
+                let other_labels = random_labels(n + 64, 12, false, seed ^ 0x5eed);
+                let _ = build_with(&other, other_labels, 12, 0b1111_1100_0000, 0b11_1111, &mut scratch);
             }
-            let kernel = contract_level_with(&g, &labels, &mut scratch);
-            let reference = contract_level_reference(&g, &labels);
-            prop_assert_eq!(kernel, reference);
+            let run = build_with(&g, labels.clone(), dim, p_mask, e_mask, &mut scratch);
+            let (levels, swaps) = build_hierarchy_reference(&g, labels, dim, p_mask, e_mask);
+            prop_assert_eq!(run.levels, levels);
+            prop_assert_eq!(run.total_swaps, swaps);
         }
     }
 }

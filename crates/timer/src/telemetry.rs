@@ -17,9 +17,10 @@ use crate::error::StopReason;
 /// distributions of the per-round objective deltas, and a per-phase
 /// wall-clock breakdown.
 ///
-/// The gate-side fields (`accepted`, `rejected`, `ties`, the histograms) are
-/// part of the deterministic trajectory and therefore byte-identical across
-/// every `(threads, batch)` setting. `phases` is wall-clock and is not:
+/// The gate-side fields (`accepted`, `rejected`, `ties`, the histograms) and
+/// the hierarchy work counts (`sweep_arcs`, `contract_arcs`) are part of the
+/// deterministic trajectory and therefore byte-identical across every
+/// `(threads, batch)` setting. `phases` is wall-clock and is not:
 /// speculated rounds that get invalidated still burned real time, which the
 /// breakdown reports honestly.
 #[derive(Clone, Debug, Default)]
@@ -42,6 +43,13 @@ pub struct RoundTelemetry {
     /// Repaired vertices summed over the rounds the gate ruled on. Mirrors
     /// `TimerResult::total_repaired`.
     pub total_repaired: usize,
+    /// Base-graph arcs the hierarchy sweeps read, summed over the rounds the
+    /// gate ruled on (discarded speculations are not counted, so the total
+    /// does not depend on the thread count).
+    pub sweep_arcs: usize,
+    /// Arcs fed to the contraction kernel to materialize hierarchy levels,
+    /// summed over the rounds the gate ruled on.
+    pub contract_arcs: usize,
     /// Accumulated wall-clock per pipeline phase across the whole run
     /// (including invalidated speculations — real work is counted).
     pub phases: PhaseTimes,
@@ -97,6 +105,8 @@ impl RoundTelemetry {
             && self.delta_div == other.delta_div
             && self.repaired == other.repaired
             && self.total_repaired == other.total_repaired
+            && self.sweep_arcs == other.sweep_arcs
+            && self.contract_arcs == other.contract_arcs
     }
 }
 
@@ -141,5 +151,13 @@ mod tests {
         a.record_gate(0, 0, 4, true, true);
         c.record_gate(0, 0, 5, true, true);
         assert!(!a.same_gate_trajectory(&c));
+        // So do equal verdicts whose hierarchies did different work.
+        let (mut d, mut e) = (RoundTelemetry::default(), RoundTelemetry::default());
+        d.sweep_arcs = 10;
+        e.sweep_arcs = 11;
+        assert!(!d.same_gate_trajectory(&e));
+        e.sweep_arcs = 10;
+        e.contract_arcs = 1;
+        assert!(!d.same_gate_trajectory(&e));
     }
 }

@@ -101,6 +101,7 @@ fn jsonl_trace_is_parseable_and_covers_every_round() {
 #[test]
 fn tracing_never_changes_the_result() {
     let baseline = run_with(TraceHandle::off(), 1);
+    assert!(baseline.telemetry.sweep_arcs > 0, "no sweep work recorded");
     let dir = std::env::temp_dir().join("tie_trace_test");
     std::fs::create_dir_all(&dir).unwrap();
 
@@ -124,6 +125,9 @@ fn tracing_never_changes_the_result() {
             assert_eq!(r.hierarchies_accepted, baseline.hierarchies_accepted);
             assert_eq!(r.total_swaps, baseline.total_swaps);
             assert_eq!(r.total_repaired, baseline.total_repaired);
+            // So are the hierarchies' work counts.
+            assert_eq!(r.telemetry.sweep_arcs, baseline.telemetry.sweep_arcs);
+            assert_eq!(r.telemetry.contract_arcs, baseline.telemetry.contract_arcs);
             // Gate-side telemetry is deterministic too (phases are
             // wall-clock and may differ).
             assert!(r.telemetry.same_gate_trajectory(&baseline.telemetry));
