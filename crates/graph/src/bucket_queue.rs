@@ -28,6 +28,10 @@ pub struct BucketQueue {
 impl BucketQueue {
     /// Creates a queue able to hold items `0..capacity` with gains bounded by
     /// `max_gain` in absolute value.
+    ///
+    /// Allocates `2 * max_gain + 1` buckets. A caller whose gains come from
+    /// unbounded input weights should cap `max_gain`: a gain beyond the
+    /// bound is clamped into the end bucket on its side.
     pub fn new(capacity: usize, max_gain: Gain) -> Self {
         let max_gain = max_gain.max(0);
         let num_buckets = (2 * max_gain + 1) as usize;

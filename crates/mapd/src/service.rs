@@ -407,4 +407,23 @@ mod tests {
             assert_eq!(resp.mapping.len(), 200, "{case}");
         }
     }
+
+    /// An inline edge weight of 10^9 is served. Edge weights must not size
+    /// FM's gain bucket array: uncapped, it would need 48 GB here.
+    #[test]
+    fn execute_serves_a_heavy_inline_edge_weight() {
+        let service = Service::new(ServiceOptions::default());
+        let mut req = demo_request(5);
+        req.topology = "grid2x2".to_string();
+        let edges = (0..199u32)
+            .map(|v| (v, v + 1, if v == 99 { 1_000_000_000 } else { 1 }))
+            .collect();
+        req.graph = GraphSource::Inline {
+            num_vertices: 200,
+            edges,
+        };
+        let resp = service.execute(&req).unwrap();
+        assert_eq!(resp.mapping.len(), 200);
+        assert!(resp.mapping.iter().all(|&pe| pe < 4));
+    }
 }

@@ -6,11 +6,32 @@
 //! bound is moved (and locked), neighbour gains are updated, and at the end
 //! of the pass the best prefix of moves is kept. Passes repeat until no
 //! improvement is found or the pass limit is reached.
+//!
+//! Gains are incremental. A pass starts with one scan over the arcs that
+//! computes every vertex's gain (external minus internal weight) and its
+//! count of neighbours on the other side. Moving `v` then adds `±2w` to the
+//! gain and `±1` to the count of each unlocked neighbour across an arc of
+//! weight `w`, so a move costs `deg(v)` instead of the sum of its
+//! neighbours' degrees. A vertex is on the boundary while its count is
+//! non-zero, so zero-weight edges keep it there. The queue sees the same
+//! calls in the same order as a from-scratch recomputation would make.
+//!
+//! The queue's bucket array is sized by the largest weighted degree, capped
+//! at `MAX_GAIN_BUCKETS`. Edge weights come from outside (METIS files,
+//! `mapd` requests), and an uncapped array grows with them. The queue
+//! clamps gains to its range and the cut is booked from exact gains, so the
+//! cap can only reorder pops among vertices whose |gain| exceeds it.
 
 use tie_graph::bucket_queue::BucketQueue;
 use tie_graph::{Gain, Graph, NodeId, Weight};
 
 use crate::initial::Bisection;
+
+/// Largest |gain| the bucket queue tells apart; larger gains share its end
+/// buckets. It bounds the queue at `2^17 + 1` buckets whatever the edge
+/// weights. Only the heavy-edge tests reach it: the weighted degrees of the
+/// other tested and the benchmarked networks stay below.
+const MAX_GAIN_BUCKETS: Weight = 1 << 16;
 
 /// Balance bound for one side: the largest integer weight not exceeding
 /// `(1 + eps) * target` (and at least `target`, so a perfectly balanced side
@@ -18,26 +39,6 @@ use crate::initial::Bisection;
 /// [`crate::Partition::is_balanced`].
 fn max_weight(target: Weight, eps: f64) -> Weight {
     ((((target as f64) * (1.0 + eps)).floor() as Weight).max(target)).max(1)
-}
-
-/// Gain of moving `v` to the other side: external minus internal connectivity.
-fn move_gain(graph: &Graph, side: &[u8], v: NodeId) -> Gain {
-    let sv = side[v as usize];
-    let mut gain: Gain = 0;
-    for (u, w) in graph.edges_of(v) {
-        if side[u as usize] == sv {
-            gain -= w as Gain;
-        } else {
-            gain += w as Gain;
-        }
-    }
-    gain
-}
-
-/// True if `v` has at least one neighbour on the other side.
-fn is_boundary(graph: &Graph, side: &[u8], v: NodeId) -> bool {
-    let sv = side[v as usize];
-    graph.neighbors(v).iter().any(|&u| side[u as usize] != sv)
 }
 
 /// Runs up to `max_passes` FM passes on `bisection`, refining it in place.
@@ -61,33 +62,52 @@ pub fn refine_bisection(
         .vertices()
         .map(|v| graph.weighted_degree(v))
         .max()
-        .unwrap_or(1) as Gain;
+        .unwrap_or(1)
+        .min(MAX_GAIN_BUCKETS) as Gain;
     let initial_cut = bisection.cut;
 
+    // One queue and one set of arrays per call. A pass pops until the queue
+    // is empty, so it starts every pass empty.
+    let mut queue = BucketQueue::new(n, max_gain);
+    let mut locked = vec![false; n];
+    // gain[v]: external minus internal weight; ext[v]: neighbours on the
+    // other side. Exact for every unlocked vertex during a pass.
+    let mut gain: Vec<Gain> = vec![0; n];
+    let mut ext: Vec<u32> = vec![0; n];
+    let mut moves: Vec<NodeId> = Vec::new();
+
     for _ in 0..max_passes {
-        let mut queue = BucketQueue::new(n, max_gain);
-        let mut locked = vec![false; n];
+        locked.fill(false);
+        moves.clear();
         for v in graph.vertices() {
-            if is_boundary(graph, &bisection.side, v) {
-                queue.insert(v, move_gain(graph, &bisection.side, v));
+            let sv = bisection.side[v as usize];
+            let (mut g, mut e): (Gain, u32) = (0, 0);
+            for (u, w) in graph.edges_of(v) {
+                if bisection.side[u as usize] == sv {
+                    g -= w as Gain;
+                } else {
+                    g += w as Gain;
+                    e += 1;
+                }
+            }
+            gain[v as usize] = g;
+            ext[v as usize] = e;
+            if e > 0 {
+                queue.insert(v, g);
             }
         }
 
-        // Move log for rollback: (vertex, cut_after, weight0_after).
-        let mut moves: Vec<NodeId> = Vec::new();
-        let mut cut_after: Vec<Weight> = Vec::new();
         let mut best_cut = bisection.cut;
         let mut best_prefix = 0usize;
         let mut cur_cut = bisection.cut;
         let (mut w0, mut w1) = (bisection.weight0, bisection.weight1);
         let mut best_w = (w0, w1);
 
-        while let Some((v, gain)) = queue.pop_max() {
-            if locked[v as usize] {
-                continue;
-            }
+        while let Some((v, _)) = queue.pop_max() {
+            let vi = v as usize;
+            debug_assert!(!locked[vi], "a moved vertex is never queued again");
             let vw = graph.vertex_weight(v);
-            let from0 = bisection.side[v as usize] == 0;
+            let from0 = bisection.side[vi] == 0;
             // Feasibility of the move w.r.t. the balance bound.
             let feasible = if from0 {
                 w1 + vw <= max1
@@ -97,12 +117,11 @@ pub fn refine_bisection(
             if !feasible {
                 continue; // dropped; it may re-enter in a later pass
             }
-            // Apply the move. The bucket gain may be stale due to clamping,
-            // so recompute the exact gain for the cut bookkeeping.
-            let exact_gain = move_gain(graph, &bisection.side, v);
-            let _ = gain;
-            bisection.side[v as usize] ^= 1;
-            locked[v as usize] = true;
+            // The bucket gain may be clamped; the cut is booked from the
+            // exact gain.
+            let to = bisection.side[vi] ^ 1;
+            bisection.side[vi] = to;
+            locked[vi] = true;
             if from0 {
                 w0 -= vw;
                 w1 += vw;
@@ -110,27 +129,35 @@ pub fn refine_bisection(
                 w1 -= vw;
                 w0 += vw;
             }
-            cur_cut = (cur_cut as i64 - exact_gain) as Weight;
+            cur_cut = (cur_cut as i64 - gain[vi]) as Weight;
             moves.push(v);
-            cut_after.push(cur_cut);
             if cur_cut < best_cut {
                 best_cut = cur_cut;
                 best_prefix = moves.len();
                 best_w = (w0, w1);
             }
-            // Update neighbour gains.
-            for &u in graph.neighbors(v) {
-                if locked[u as usize] {
+            // Update neighbour gains. The entries of locked vertices (`v`
+            // included) are not read again in this pass.
+            for (u, w) in graph.edges_of(v) {
+                let ui = u as usize;
+                if locked[ui] {
                     continue;
                 }
-                let g = move_gain(graph, &bisection.side, u);
+                if bisection.side[ui] == to {
+                    gain[ui] -= 2 * w as Gain;
+                    ext[ui] -= 1;
+                } else {
+                    gain[ui] += 2 * w as Gain;
+                    ext[ui] += 1;
+                }
                 if queue.contains(u) {
-                    queue.update_gain(u, g);
-                } else if is_boundary(graph, &bisection.side, u) {
-                    queue.insert(u, g);
+                    queue.update_gain(u, gain[ui]);
+                } else if ext[ui] > 0 {
+                    queue.insert(u, gain[ui]);
                 }
             }
         }
+        debug_assert!(queue.is_empty());
 
         // Roll back every move after the best prefix.
         for &v in moves.iter().skip(best_prefix).rev() {
@@ -159,7 +186,142 @@ pub fn refine_bisection(
 mod tests {
     use super::*;
     use crate::initial::greedy_graph_growing;
+    use crate::test_graphs::{oracle_graph, KINDS};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use tie_graph::generators;
+
+    /// Gain of moving `v` to the other side: external minus internal connectivity.
+    fn move_gain(graph: &Graph, side: &[u8], v: NodeId) -> Gain {
+        let sv = side[v as usize];
+        let mut gain: Gain = 0;
+        for (u, w) in graph.edges_of(v) {
+            if side[u as usize] == sv {
+                gain -= w as Gain;
+            } else {
+                gain += w as Gain;
+            }
+        }
+        gain
+    }
+
+    /// True if `v` has at least one neighbour on the other side.
+    fn is_boundary(graph: &Graph, side: &[u8], v: NodeId) -> bool {
+        let sv = side[v as usize];
+        graph.neighbors(v).iter().any(|&u| side[u as usize] != sv)
+    }
+
+    /// FM with gains recomputed from scratch: after a move it rescans the
+    /// adjacency of every neighbour. The oracle the incremental kernel must
+    /// reproduce move for move.
+    fn refine_bisection_reference(
+        graph: &Graph,
+        bisection: &mut Bisection,
+        target0: Weight,
+        target1: Weight,
+        eps: f64,
+        max_passes: usize,
+    ) -> Weight {
+        let n = graph.num_vertices();
+        if n == 0 {
+            return 0;
+        }
+        let max0 = max_weight(target0, eps);
+        let max1 = max_weight(target1, eps);
+        let max_gain = graph
+            .vertices()
+            .map(|v| graph.weighted_degree(v))
+            .max()
+            .unwrap_or(1) as Gain;
+        let initial_cut = bisection.cut;
+
+        for _ in 0..max_passes {
+            let mut queue = BucketQueue::new(n, max_gain);
+            let mut locked = vec![false; n];
+            for v in graph.vertices() {
+                if is_boundary(graph, &bisection.side, v) {
+                    queue.insert(v, move_gain(graph, &bisection.side, v));
+                }
+            }
+
+            let mut moves: Vec<NodeId> = Vec::new();
+            let mut best_cut = bisection.cut;
+            let mut best_prefix = 0usize;
+            let mut cur_cut = bisection.cut;
+            let (mut w0, mut w1) = (bisection.weight0, bisection.weight1);
+            let mut best_w = (w0, w1);
+
+            while let Some((v, _)) = queue.pop_max() {
+                if locked[v as usize] {
+                    continue;
+                }
+                let vw = graph.vertex_weight(v);
+                let from0 = bisection.side[v as usize] == 0;
+                // Feasibility of the move w.r.t. the balance bound.
+                let feasible = if from0 {
+                    w1 + vw <= max1
+                } else {
+                    w0 + vw <= max0
+                };
+                if !feasible {
+                    continue; // dropped; it may re-enter in a later pass
+                }
+                // Apply the move. The bucket gain may be stale due to clamping,
+                // so recompute the exact gain for the cut bookkeeping.
+                let exact_gain = move_gain(graph, &bisection.side, v);
+                bisection.side[v as usize] ^= 1;
+                locked[v as usize] = true;
+                if from0 {
+                    w0 -= vw;
+                    w1 += vw;
+                } else {
+                    w1 -= vw;
+                    w0 += vw;
+                }
+                cur_cut = (cur_cut as i64 - exact_gain) as Weight;
+                moves.push(v);
+                if cur_cut < best_cut {
+                    best_cut = cur_cut;
+                    best_prefix = moves.len();
+                    best_w = (w0, w1);
+                }
+                // Update neighbour gains.
+                for &u in graph.neighbors(v) {
+                    if locked[u as usize] {
+                        continue;
+                    }
+                    let g = move_gain(graph, &bisection.side, u);
+                    if queue.contains(u) {
+                        queue.update_gain(u, g);
+                    } else if is_boundary(graph, &bisection.side, u) {
+                        queue.insert(u, g);
+                    }
+                }
+            }
+
+            // Roll back every move after the best prefix.
+            for &v in moves.iter().skip(best_prefix).rev() {
+                bisection.side[v as usize] ^= 1;
+            }
+            if best_prefix == 0 {
+                // No improvement this pass; stop.
+                break;
+            }
+            bisection.cut = best_cut;
+            bisection.weight0 = best_w.0;
+            bisection.weight1 = best_w.1;
+        }
+        // Defensive recomputation keeps the struct internally consistent even if
+        // incremental bookkeeping ever drifts.
+        let fresh = Bisection::from_sides(graph, bisection.side.clone());
+        debug_assert_eq!(
+            fresh.cut, bisection.cut,
+            "incremental cut bookkeeping diverged"
+        );
+        *bisection = fresh;
+        initial_cut - bisection.cut
+    }
 
     #[test]
     fn refinement_never_worsens_cut() {
@@ -243,5 +405,40 @@ mod tests {
         let g = Graph::from_edges(0, &[]);
         let mut b = Bisection::from_sides(&g, vec![]);
         assert_eq!(refine_bisection(&g, &mut b, 0, 0, 0.03, 3), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The incremental kernel equals the recomputing reference on sides,
+        /// cut, side weights and the returned improvement, from random
+        /// starting sides with random targets, ε and pass limits.
+        #[test]
+        fn incremental_fm_matches_reference(
+            kind in 0..KINDS,
+            n in 2..300usize,
+            seed in 0..100_000u64,
+            side1_tenths in 0..=10u32,
+            target_permille in 0..=1000u64,
+            eps_permille in 0..=150u32,
+            max_passes in 1..=8usize,
+        ) {
+            let g = oracle_graph(kind, n, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let side: Vec<u8> = g
+                .vertices()
+                .map(|_| u8::from(rng.gen_range(0..10u32) < side1_tenths))
+                .collect();
+            let total = g.total_vertex_weight();
+            let target0 = total * target_permille / 1000;
+            let target1 = total - target0;
+            let eps = f64::from(eps_permille) / 1000.0;
+            let mut fast = Bisection::from_sides(&g, side);
+            let mut slow = fast.clone();
+            let gained = refine_bisection(&g, &mut fast, target0, target1, eps, max_passes);
+            let expected = refine_bisection_reference(&g, &mut slow, target0, target1, eps, max_passes);
+            prop_assert_eq!(gained, expected);
+            prop_assert_eq!(fast, slow);
+        }
     }
 }

@@ -5,6 +5,13 @@
 //! (highest internal-minus-external connectivity) is added, until block 0
 //! reaches its target weight. Several attempts with different seeds are made
 //! and the best feasible bisection is kept.
+//!
+//! Connectivities live in a gain array: a vertex starts at minus its
+//! weighted degree and gains `2w` when a neighbour across an edge of weight
+//! `w` joins block 0. Frontier membership is a flag. A step therefore costs
+//! the frontier's length, not its total degree; it takes the first strict
+//! maximum and removes it with `swap_remove`, the order the oracle
+//! proptest pins.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -12,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use tie_graph::{Gain, Graph, NodeId, Weight};
 
 /// A bisection: `side[v]` is 0 or 1.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Bisection {
     /// Side of every vertex.
     pub side: Vec<u8>,
@@ -65,47 +72,56 @@ fn grow_once(graph: &Graph, target0: Weight, rng: &mut StdRng) -> Bisection {
         return Bisection::from_sides(graph, side);
     }
     let start = rng.gen_range(0..n) as NodeId;
-    // gain[v] = (weight to block 0) - (weight to block 1) for frontier vertices.
+    // gain[v] = (weight to block 0) - (weight to block 1), kept current for
+    // every vertex outside block 0.
+    let mut gain: Vec<Gain> = graph
+        .vertices()
+        .map(|v| -(graph.weighted_degree(v) as Gain))
+        .collect();
     let mut in_block0 = vec![false; n];
+    let mut in_frontier = vec![false; n];
+    // Every vertex below `first_free` is in block 0.
+    let mut first_free = 0usize;
     let mut weight0: Weight = 0;
 
     let mut frontier: Vec<NodeId> = vec![start];
+    in_frontier[start as usize] = true;
     while weight0 < target0 {
         // Pick the frontier vertex with the highest connectivity to block 0.
         let mut best: Option<(usize, Gain)> = None;
         for (idx, &v) in frontier.iter().enumerate() {
-            let mut gain: Gain = 0;
-            for (u, w) in graph.edges_of(v) {
-                if in_block0[u as usize] {
-                    gain += w as Gain;
-                } else {
-                    gain -= w as Gain;
-                }
-            }
-            if best.map(|(_, g)| gain > g).unwrap_or(true) {
-                best = Some((idx, gain));
+            let g = gain[v as usize];
+            if best.is_none_or(|(_, b)| g > b) {
+                best = Some((idx, g));
             }
         }
         let v = match best {
-            Some((idx, _)) => frontier.swap_remove(idx),
+            Some((idx, _)) => {
+                let v = frontier.swap_remove(idx);
+                in_frontier[v as usize] = false;
+                v
+            }
             None => {
-                // Frontier exhausted (disconnected graph): jump to any vertex
-                // not yet in block 0.
-                match (0..n as NodeId).find(|&v| !in_block0[v as usize]) {
-                    Some(v) => v,
-                    None => break,
+                // Frontier exhausted (disconnected graph): jump to the first
+                // vertex not yet in block 0.
+                while first_free < n && in_block0[first_free] {
+                    first_free += 1;
                 }
+                if first_free == n {
+                    break;
+                }
+                first_free as NodeId
             }
         };
-        if in_block0[v as usize] {
-            continue;
-        }
         in_block0[v as usize] = true;
         side[v as usize] = 0;
         weight0 += graph.vertex_weight(v);
-        for &u in graph.neighbors(v) {
-            if !in_block0[u as usize] && !frontier.contains(&u) {
+        for (u, w) in graph.edges_of(v) {
+            let ui = u as usize;
+            gain[ui] += 2 * w as Gain;
+            if !in_block0[ui] && !in_frontier[ui] {
                 frontier.push(u);
+                in_frontier[ui] = true;
             }
         }
     }
@@ -122,12 +138,26 @@ pub fn greedy_graph_growing(
     attempts: usize,
     seed: u64,
 ) -> Bisection {
+    best_of_attempts(graph, target0, eps, attempts, seed, grow_once)
+}
+
+/// Runs `grow` `attempts` times on one seeded stream and keeps the best
+/// bisection, as [`greedy_graph_growing`] describes. `grow` is a parameter
+/// so that the oracle proptest runs its reference through the same choice.
+fn best_of_attempts(
+    graph: &Graph,
+    target0: Weight,
+    eps: f64,
+    attempts: usize,
+    seed: u64,
+    grow: fn(&Graph, Weight, &mut StdRng) -> Bisection,
+) -> Bisection {
     let total = graph.total_vertex_weight();
     let target1 = total.saturating_sub(target0);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut best: Option<Bisection> = None;
     for _ in 0..attempts.max(1) {
-        let cand = grow_once(graph, target0, &mut rng);
+        let cand = grow(graph, target0, &mut rng);
         let better = match &best {
             None => true,
             Some(b) => {
@@ -167,7 +197,66 @@ fn imbalance_of(b: &Bisection, target0: Weight, target1: Weight) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_graphs::{oracle_graph, KINDS};
+    use proptest::prelude::*;
     use tie_graph::generators;
+
+    /// Growing with connectivities recomputed from scratch: each step
+    /// rescans every frontier vertex's adjacency. The oracle the gain-array
+    /// kernel must reproduce.
+    fn grow_once_reference(graph: &Graph, target0: Weight, rng: &mut StdRng) -> Bisection {
+        let n = graph.num_vertices();
+        let mut side = vec![1u8; n];
+        if n == 0 {
+            return Bisection::from_sides(graph, side);
+        }
+        let start = rng.gen_range(0..n) as NodeId;
+        // gain[v] = (weight to block 0) - (weight to block 1) for frontier vertices.
+        let mut in_block0 = vec![false; n];
+        let mut weight0: Weight = 0;
+
+        let mut frontier: Vec<NodeId> = vec![start];
+        while weight0 < target0 {
+            // Pick the frontier vertex with the highest connectivity to block 0.
+            let mut best: Option<(usize, Gain)> = None;
+            for (idx, &v) in frontier.iter().enumerate() {
+                let mut gain: Gain = 0;
+                for (u, w) in graph.edges_of(v) {
+                    if in_block0[u as usize] {
+                        gain += w as Gain;
+                    } else {
+                        gain -= w as Gain;
+                    }
+                }
+                if best.map(|(_, g)| gain > g).unwrap_or(true) {
+                    best = Some((idx, gain));
+                }
+            }
+            let v = match best {
+                Some((idx, _)) => frontier.swap_remove(idx),
+                None => {
+                    // Frontier exhausted (disconnected graph): jump to any vertex
+                    // not yet in block 0.
+                    match (0..n as NodeId).find(|&v| !in_block0[v as usize]) {
+                        Some(v) => v,
+                        None => break,
+                    }
+                }
+            };
+            if in_block0[v as usize] {
+                continue;
+            }
+            in_block0[v as usize] = true;
+            side[v as usize] = 0;
+            weight0 += graph.vertex_weight(v);
+            for &u in graph.neighbors(v) {
+                if !in_block0[u as usize] && !frontier.contains(&u) {
+                    frontier.push(u);
+                }
+            }
+        }
+        Bisection::from_sides(graph, side)
+    }
 
     #[test]
     fn bisection_from_sides_consistency() {
@@ -215,5 +304,28 @@ mod tests {
         let g = generators::grid2d(6, 6);
         let b = greedy_graph_growing(&g, 9, 0.1, 5, 3);
         assert!(b.weight0 >= 9 && b.weight0 <= 12, "weight0 = {}", b.weight0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Growing with a gain array returns the same best bisection as the
+        /// recomputing reference, for random targets, ε and attempts.
+        #[test]
+        fn gain_array_growing_matches_reference(
+            kind in 0..KINDS,
+            n in 2..300usize,
+            seed in 0..100_000u64,
+            target_permille in 0..=1100u64,
+            eps_permille in 0..=150u32,
+            attempts in 1..=8usize,
+        ) {
+            let g = oracle_graph(kind, n, seed);
+            let target0 = g.total_vertex_weight() * target_permille / 1000;
+            let eps = f64::from(eps_permille) / 1000.0;
+            let fast = greedy_graph_growing(&g, target0, eps, attempts, seed);
+            let slow = best_of_attempts(&g, target0, eps, attempts, seed, grow_once_reference);
+            prop_assert_eq!(fast, slow);
+        }
     }
 }

@@ -19,6 +19,13 @@
 //!    ([`recursive`]), plus a final greedy k-way boundary pass
 //!    ([`kway_refine`]).
 //!
+//! The hot kernels update their state instead of recomputing it: FM keeps
+//! every vertex's gain and boundary count current across moves, graph
+//! growing keeps a gain array, and each recursive call's induced subgraph
+//! is written straight into CSR ([`tie_graph::induced_subgraph`]). Each is
+//! pinned by an oracle proptest against the recomputing version it
+//! replaced, so the partition of every input is unchanged.
+//!
 //! The entry point is [`partition()`] with a [`PartitionConfig`]; the result
 //! is a [`Partition`] (block assignment plus quality accessors).
 #![forbid(unsafe_code)]
@@ -32,6 +39,8 @@ pub mod matching;
 pub mod multilevel;
 pub mod partition;
 pub mod recursive;
+#[cfg(test)]
+mod test_graphs;
 
 pub use partition::Partition;
 
@@ -104,5 +113,26 @@ mod tests {
         );
         // A sane 4-way cut of an 8x8 grid is well below the total edge count.
         assert!(p.edge_cut(&g) <= 40, "cut {}", p.edge_cut(&g));
+    }
+
+    /// A heavy edge weight must not size FM's gain buckets: at weights 10^9
+    /// and 10^12 the bucket array would need tens of GB.
+    #[test]
+    fn heavy_edge_weight_partitions_quickly_and_stays_uncut() {
+        for heavy in [1_000_000_000u64, 1_000_000_000_000] {
+            let mut b = tie_graph::GraphBuilder::new(200);
+            for v in 0..199u32 {
+                b.add_edge(v, v + 1, if v == 99 { heavy } else { 1 });
+            }
+            let g = b.build();
+            let p = partition(&g, &PartitionConfig::new(4, 7));
+            assert_eq!(p.num_nonempty_blocks(), 4);
+            assert!(
+                p.is_balanced(&g, 0.03 + 1e-9),
+                "imbalance {}",
+                p.imbalance(&g)
+            );
+            assert_eq!(p.block_of(99), p.block_of(100), "heavy edge {heavy} cut");
+        }
     }
 }

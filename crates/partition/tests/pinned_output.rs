@@ -1,9 +1,10 @@
-//! Pins the partitioner's exact output on one seeded instance, so that a
+//! Pins the partitioner's exact output on two seeded instances, so that a
 //! refactor of the multilevel pipeline cannot change a block id unnoticed:
 //! the other partition tests only bound quality, while every downstream
 //! number (communication graph, mappings c1–c4, TIMER's Coco) depends on it.
 
 use tie_graph::generators;
+use tie_graph::traversal::largest_connected_component;
 use tie_partition::{partition, PartitionConfig};
 
 /// 64-bit FNV-1a over the little-endian bytes of every block id.
@@ -25,6 +26,25 @@ fn partition_output_is_pinned() {
     assert_eq!(
         fnv1a(p.assignment()),
         1_963_353_043_315_660_052,
+        "assignment drifted (FNV-1a of the block ids)"
+    );
+}
+
+/// The hub-heavy case: the tiny web-Google stand-in (largest component of an
+/// R-MAT graph, edge factor 8, probabilities (0.57, 0.19, 0.19, 0.05);
+/// 2,956 vertices, maximum degree 958, merged parallel edges as weights)
+/// at k = 256.
+#[test]
+fn rmat_hub_partition_output_is_pinned() {
+    let raw = generators::rmat(12, 8, (0.57, 0.19, 0.19, 0.05), 112);
+    let g = largest_connected_component(&raw).0;
+    assert_eq!(g.num_vertices(), 2956);
+    let p = partition(&g, &PartitionConfig::new(256, 112));
+    assert_eq!(p.k(), 256);
+    assert_eq!(p.edge_cut(&g), 29862, "edge cut drifted");
+    assert_eq!(
+        fnv1a(p.assignment()),
+        15_935_398_696_528_413_960,
         "assignment drifted (FNV-1a of the block ids)"
     );
 }
