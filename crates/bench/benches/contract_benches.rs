@@ -77,7 +77,7 @@ fn hierarchy_round(c: &mut Criterion) {
         let (dim, p_mask, e_mask) = (labeling.dim, labeling.p_mask(), labeling.ext_mask());
         let id = BenchmarkId::from_parameter(format!("{scale:?}"));
         group.bench_with_input(id, &(ga, labeling), |b, (ga, labeling)| {
-            let mut scratch = HierarchyScratch::with_vertex_capacity(ga.num_vertices());
+            let mut scratch = HierarchyScratch::default();
             let round = |scratch: &mut HierarchyScratch| {
                 let labels = labeling.labels.clone();
                 build_hierarchy_traced(ga, labels, dim, p_mask, e_mask, None, &trace, scratch)

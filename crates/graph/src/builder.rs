@@ -85,8 +85,10 @@ impl GraphBuilder {
         let mut adjncy = vec![0 as NodeId; total_arcs];
         let mut adjwgt = vec![0 as Weight; total_arcs];
         let mut cursor = xadj.clone();
-        // BTreeMap iteration is already key-sorted, so insertion order here
-        // is deterministic without an extra collect-and-sort pass.
+        // The BTreeMap yields `(u, v)` with `u < v` in key order, so every
+        // row fills in ascending neighbour order: row `v` receives its lower
+        // neighbours `u` (as the second key, in order of `u`) before its
+        // higher ones (as the first key, in order of the second).
         for ((u, v), w) in self.edges {
             let (ui, vi) = (u as usize, v as usize);
             adjncy[cursor[ui]] = v;
@@ -96,20 +98,6 @@ impl GraphBuilder {
             adjwgt[cursor[vi]] = w;
             cursor[vi] += 1;
         }
-        // Sort each adjacency list by neighbour id for deterministic lookups.
-        for v in 0..n {
-            let range = xadj[v]..xadj[v + 1];
-            let mut pairs: Vec<_> = adjncy[range.clone()]
-                .iter()
-                .copied()
-                .zip(adjwgt[range.clone()].iter().copied())
-                .collect();
-            pairs.sort_unstable_by_key(|&(nb, _)| nb);
-            for (i, (nb, w)) in pairs.into_iter().enumerate() {
-                adjncy[xadj[v] + i] = nb;
-                adjwgt[xadj[v] + i] = w;
-            }
-        }
         Graph::from_adjacency(xadj, adjncy, adjwgt, self.vwgt)
     }
 }
@@ -117,6 +105,7 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn build_empty() {
@@ -197,5 +186,59 @@ mod tests {
         assert!(g.is_symmetric());
         assert_eq!(g.num_edges(), 7);
         assert_eq!(g.total_edge_weight(), 18);
+    }
+
+    /// The CSR of `n` vertices from an edge list: both orientations of
+    /// every non-loop edge, each row sorted and parallel arcs merged.
+    fn sorted_rows_reference(n: usize, edges: &[(NodeId, NodeId, Weight)]) -> Graph {
+        let mut rows: Vec<Vec<(NodeId, Weight)>> = vec![Vec::new(); n];
+        for &(u, v, w) in edges.iter().filter(|&&(u, v, _)| u != v) {
+            rows[u as usize].push((v, w));
+            rows[v as usize].push((u, w));
+        }
+        let (mut xadj, mut adjncy, mut adjwgt) = (vec![0], Vec::new(), Vec::new());
+        for row in &mut rows {
+            row.sort_unstable_by_key(|&(nb, _)| nb);
+            for &(nb, w) in row.iter() {
+                if adjncy.len() > *xadj.last().unwrap() && adjncy.last() == Some(&nb) {
+                    *adjwgt.last_mut().unwrap() += w;
+                } else {
+                    adjncy.push(nb);
+                    adjwgt.push(w);
+                }
+            }
+            xadj.push(adjncy.len());
+        }
+        Graph::from_adjacency(xadj, adjncy, adjwgt, vec![1; n])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Rows come out sorted without a sort: the built graph equals the
+        /// reference that sorts each row, on edge lists with duplicates in
+        /// both orientations and self-loops.
+        #[test]
+        fn build_equals_sorted_rows_reference(
+            (n, edges) in (1..60usize).prop_flat_map(|n| {
+                let edge = (0..n as NodeId, 0..n as NodeId, 0..20 as Weight);
+                (Just(n), proptest::collection::vec(edge, 0..4 * n))
+            }),
+            flips in proptest::collection::vec(0..2u8, 0..240),
+        ) {
+            // Re-add a prefix of the edges, some of them reversed.
+            let mut all = edges.clone();
+            all.extend(
+                edges
+                    .iter()
+                    .zip(&flips)
+                    .map(|(&(u, v, w), &flip)| if flip == 1 { (v, u, w) } else { (u, v, w) }),
+            );
+            let mut b = GraphBuilder::new(n);
+            for &(u, v, w) in &all {
+                b.add_edge(u, v, w);
+            }
+            prop_assert_eq!(b.build(), sorted_rows_reference(n, &all));
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! The keyed, capacity-bounded per-topology context cache.
 //!
 //! Keys are canonical topology names (`Topology::name`, which determines the
-//! processor graph and hence the partial-cube dimension; per-instance
-//! extension-bit variation is covered by the per-`(seed, dim, NH)`
-//! permutation memo *inside* each [`TopologyContext`]). Values are shared
-//! [`Arc<TopologyContext>`]s.
+//! processor graph and hence its partial-cube labeling). Values are shared
+//! [`Arc<TopologyContext>`]s, each holding one recognized labeling;
+//! everything that depends on the request (extension bits, digit
+//! permutations, scratch buffers) is built per run by the TIMER driver.
 //!
 //! Construction is **single-flight**: when several requests miss on the same
 //! key concurrently, exactly one builds the context (partial-cube

@@ -1,27 +1,35 @@
 //! The TIMER driver (Algorithm 1): multi-hierarchical label swapping over
 //! `NH` random digit permutations.
 //!
+//! The permutations (line 6) come from one seeded RNG. The driver draws
+//! each round's permutation when it first schedules that round and keeps
+//! the ones drawn so far, so the stream, and hence every hierarchy, is the
+//! same for every schedule, and memory grows with the rounds actually run,
+//! not with `NH`.
+//!
 //! # Speculative hierarchy batches
 //!
 //! The `NH` rounds form a sequential chain only through the accept gate:
 //! round `k` starts from whatever labeling rounds `0..k` left behind. Most
 //! rounds are *rejected*, though, so the chain rarely advances — which makes
-//! the rounds ideal targets for speculation. With `threads > 1` the driver
-//! runs a batch of `B` rounds (distinct digit permutations) concurrently
-//! from the same accepted base labeling, then commits the results in
-//! permutation order against the live gate. A kept round that actually
-//! changes the labels invalidates the not-yet-committed speculations (they
-//! were built from a stale base); those rounds are discarded — without
-//! touching any counter — and re-executed from the new base in the next
-//! batch. The committed trajectory is therefore **byte-identical to the
-//! sequential driver** for every `(threads, batch)` combination: same
-//! labels, same counters, same result, never worse than the sequential
-//! trajectory — batching and threading are pure scheduling knobs.
+//! the rounds ideal targets for speculation. The driver runs
+//! `min(threads, hardware threads)` workers, each with one hierarchy
+//! scratch for the whole run. With more than one worker it runs a batch of
+//! `B` rounds (distinct digit permutations) concurrently from the same
+//! accepted base labeling, then commits the results in permutation order
+//! against the live gate. A kept round that actually changes the labels
+//! invalidates the not-yet-committed speculations (they were built from a
+//! stale base); those rounds are discarded — without touching any counter —
+//! and re-executed from the new base in the next batch. The committed
+//! trajectory is therefore **byte-identical to the sequential driver** for
+//! every `(threads, batch)` combination: same labels, same counters, same
+//! result — batching and threading are pure scheduling knobs.
 //!
 //! The speculation depth adapts like a branch predictor: it doubles after
 //! every batch whose speculations all survived and resets to 1 whenever an
 //! acceptance invalidated the batch, so the accept-heavy early rounds run
 //! (nearly) waste-free while the reject-heavy tail gets full parallelism.
+//! With one worker the depth stays 1: every round runs inline.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -29,6 +37,9 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use crossbeam::thread;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 use tie_fault::FaultHandle;
 use tie_graph::Graph;
@@ -82,8 +93,8 @@ pub struct TimerResult {
     /// `(threads, batch)` settings, the phase side is wall-clock.
     pub telemetry: RoundTelemetry,
     /// Why the run stopped offering rounds: [`StopReason::Completed`] on a
-    /// full run, or the deadline / cancellation / adaptive-stopping cause
-    /// that cut it short (the labeling is then the best accepted so far).
+    /// full run, or the deadline or cancellation that cut it short (the
+    /// labeling is then the best accepted so far).
     pub stop_reason: StopReason,
 }
 
@@ -132,30 +143,8 @@ impl Timer {
         pcube: &PartialCubeLabeling,
         initial: &Mapping,
     ) -> Result<TimerResult, TieError> {
-        // Thin wrapper over the context-borrowing entry point: a transient
-        // context built from a clone of the labeling. Pinned byte-identical
-        // to `enhance_with_context` by the driver tests.
-        self.enhance_with_context(graph, &TopologyContext::new(pcube.clone()), initial)
-    }
-
-    /// [`Timer::enhance`] over borrowed per-topology state: the partial-cube
-    /// labeling, memoized permutation streams and scratch sizing hints come
-    /// from `ctx` instead of being rebuilt per call. This is the entry point
-    /// a long-running service uses with a cached [`TopologyContext`]; the
-    /// result is byte-identical to [`Timer::enhance`] for the same inputs —
-    /// a context is a latency optimization, never a correctness dependency.
-    ///
-    /// # Errors
-    /// Same contract as [`Timer::enhance`].
-    pub fn enhance_with_context(
-        &self,
-        graph: &Graph,
-        ctx: &TopologyContext,
-        initial: &Mapping,
-    ) -> Result<TimerResult, TieError> {
         let cfg = &self.config;
         cfg.validate()?;
-        let pcube = ctx.pcube();
         // tie-lint: allow(no-wallclock) — deadline anchor and telemetry total; never read by the algorithm
         let start = Instant::now();
         let deadline = cfg.deadline.map(|d| start + d);
@@ -177,26 +166,28 @@ impl Timer {
             initial_coco,
             if cfg.use_diversity { initial_div } else { 0 },
         );
+        // The workers this run can use: a request's thread count never
+        // sizes an allocation beyond the hardware. One worker runs every
+        // round inline, so its speculation depth is capped at 1.
+        let workers = cfg.threads.min(hardware_threads());
+        let max_batch = if workers == 1 {
+            1
+        } else {
+            cfg.effective_batch()
+        };
         let trace = &cfg.trace;
         let mut telemetry = RoundTelemetry::default();
         trace.emit(TraceEvent::RunStart {
             nh: cfg.num_hierarchies,
-            threads: cfg.threads.max(1),
-            batch: cfg.effective_batch(),
+            threads: cfg.threads,
+            batch: max_batch,
             initial_coco,
             initial_div: if cfg.use_diversity { initial_div } else { 0 },
         });
 
-        // Line 6 for all rounds up front: the permutation stream depends only
-        // on `(seed, dim, NH)`, never on the batching schedule, so every
-        // (threads, batch) setting — and every cache disposition — sees
-        // identical hierarchies. The context memoizes the stream across runs.
-        let perms = ctx.permutations(cfg.seed, dim, cfg.num_hierarchies);
-
+        let mut permutations = Permutations::new(cfg.seed, dim);
         let mut total_swaps = 0usize;
         let mut total_repaired = 0usize;
-        let threads = cfg.threads.max(1);
-        let max_batch = cfg.effective_batch();
 
         // Adaptive speculation depth, branch-predictor style: rounds are
         // accept-heavy early (every acceptance throws speculated successors
@@ -209,25 +200,16 @@ impl Timer {
 
         let mut stop_reason = StopReason::Completed;
         let mut worker_panics = 0usize;
-        let mut consecutive_rejections = 0usize;
 
-        // One hierarchy scratch per worker slot, living for the whole run:
-        // worker k of every batch reuses slot k's sweep/contraction buffers,
-        // so the allocation set of the hot path is paid once per `enhance`
-        // call instead of once per level per round. Scratch contents never
-        // influence results (pinned by the contraction-equivalence proptest),
-        // so the byte-identity guarantee is untouched. The context's sizing
-        // hint (high-water vertex count of earlier runs) pre-sizes the
-        // buffers so a warm-context run skips the growth reallocations too.
-        ctx.note_vertices(graph.num_vertices());
-        let scratch_hint = ctx.scratch_vertices_hint();
-        let mut scratches: Vec<HierarchyScratch> =
-            std::iter::repeat_with(|| HierarchyScratch::with_vertex_capacity(scratch_hint))
-                .take(threads)
-                .collect();
+        // One hierarchy scratch per worker, living for the whole run: worker
+        // k of every batch reuses scratch k's sweep/contraction buffers, so
+        // the hot path's buffers grow to size once per `enhance` call instead
+        // of once per level per round. Scratch contents never influence
+        // results (pinned by the contraction-equivalence proptest).
+        let mut scratches = vec![HierarchyScratch::default(); workers];
 
         let mut next = 0usize;
-        while next < perms.len() {
+        while next < cfg.num_hierarchies {
             // Graceful-degradation checks, once per batch boundary: the
             // labeling is always a fully committed (best-so-far) state here,
             // so stopping now loses nothing but unexplored rounds.
@@ -240,8 +222,10 @@ impl Timer {
                 stop_reason = StopReason::DeadlineExceeded;
                 break;
             }
-            let b = depth.min(max_batch).min(perms.len() - next);
-            let attempts: Vec<Result<RoundOutcome, String>> = if threads == 1 || b == 1 {
+            let b = depth.min(cfg.num_hierarchies - next);
+            // Line 6, drawn as the rounds are first scheduled.
+            let perms = permutations.draw_until(next + b);
+            let attempts: Vec<Result<RoundOutcome, String>> = if b == 1 {
                 vec![guarded_round(
                     graph,
                     &labeling.labels,
@@ -258,15 +242,9 @@ impl Timer {
                 // Speculation: rounds next..next+b all start from the current
                 // accepted base. Workers get contiguous chunks; flattening in
                 // chunk order restores permutation order independently of the
-                // worker count — which is capped at the hardware parallelism
-                // (oversubscribed workers only fight over the cache; on a
-                // single-core box the batch runs on one spawned thread).
+                // worker count.
                 let base: &[u64] = &labeling.labels;
-                let workers = threads
-                    .min(b)
-                    .min(hardware_threads().unwrap_or(threads))
-                    .max(1);
-                let chunk = b.div_ceil(workers);
+                let chunk = b.div_ceil(workers.min(b));
                 let joined = thread::scope(|scope| {
                     let handles: Vec<(usize, _)> = perms[next..next + b]
                         .chunks(chunk)
@@ -378,7 +356,6 @@ impl Timer {
             let commit_start = Instant::now();
             let mut committed = 0usize;
             let mut invalidated = false;
-            let mut rejection_stop = None;
             for (i, outcome) in outcomes.into_iter().enumerate() {
                 total_swaps += outcome.swaps;
                 total_repaired += outcome.repaired;
@@ -406,24 +383,10 @@ impl Timer {
                     div: gate.div(),
                 });
                 if accepted {
-                    consecutive_rejections = 0;
                     invalidated = outcome.labels != labeling.labels;
                     labeling.set_labels(outcome.labels);
                     if invalidated {
                         break;
-                    }
-                } else {
-                    consecutive_rejections += 1;
-                    // Adaptive stopping rule (opt-in): counted in commit
-                    // order, which is permutation order for every
-                    // (threads, batch) setting — so the truncation point and
-                    // hence the result stay byte-identical across thread
-                    // counts.
-                    if let Some(k) = cfg.max_consecutive_rejections {
-                        if consecutive_rejections >= k {
-                            rejection_stop = Some(StopReason::ConsecutiveRejections(k));
-                            break;
-                        }
                     }
                 }
             }
@@ -450,7 +413,7 @@ impl Timer {
             depth = if invalidated && committed < b {
                 1
             } else {
-                (depth * 2).min(max_batch.max(1))
+                depth.saturating_mul(2).min(max_batch)
             };
 
             #[cfg(debug_assertions)]
@@ -458,11 +421,6 @@ impl Timer {
                 let (c, d) = coco_and_div_for_labels(graph, &labeling.labels, p_mask, e_mask);
                 debug_assert_eq!(gate.coco(), c as i64, "incremental Coco drifted");
                 debug_assert_eq!(gate.div(), d as i64, "incremental Div drifted");
-            }
-
-            if let Some(reason) = rejection_stop {
-                stop_reason = reason;
-                break;
             }
         }
 
@@ -501,16 +459,58 @@ impl Timer {
             stop_reason,
         })
     }
+
+    /// [`Timer::enhance`] on the labeling held by `ctx`, the entry point a
+    /// long-running service uses with a cached [`TopologyContext`]. The
+    /// result is byte-identical to [`Timer::enhance`] for the same inputs.
+    ///
+    /// # Errors
+    /// Same contract as [`Timer::enhance`].
+    pub fn enhance_with_context(
+        &self,
+        graph: &Graph,
+        ctx: &TopologyContext,
+        initial: &Mapping,
+    ) -> Result<TimerResult, TieError> {
+        self.enhance(graph, ctx.pcube(), initial)
+    }
+}
+
+/// Algorithm 1's digit permutations (line 6): one shuffled `0..dim`
+/// permutation per round, drawn in round order from one seeded RNG. Rounds
+/// are drawn when first scheduled and kept for re-runs, so the stream never
+/// depends on the schedule and only the rounds scheduled so far are held.
+struct Permutations {
+    rng: StdRng,
+    dim: usize,
+    drawn: Vec<Vec<usize>>,
+}
+
+impl Permutations {
+    fn new(seed: u64, dim: usize) -> Self {
+        Permutations {
+            rng: StdRng::seed_from_u64(seed.wrapping_add(0x51ed_270b)),
+            dim,
+            drawn: Vec::new(),
+        }
+    }
+
+    /// The permutations of rounds `0..end`, drawing the missing ones.
+    fn draw_until(&mut self, end: usize) -> &[Vec<usize>] {
+        while self.drawn.len() < end {
+            let mut perm: Vec<usize> = (0..self.dim).collect();
+            perm.shuffle(&mut self.rng);
+            self.drawn.push(perm);
+        }
+        &self.drawn
+    }
 }
 
 /// Usable hardware parallelism (respects CPU affinity/cgroup limits), cached
-/// after the first query. `None` when the platform cannot tell — the driver
-/// then trusts the configured thread count instead of silently serializing
-/// the batch (the old `.unwrap_or(1)` fallback capped every batch to one
-/// spawned worker exactly on the platforms where parallelism is unknowable).
-fn hardware_threads() -> Option<usize> {
-    static CACHE: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHE.get_or_init(|| std::thread::available_parallelism().ok().map(|n| n.get()))
+/// after the first query; 1 when the platform cannot tell.
+fn hardware_threads() -> usize {
+    static CACHE: OnceLock<usize> = OnceLock::new();
+    *CACHE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Stringifies a panic payload (`&str` and `String` payloads cover every
@@ -806,21 +806,103 @@ mod tests {
         assert_eq!(a.final_coco, b.final_coco);
     }
 
+    /// The permutation stream as the driver generated it up front before
+    /// it drew rounds lazily: the reference the lazy draw is pinned to.
+    fn generate_permutations(seed: u64, dim: usize, num_hierarchies: usize) -> Vec<Vec<usize>> {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x51ed_270b));
+        (0..num_hierarchies)
+            .map(|_| {
+                let mut perm: Vec<usize> = (0..dim).collect();
+                perm.shuffle(&mut rng);
+                perm
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lazy_draw_matches_generate_permutations() {
+        // Rounds are drawn in batches of any size, and a re-run asks again
+        // for rounds already drawn; the stream must not notice either.
+        for (seed, dim, nh) in [(0, 4, 9), (7, 10, 12), (3, 22, 40), (u64::MAX, 30, 17)] {
+            let reference = generate_permutations(seed, dim, nh);
+            let mut perms = Permutations::new(seed, dim);
+            let mut next = 0;
+            for step in [1, 2, 0, 4, 1, 8, 3].into_iter().cycle() {
+                if next == nh {
+                    break;
+                }
+                next = (next + step).min(nh);
+                let drawn = perms.draw_until(next);
+                assert_eq!(drawn, &reference[..next], "seed {seed}, dim {dim}");
+                let _ = perms.draw_until(next / 2);
+            }
+            assert_eq!(perms.drawn.len(), nh);
+            for perm in &reference {
+                let mut sorted = perm.clone();
+                sorted.sort_unstable();
+                assert_eq!(sorted, (0..dim).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn speculation_events_account_for_every_executed_round() {
+        // Speculated rounds (Σ `batch_len`) plus single-round batches (commit
+        // spans without a speculation event) must be the rounds run (one
+        // hierarchy-build span each). One worker runs every round inline and
+        // must report no speculation, whatever `batch` asks for.
+        use std::sync::Arc;
+        use tie_trace::{MemorySink, TraceLevel};
+
+        let (ga, _, pcube, mapping) = fixture(8);
+        for (threads, batch) in [(1, 2), (1, 4), (2, 0)] {
+            let sink = Arc::new(MemorySink::default());
+            let cfg = TimerConfig::new(12, 4)
+                .with_threads(threads)
+                .with_batch(batch)
+                .with_trace(TraceHandle::new(sink.clone(), TraceLevel::Phase));
+            enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+            let (mut cap, mut speculated, mut spec_batches, mut batches, mut executed) =
+                (0, 0, 0, 0, 0);
+            for record in sink.events() {
+                match record.event {
+                    TraceEvent::RunStart { batch, .. } => cap = batch,
+                    TraceEvent::Speculation { batch_len, .. } => {
+                        speculated += batch_len;
+                        spec_batches += 1;
+                    }
+                    TraceEvent::Phase {
+                        phase: Phase::Commit,
+                        ..
+                    } => batches += 1,
+                    TraceEvent::Phase {
+                        phase: Phase::HierarchyBuild,
+                        ..
+                    } => executed += 1,
+                    _ => {}
+                }
+            }
+            let label = format!("threads={threads} batch={batch}");
+            assert_eq!(speculated + batches - spec_batches, executed, "{label}");
+            if threads.min(hardware_threads()) == 1 {
+                assert_eq!((cap, spec_batches, executed), (1, 0, 12), "{label}");
+            } else {
+                assert_eq!(cap, 2, "{label}");
+                assert!(spec_batches > 0, "{label}: two workers must speculate");
+            }
+        }
+    }
+
     #[test]
     fn enhance_with_context_is_byte_identical_to_enhance() {
-        // The context split's headline contract: a shared, reused
-        // `TopologyContext` (memoized perm streams, warm scratch hints) must
-        // never change result bytes — cold context, warm context and the
-        // plain `enhance` wrapper all walk the identical trajectory.
+        // A shared, reused `TopologyContext` must never change result bytes:
+        // cold context, warm context and the plain `enhance` call all walk
+        // the identical trajectory.
         let (ga, topo, pcube, mapping) = fixture(7);
         let timer = Timer::new(TimerConfig::new(10, 7).with_threads(2));
         let direct = timer.enhance(&ga, &pcube, &mapping).unwrap();
         let ctx = TopologyContext::recognize(&topo.graph).unwrap();
         let cold = timer.enhance_with_context(&ga, &ctx, &mapping).unwrap();
-        assert!(
-            ctx.scratch_vertices_hint() >= ga.num_vertices(),
-            "the first run must warm the context's sizing hint"
-        );
         let warm = timer.enhance_with_context(&ga, &ctx, &mapping).unwrap();
         for (label, r) in [("cold", &cold), ("warm", &warm)] {
             assert_eq!(r.labeling.labels, direct.labeling.labels, "{label}");

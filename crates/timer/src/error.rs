@@ -116,9 +116,6 @@ pub enum StopReason {
     DeadlineExceeded,
     /// The [`CancelToken`] was triggered.
     Cancelled,
-    /// The opt-in adaptive stopping rule fired: `k` consecutive rounds were
-    /// rejected (the payload is the configured `k`).
-    ConsecutiveRejections(usize),
 }
 
 impl StopReason {
@@ -128,7 +125,6 @@ impl StopReason {
             StopReason::Completed => "completed",
             StopReason::DeadlineExceeded => "deadline_exceeded",
             StopReason::Cancelled => "cancelled",
-            StopReason::ConsecutiveRejections(_) => "consecutive_rejections",
         }
     }
 
@@ -140,12 +136,7 @@ impl StopReason {
 
 impl std::fmt::Display for StopReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StopReason::ConsecutiveRejections(k) => {
-                write!(f, "consecutive_rejections(k={k})")
-            }
-            other => f.write_str(other.name()),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -233,10 +224,7 @@ mod tests {
         assert!(StopReason::Completed.is_completed());
         assert!(!StopReason::Cancelled.is_completed());
         assert_eq!(StopReason::DeadlineExceeded.name(), "deadline_exceeded");
-        assert_eq!(
-            StopReason::ConsecutiveRejections(4).to_string(),
-            "consecutive_rejections(k=4)"
-        );
+        assert_eq!(StopReason::Cancelled.to_string(), "cancelled");
     }
 
     #[test]

@@ -275,28 +275,6 @@ pub struct HierarchyScratch {
     pub(crate) assemble: AssembleScratch,
 }
 
-impl HierarchyScratch {
-    /// A scratch pre-sized for hierarchies over graphs of roughly `n`
-    /// vertices (the finest level dominates every buffer's size). Purely a
-    /// latency hint — an undersized scratch grows on first use and an
-    /// oversized one only wastes memory; results never depend on it.
-    pub fn with_vertex_capacity(n: usize) -> Self {
-        HierarchyScratch {
-            sweep: SweepScratch {
-                keyed: Vec::with_capacity(n),
-                pairs: Vec::with_capacity(n / 2),
-            },
-            view: LevelView {
-                anc: Vec::with_capacity(n),
-                order: Vec::with_capacity(n),
-                start: Vec::with_capacity(n + 1),
-            },
-            contract: ContractScratch::default(),
-            assemble: AssembleScratch::default(),
-        }
-    }
-}
-
 /// Builds the full hierarchy for one permutation round: alternating swap
 /// sweeps and contractions until the labels have only two digits left
 /// (Algorithm 1, lines 9–14). `p_mask`/`e_mask` are the PE/extension digit

@@ -58,11 +58,13 @@ pub struct TimerConfig {
     pub use_diversity: bool,
     /// Number of worker threads for the speculative hierarchy batches
     /// (1 = fully sequential, the paper's setting; >1 runs whole hierarchy
-    /// rounds concurrently, the Section 6.3 outlook). The result is
+    /// rounds concurrently, the Section 6.3 outlook). The driver runs at
+    /// most as many workers as the hardware has threads. The result is
     /// byte-identical for every thread count.
     pub threads: usize,
     /// Cap on the adaptive speculation depth (hierarchy rounds in flight per
-    /// batch); 0 (the default) matches `threads`. Purely a scheduling knob —
+    /// batch); 0 (the default) matches `threads`. A run with one worker
+    /// keeps the depth at 1 whatever the cap. Purely a scheduling knob —
     /// results never depend on it — and values above `threads` only add
     /// wasted work when a round is accepted, so the default is almost always
     /// right.
@@ -79,12 +81,6 @@ pub struct TimerConfig {
     /// round for different thread counts, so deadline-bounded runs are the
     /// one mode exempt from the byte-identity guarantee.
     pub deadline: Option<Duration>,
-    /// Opt-in adaptive stopping rule: stop after this many *consecutive*
-    /// rejected hierarchy rounds (counted in commit order, so the truncation
-    /// point — and hence the result — is identical for every thread count).
-    /// `None` (the default) disables the rule; `Some(0)` is rejected by
-    /// [`TimerConfig::validate`].
-    pub max_consecutive_rejections: Option<usize>,
     /// Cooperative cancellation, checked at batch boundaries. The default
     /// token is never cancelled.
     pub cancel: CancelToken,
@@ -104,7 +100,6 @@ impl Default for TimerConfig {
             batch: 0,
             trace: TraceHandle::off(),
             deadline: None,
-            max_consecutive_rejections: None,
             cancel: CancelToken::new(),
             faults: FaultHandle::off(),
         }
@@ -155,13 +150,6 @@ impl TimerConfig {
         self
     }
 
-    /// Enables the adaptive stopping rule: stop after `k` consecutive
-    /// rejected rounds. `k` must be ≥ 1 (enforced by [`TimerConfig::validate`]).
-    pub fn stop_after_rejections(mut self, k: usize) -> Self {
-        self.max_consecutive_rejections = Some(k);
-        self
-    }
-
     /// Attaches a cancellation token; `token.cancel()` makes the driver
     /// return best-so-far with [`StopReason::Cancelled`] at the next batch
     /// boundary.
@@ -176,10 +164,10 @@ impl TimerConfig {
         self
     }
 
-    /// The speculation-depth cap the driver actually uses: `batch` with the
-    /// `0` sentinel resolved to `threads`. The single source of truth for
-    /// that resolution — harness and reporting code must use this instead of
-    /// re-deriving it.
+    /// The speculation-depth cap a run with more than one worker uses:
+    /// `batch` with the `0` sentinel resolved to `threads`. The single source
+    /// of truth for that resolution — harness and reporting code must use
+    /// this instead of re-deriving it.
     pub fn effective_batch(&self) -> usize {
         if self.batch == 0 {
             self.threads.max(1)
@@ -197,13 +185,6 @@ impl TimerConfig {
         if self.threads == 0 {
             return Err(TieError::InvalidInput(
                 "threads must be >= 1 (0 workers cannot make progress)".into(),
-            ));
-        }
-        if self.max_consecutive_rejections == Some(0) {
-            return Err(TieError::InvalidInput(
-                "max_consecutive_rejections must be >= 1 when set \
-                 (0 would stop before the first round)"
-                    .into(),
             ));
         }
         if self.deadline == Some(Duration::ZERO) {

@@ -18,9 +18,9 @@ pub enum TraceEvent {
     RunStart {
         /// Number of hierarchy rounds (`NH`) the run will offer to the gate.
         nh: usize,
-        /// Worker threads for the speculative batches.
+        /// Worker threads requested for the speculative batches.
         threads: usize,
-        /// Effective speculation-depth cap.
+        /// Speculation-depth cap the run uses (1 when it runs one worker).
         batch: usize,
         /// `Coco` of the initial labeling.
         initial_coco: u64,
@@ -107,7 +107,7 @@ pub enum TraceEvent {
         /// Kept rounds that were equal-objective ties.
         ties: usize,
         /// Why the run stopped (`StopReason::name()`: "completed",
-        /// "deadline_exceeded", "cancelled", "consecutive_rejections").
+        /// "deadline_exceeded" or "cancelled").
         stop_reason: &'static str,
         /// Speculative worker panics absorbed by the quarantine re-run.
         worker_panics: usize,

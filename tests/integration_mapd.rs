@@ -33,7 +33,6 @@ fn service_results_are_identical_across_cache_dispositions_and_threads() {
         let a = Service::new(ServiceOptions::default());
         let b = Service::new(ServiceOptions::default());
         let req1 = request(case, 42, 1);
-        let req4 = request(case, 42, 4);
 
         let miss = a.execute(&req1).expect("miss execution");
         let hit = a.execute(&req1).expect("hit execution");
@@ -44,13 +43,19 @@ fn service_results_are_identical_across_cache_dispositions_and_threads() {
         assert_eq!(miss.total_swaps, hit.total_swaps, "{case}");
 
         // Thread count must not change the result either (the pipeline's
-        // determinism contract), served through a different service.
-        let threaded = b.execute(&req4).expect("threaded execution");
-        assert_eq!(
-            miss.mapping, threaded.mapping,
-            "{case}: threads changed the result"
-        );
-        assert_eq!(miss.enhanced, threaded.enhanced, "{case}");
+        // determinism contract), served through a different service. A
+        // thread count far beyond the hardware runs as many workers as the
+        // hardware has; it must not size an allocation.
+        for threads in [4, usize::MAX] {
+            let threaded = b
+                .execute(&request(case, 42, threads))
+                .expect("threaded execution");
+            assert_eq!(
+                miss.mapping, threaded.mapping,
+                "{case}: threads {threads} changed the result"
+            );
+            assert_eq!(miss.enhanced, threaded.enhanced, "{case}");
+        }
 
         let stats = a.cache_stats();
         assert_eq!(stats.misses, 1, "{case}");
@@ -90,4 +95,12 @@ fn deadline_zero_means_no_deadline_and_expired_deadline_rejects() {
             );
         }
     }
+
+    // A round count no run can finish is drawn round by round, so the
+    // deadline, not an up-front allocation, ends the run.
+    let mut req = request("c2", 9, 1);
+    req.nh = usize::MAX;
+    req.deadline_ms = 500;
+    let resp = service.execute(&req).expect("oversized nh is served");
+    assert_eq!(resp.stop_reason, "deadline_exceeded", "{resp:?}");
 }
