@@ -837,7 +837,27 @@ mod tests {
                 let _ = perms.draw_until(next / 2);
             }
             assert_eq!(perms.drawn.len(), nh);
-            for perm in &reference {
+        }
+    }
+
+    #[test]
+    fn drawn_rounds_are_kept_and_keyed_by_seed_and_dim() {
+        let mut perms = Permutations::new(7, 10);
+        let first: Vec<*const usize> = perms.draw_until(5).iter().map(|p| p.as_ptr()).collect();
+        // Asking again, or for more rounds, hands back the kept rounds
+        // instead of drawing them anew.
+        let again: Vec<*const usize> = perms.draw_until(3).iter().map(|p| p.as_ptr()).collect();
+        assert_eq!(again, first);
+        let drawn = perms.draw_until(12).to_vec();
+        let kept: Vec<*const usize> = perms.drawn[..5].iter().map(|p| p.as_ptr()).collect();
+        assert_eq!(kept, first, "drawing more must not redraw kept rounds");
+        assert_eq!(drawn.len(), 12);
+        // The stream is keyed by both the seed and the dimension, and every
+        // round is a permutation of `0..dim`.
+        assert_ne!(Permutations::new(8, 10).draw_until(12), &drawn[..]);
+        let other_dim = Permutations::new(7, 11).draw_until(12).to_vec();
+        for (dim, stream) in [(10, &drawn), (11, &other_dim)] {
+            for perm in stream {
                 let mut sorted = perm.clone();
                 sorted.sort_unstable();
                 assert_eq!(sorted, (0..dim).collect::<Vec<_>>());
