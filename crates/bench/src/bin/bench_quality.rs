@@ -1,0 +1,119 @@
+//! TIMER quality matrix: runs `Timer::enhance` on the medium PGPgiantcompo
+//! stand-in for every topology × initial mapping × Div setting and writes
+//! the machine-readable `BENCH_quality.json` artifact, so a change to the
+//! algorithm shows its effect on every cell.
+//!
+//! Cells: grid8x8 and the five `Topology::paper_topologies()`, × the
+//! initial mappings "scr" (`bench_timer`'s random block-to-PE bijection)
+//! and c1–c4 (`MapCase::initial_mapping`), × Div on and Div off: 60 cells.
+//! Every cell runs NH 40 with TIMER and partition seed 1 on one thread and
+//! records initial and final Coco, kept rounds, `total_swaps` and the
+//! wall-clock of the `enhance` call. Everything but `wall_ms` is
+//! deterministic, so a regenerated file must reproduce every other field of
+//! the committed one.
+//!
+//! Usage:
+//!   cargo run --release -p tie-bench --bin bench_quality -- [--out BENCH_quality.json]
+
+use std::fmt::Write as _;
+use std::process::ExitCode;
+use std::time::Instant;
+
+use tie_bench::workloads::{paper_networks, Scale};
+use tie_graph::generators::random_permutation;
+use tie_mapd::cli::try_flag_value;
+use tie_mapd::MapCase;
+use tie_mapping::Mapping;
+use tie_partition::{partition, PartitionConfig};
+use tie_timer::{enhance_mapping, TimerConfig};
+use tie_topology::{recognize_partial_cube, Topology};
+
+const NETWORK: &str = "PGPgiantcompo";
+const NH: usize = 40;
+const SEED: u64 = 1;
+
+const USAGE: &str = "usage: bench_quality [--out PATH]";
+
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("bench_quality: {e}");
+            eprintln!("{USAGE}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+fn run() -> Result<(), String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let out_path = try_flag_value(&args, "--out")?.unwrap_or("BENCH_quality.json");
+    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let spec = paper_networks()
+        .into_iter()
+        .find(|s| s.name == NETWORK)
+        .ok_or_else(|| format!("network {NETWORK:?} missing from the catalogue"))?;
+    let ga = spec.build(Scale::Medium);
+    eprintln!(
+        "medium {NETWORK}: {} vertices, {} edges",
+        ga.num_vertices(),
+        ga.num_edges()
+    );
+
+    let mut topologies = vec![Topology::grid2d(8, 8)];
+    topologies.extend(Topology::paper_topologies());
+    let mut cells = String::new();
+    for topo in &topologies {
+        let pcube = recognize_partial_cube(&topo.graph)
+            .map_err(|e| format!("{} failed partial-cube recognition: {e}", topo.name))?;
+        let k = topo.num_pes();
+        let part = partition(&ga, &PartitionConfig::new(k, SEED));
+        let mut inputs = vec![(
+            "scr",
+            Mapping::from_partition(&part, &random_permutation(k, SEED), k),
+        )];
+        for case in MapCase::all() {
+            inputs.push((
+                case.id(),
+                case.initial_mapping(&ga, &part, &topo.graph, SEED),
+            ));
+        }
+        for (mapping_name, mapping) in &inputs {
+            for diversity in [true, false] {
+                let mut cfg = TimerConfig::new(NH, SEED);
+                if !diversity {
+                    cfg = cfg.without_diversity();
+                }
+                let start = Instant::now();
+                let r = enhance_mapping(&ga, &pcube, mapping, cfg)
+                    .map_err(|e| format!("{} {mapping_name}: {e}", topo.name))?;
+                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+                eprintln!(
+                    "  {} {mapping_name} div {diversity}: Coco {} -> {} ({} kept), {wall_ms:.0} ms",
+                    topo.name, r.initial_coco, r.final_coco, r.hierarchies_accepted
+                );
+                if !cells.is_empty() {
+                    cells.push_str(",\n");
+                }
+                let _ = write!(
+                    cells,
+                    "    {{\"topology\": \"{}\", \"mapping\": \"{mapping_name}\", \
+                     \"diversity\": {diversity}, \"initial_coco\": {}, \"final_coco\": {}, \
+                     \"accepted\": {}, \"total_swaps\": {}, \"wall_ms\": {wall_ms:.3}}}",
+                    topo.name, r.initial_coco, r.final_coco, r.hierarchies_accepted, r.total_swaps
+                );
+            }
+        }
+    }
+
+    let json = format!(
+        "{{\n  \"bench\": \"quality\",\n  \"network\": \"{NETWORK}\",\n  \"scale\": \"medium\",\n  \
+         \"vertices\": {},\n  \"nh\": {NH},\n  \"seed\": {SEED},\n  \"threads\": 1,\n  \
+         \"hardware_threads\": {hardware_threads},\n  \"cells\": [\n{cells}\n  ]\n}}\n",
+        ga.num_vertices()
+    );
+    std::fs::write(out_path, &json)
+        .map_err(|e| format!("cannot write bench artifact {out_path:?}: {e}"))?;
+    println!("wrote {out_path}");
+    Ok(())
+}
