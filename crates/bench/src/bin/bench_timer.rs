@@ -50,8 +50,8 @@ fn scale_name(scale: Scale) -> &'static str {
 
 /// The first field of the deterministic trajectory on which `run` differs
 /// from `reference`, or `None` when they agree: the final Coco, the kept
-/// rounds, swap and repair totals, the arcs the hierarchies swept and
-/// contracted, the gate telemetry
+/// rounds, the swap total, the arcs the hierarchies swept and contracted,
+/// the gate telemetry
 /// ([`RoundTelemetry::same_gate_trajectory`]) and the final labels.
 fn trajectory_mismatch(reference: &TimerResult, run: &TimerResult) -> Option<&'static str> {
     if run.final_coco != reference.final_coco {
@@ -60,8 +60,6 @@ fn trajectory_mismatch(reference: &TimerResult, run: &TimerResult) -> Option<&'s
         Some("hierarchies_accepted")
     } else if run.total_swaps != reference.total_swaps {
         Some("total_swaps")
-    } else if run.total_repaired != reference.total_repaired {
-        Some("total_repaired")
     } else if run.telemetry.sweep_arcs != reference.telemetry.sweep_arcs {
         Some("sweep_arcs")
     } else if run.telemetry.contract_arcs != reference.telemetry.contract_arcs {
@@ -137,8 +135,9 @@ fn run() -> Result<(), String> {
             let oversubscribed = threads > hardware_threads;
             if oversubscribed {
                 eprintln!(
-                    "  warning: {threads} threads on {hardware_threads} hardware \
-                     thread(s) — wall-clock for this row measures contention"
+                    "  note: {threads} threads on {hardware_threads} hardware thread(s) \
+                     run {hardware_threads} worker(s) — this row runs exactly the \
+                     threads = {hardware_threads} schedule"
                 );
             }
             // Repeat the cell: the trajectory is deterministic, so every

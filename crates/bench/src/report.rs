@@ -215,7 +215,8 @@ pub struct TimerBenchEntry {
     pub scale: String,
     /// Worker threads for the speculative batches.
     pub threads: usize,
-    /// Effective batch depth (the resolved value, not the 0 sentinel).
+    /// Speculation-depth cap the run used (`TimerConfig::effective_batch`:
+    /// the resolved value, never more than the run's worker count).
     pub batch: usize,
     /// Median wall-clock of the `enhance` call across repetitions, in
     /// milliseconds (with `--reps 1` this is the single measurement).
@@ -231,7 +232,9 @@ pub struct TimerBenchEntry {
     /// Label swaps performed across all sweeps.
     pub total_swaps: usize,
     /// True when this row asked for more worker threads than the machine
-    /// has — its `wall_ms` measures contention, not speedup.
+    /// has. The driver then runs one worker per hardware thread and caps
+    /// the speculation depth there, so the row runs exactly the schedule of
+    /// the row with `hardware_threads` threads.
     pub threads_oversubscribed: bool,
 }
 
@@ -321,12 +324,6 @@ pub fn format_bench_json(
             out,
             "      \"delta_div_hist\": {},",
             format_histogram_json(&t.delta_div)
-        );
-        let _ = writeln!(out, "      \"total_repaired\": {},", t.total_repaired);
-        let _ = writeln!(
-            out,
-            "      \"repaired_hist\": {},",
-            format_histogram_json(&t.repaired)
         );
         let _ = writeln!(out, "      \"sweep_arcs\": {},", t.sweep_arcs);
         let _ = writeln!(out, "      \"contract_arcs\": {},", t.contract_arcs);
@@ -445,9 +442,9 @@ mod tests {
             },
         ];
         let mut tel = RoundTelemetry::default();
-        tel.record_gate(-20, -5, 0, true, false);
-        tel.record_gate(3, 3, 12, true, true);
-        tel.record_gate(7, 0, 600, false, false);
+        tel.record_gate(-20, -5, true, false);
+        tel.record_gate(3, 3, true, true);
+        tel.record_gate(7, 0, false, false);
         tel.sweep_arcs = 5_620;
         tel.contract_arcs = 2_320;
         use tie_trace::Phase;
@@ -478,9 +475,9 @@ mod tests {
         assert!(s.contains("\"delta_coco_hist\": ["));
         assert!(s.contains("{\"lo\": -31, \"hi\": -16, \"count\": 1}"));
         assert!(s.contains("\"delta_div_hist\": ["));
-        assert!(s.contains("\"total_repaired\": 612,"));
-        assert!(s.contains("\"repaired_hist\": [{\"lo\": 0, \"hi\": 0, \"count\": 1}"));
-        assert!(s.contains("{\"lo\": 512, \"hi\": 1023, \"count\": 1}"));
+        assert!(s.contains("\"delta_div_hist\": [{\"lo\": -7, \"hi\": -4, \"count\": 1}"));
+        assert!(s.contains("{\"lo\": 4, \"hi\": 7, \"count\": 1}"));
+        assert!(!s.contains("repaired"));
         assert!(s.contains("\"sweep_arcs\": 5620,"));
         assert!(s.contains("\"contract_arcs\": 2320,"));
         assert!(s.contains("\"phases_us\": {"));

@@ -7,12 +7,21 @@
 //! same for every schedule, and memory grows with the rounds actually run,
 //! not with `NH`.
 //!
+//! Every round is kept. The hierarchy swaps only sibling groups of equal
+//! suffix class (see [`crate::hierarchy`]), so a round's `(ΔCoco, ΔDiv)` is
+//! the sum of its sweeps' own deltas, with `ΔCoco ≤ 0 ≤ ΔDiv`, and the gate
+//! cannot reject it. The driver checks both facts after every round's delta
+//! scan, in every build profile: a round whose scan differs from its sweep
+//! sums, or that the gate rejects, ends the run with
+//! [`TieError::InvariantViolated`].
+//!
 //! # Speculative hierarchy batches
 //!
-//! The `NH` rounds form a sequential chain only through the accept gate:
-//! round `k` starts from whatever labeling rounds `0..k` left behind. Most
-//! rounds are *rejected*, though, so the chain rarely advances — which makes
-//! the rounds ideal targets for speculation. The driver runs
+//! The `NH` rounds form a sequential chain through the accept gate: round
+//! `k` starts from whatever labeling rounds `0..k` left behind. A batch of
+//! speculated rounds pays off only while kept rounds leave the labels
+//! unchanged, as on an edgeless graph; every kept round that changes them
+//! invalidates the rest of its batch. The driver runs
 //! `min(threads, hardware threads)` workers, each with one hierarchy
 //! scratch for the whole run. With more than one worker it runs a batch of
 //! `B` rounds (distinct digit permutations) concurrently from the same
@@ -27,9 +36,9 @@
 //!
 //! The speculation depth adapts like a branch predictor: it doubles after
 //! every batch whose speculations all survived and resets to 1 whenever an
-//! acceptance invalidated the batch, so the accept-heavy early rounds run
-//! (nearly) waste-free while the reject-heavy tail gets full parallelism.
-//! With one worker the depth stays 1: every round runs inline.
+//! acceptance invalidated the batch. It never exceeds the worker count, so
+//! a batch holds at most one candidate labeling per worker, and with one
+//! worker every round runs inline.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -84,7 +93,8 @@ pub struct TimerResult {
     pub hierarchies_accepted: usize,
     /// Number of label swaps performed across all hierarchy sweeps.
     pub total_swaps: usize,
-    /// Number of vertices whose assembled label needed the bijection repair.
+    /// Always 0: assembly is exact, so no assembled label is ever repaired
+    /// (see [`crate::assemble`]). Kept for callers that still read it.
     pub total_repaired: usize,
     /// Flight-recorder summary of the run: accept/reject/tie counts, the
     /// per-round `ΔCoco`/`ΔDiv` histograms and a per-phase wall-clock
@@ -133,10 +143,11 @@ impl Timer {
     /// hierarchy round panics *persistently* (a transient worker panic is
     /// absorbed: the round is quarantined and re-run sequentially, counted
     /// in `telemetry.worker_panics`), and [`TieError::InvariantViolated`]
-    /// when the end-of-run checks fail (changed label multiset, or a gate
-    /// that drifted from the final recompute). Deadline expiry and
-    /// cancellation are not errors — the run returns best-so-far with the
-    /// matching [`StopReason`].
+    /// when a round's delta scan differs from its sweep sums, when the gate
+    /// rejects a round, or when the end-of-run checks fail (changed label
+    /// multiset, or a gate that drifted from the final recompute). Deadline
+    /// expiry and cancellation are not errors — the run returns best-so-far
+    /// with the matching [`StopReason`].
     pub fn enhance(
         &self,
         graph: &Graph,
@@ -147,7 +158,8 @@ impl Timer {
         cfg.validate()?;
         // tie-lint: allow(no-wallclock) — deadline anchor and telemetry total; never read by the algorithm
         let start = Instant::now();
-        let deadline = cfg.deadline.map(|d| start + d);
+        // A deadline no instant can hold is no deadline.
+        let deadline = cfg.deadline.and_then(|d| start.checked_add(d));
         let faults = &cfg.faults;
         let mut labeling = Labeling::from_mapping(graph, pcube, initial, cfg.seed)?;
         let dim = labeling.dim;
@@ -167,14 +179,11 @@ impl Timer {
             if cfg.use_diversity { initial_div } else { 0 },
         );
         // The workers this run can use: a request's thread count never
-        // sizes an allocation beyond the hardware. One worker runs every
-        // round inline, so its speculation depth is capped at 1.
-        let workers = cfg.threads.min(hardware_threads());
-        let max_batch = if workers == 1 {
-            1
-        } else {
-            cfg.effective_batch()
-        };
+        // sizes an allocation beyond the hardware. A batch holds at most one
+        // candidate labeling per worker, so `batch` never sizes one either,
+        // and one worker runs every round inline.
+        let workers = cfg.workers();
+        let max_batch = cfg.effective_batch();
         let trace = &cfg.trace;
         let mut telemetry = RoundTelemetry::default();
         trace.emit(TraceEvent::RunStart {
@@ -187,15 +196,13 @@ impl Timer {
 
         let mut permutations = Permutations::new(cfg.seed, dim);
         let mut total_swaps = 0usize;
-        let mut total_repaired = 0usize;
 
-        // Adaptive speculation depth, branch-predictor style: rounds are
-        // accept-heavy early (every acceptance throws speculated successors
-        // away) and reject-heavy late (speculation always pays off). Start
-        // cautious, double the depth after every batch whose speculations all
-        // survived, reset to 1 whenever speculated rounds had to be
-        // discarded. The depth only schedules work — the committed trajectory
-        // stays byte-identical for every (threads, batch) setting.
+        // Adaptive speculation depth, branch-predictor style: every kept
+        // round that changes the labels throws its speculated successors
+        // away. Start cautious, double the depth after every batch whose
+        // speculations all survived, reset to 1 whenever speculated rounds
+        // had to be discarded. The depth only schedules work — the committed
+        // trajectory stays byte-identical for every (threads, batch) setting.
         let mut depth = 1usize;
 
         let mut stop_reason = StopReason::Completed;
@@ -347,41 +354,40 @@ impl Timer {
                 telemetry.phases.merge(&outcome.phases);
             }
 
-            // Commit survivors in permutation order against the live gate. A
-            // kept round that changes the labels invalidates the remaining
-            // speculations: they are dropped without touching any counter and
-            // re-run from the new base, which keeps the whole trajectory
-            // byte-identical to the sequential driver.
+            // Commit survivors in permutation order against the live gate,
+            // checking each round's invariants. A kept round that changes the
+            // labels invalidates the remaining speculations: they are dropped
+            // without touching any counter and re-run from the new base,
+            // which keeps the whole trajectory byte-identical to the
+            // sequential driver.
             // tie-lint: allow(no-wallclock) — commit-phase telemetry
             let commit_start = Instant::now();
             let mut committed = 0usize;
             let mut invalidated = false;
             for (i, outcome) in outcomes.into_iter().enumerate() {
                 total_swaps += outcome.swaps;
-                total_repaired += outcome.repaired;
                 telemetry.sweep_arcs += outcome.sweep_arcs;
                 telemetry.contract_arcs += outcome.contract_arcs;
                 committed += 1;
                 let accepted = gate.offer(outcome.coco_delta, outcome.div_delta);
                 // An equal-objective keep: `ΔCoco⁺ = ΔCoco − ΔDiv = 0`.
                 let tie = accepted && outcome.coco_delta == outcome.div_delta;
-                telemetry.record_gate(
-                    outcome.coco_delta,
-                    outcome.div_delta,
-                    outcome.repaired,
-                    accepted,
-                    tie,
-                );
+                telemetry.record_gate(outcome.coco_delta, outcome.div_delta, accepted, tie);
                 trace.emit(TraceEvent::Gate {
                     round: next + i,
                     coco_delta: outcome.coco_delta,
                     div_delta: outcome.div_delta,
-                    repaired: outcome.repaired,
                     accepted,
                     tie,
                     coco: gate.coco(),
                     div: gate.div(),
                 });
+                check_round(
+                    next + i,
+                    (outcome.coco_delta, outcome.div_delta),
+                    outcome.sweep_deltas,
+                    accepted,
+                )?;
                 if accepted {
                     invalidated = outcome.labels != labeling.labels;
                     labeling.set_labels(outcome.labels);
@@ -415,13 +421,6 @@ impl Timer {
             } else {
                 depth.saturating_mul(2).min(max_batch)
             };
-
-            #[cfg(debug_assertions)]
-            {
-                let (c, d) = coco_and_div_for_labels(graph, &labeling.labels, p_mask, e_mask);
-                debug_assert_eq!(gate.coco(), c as i64, "incremental Coco drifted");
-                debug_assert_eq!(gate.div(), d as i64, "incremental Div drifted");
-            }
         }
 
         let (final_coco, final_div) =
@@ -454,7 +453,7 @@ impl Timer {
             final_diversity: final_div,
             hierarchies_accepted: gate.kept(),
             total_swaps,
-            total_repaired,
+            total_repaired: 0,
             telemetry,
             stop_reason,
         })
@@ -508,7 +507,7 @@ impl Permutations {
 
 /// Usable hardware parallelism (respects CPU affinity/cgroup limits), cached
 /// after the first query; 1 when the platform cannot tell.
-fn hardware_threads() -> usize {
+pub(crate) fn hardware_threads() -> usize {
     static CACHE: OnceLock<usize> = OnceLock::new();
     *CACHE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
@@ -543,6 +542,28 @@ fn check_end_of_run(
         format!("incremental Coco {coco} drifted from the final recompute {final_coco}")
     } else if let Some(d) = final_div.filter(|&d| div != d as i64) {
         format!("incremental Div {div} drifted from the final recompute {d}")
+    } else {
+        return Ok(());
+    };
+    Err(TieError::InvariantViolated(violation))
+}
+
+/// The per-round invariants of exact assembly, checked in every build
+/// profile: the delta scan's `(ΔCoco, ΔDiv)` equals the sums the round's
+/// sweeps recorded, and the gate kept the round.
+fn check_round(
+    round: usize,
+    scan: (i64, i64),
+    sweep: (i64, i64),
+    accepted: bool,
+) -> Result<(), TieError> {
+    let violation = if scan != sweep {
+        format!(
+            "round {round}: the delta scan's (ΔCoco, ΔDiv) {scan:?} differs from \
+             the sweeps' sums {sweep:?}"
+        )
+    } else if !accepted {
+        format!("round {round}: the gate rejected an exact round with (ΔCoco, ΔDiv) {scan:?}")
     } else {
         return Ok(());
     };
@@ -589,8 +610,8 @@ struct RoundOutcome {
     div_delta: i64,
     /// Swaps performed by the round's sweeps.
     swaps: usize,
-    /// Vertices whose assembled label needed the bijection repair.
-    repaired: usize,
+    /// The `(ΔCoco, ΔDiv)` the round's sweeps summed up.
+    sweep_deltas: (i64, i64),
     /// Base-graph arcs the round's sweeps read.
     sweep_arcs: usize,
     /// Arcs the round fed to the contraction kernel.
@@ -664,11 +685,9 @@ fn run_round(
     faults.delay("assemble");
     // tie-lint: allow(no-wallclock) — assemble-phase telemetry
     let assemble_start = Instant::now();
-    let assembled = assemble_labels(&run, dim, scratch);
-    let labels: Vec<u64> = assembled
-        .labels
-        .iter()
-        .map(|&l| permute_label_bits(l, &inv, dim))
+    let labels: Vec<u64> = assemble_labels(&run)
+        .into_iter()
+        .map(|l| permute_label_bits(l, &inv, dim))
         .collect();
     let assemble_us = assemble_start.elapsed().as_micros() as u64;
     phases.add(Phase::Assemble, assemble_us);
@@ -680,9 +699,8 @@ fn run_round(
     });
 
     // Lines 17-19 pricing: Div only steers the search, so a round must also
-    // not worsen the true communication cost — without the separate Coco
-    // delta, rounds that grow Div faster than Coco would be accepted and
-    // plain Coco would drift upward as NH grows.
+    // not worsen the true communication cost. The scan is independent of
+    // the sweeps' own sums, which the commit checks it against.
     faults.delay("delta_scan");
     // tie-lint: allow(no-wallclock) — delta-scan-phase telemetry
     let scan_start = Instant::now();
@@ -700,7 +718,7 @@ fn run_round(
         coco_delta,
         div_delta,
         swaps: run.total_swaps,
-        repaired: assembled.repaired,
+        sweep_deltas: (run.coco_delta, run.div_delta),
         sweep_arcs: run.sweep_arcs,
         contract_arcs: run.contract_arcs,
         phases,
@@ -790,7 +808,9 @@ mod tests {
             "improvement {}",
             result.coco_improvement()
         );
-        assert!(result.hierarchies_accepted > 0);
+        // Exact swaps: the gate keeps every round, and nothing is repaired.
+        assert_eq!(result.hierarchies_accepted, 15);
+        assert_eq!((result.telemetry.rejected, result.total_repaired), (0, 0));
         assert_eq!(
             result.final_coco,
             coco_by_distances(&ga, &topo.graph, &result.mapping)
@@ -935,7 +955,6 @@ mod tests {
                 "{label}"
             );
             assert_eq!(r.total_swaps, direct.total_swaps, "{label}");
-            assert_eq!(r.total_repaired, direct.total_repaired, "{label}");
         }
     }
 
@@ -966,6 +985,72 @@ mod tests {
     }
 
     #[test]
+    fn round_check_rejects_mispriced_and_rejected_rounds() {
+        // An exact round the gate kept passes.
+        assert!(check_round(3, (-7, 2), (-7, 2), true).is_ok());
+        // A delta scan that disagrees with the sweeps' sums, and a round the
+        // gate rejected, each end the run.
+        for (scan, sweep, accepted, needle) in [
+            ((-7, 2), (-6, 2), true, "differs"),
+            ((-7, 3), (-7, 2), true, "differs"),
+            ((5, 0), (5, 0), false, "rejected"),
+        ] {
+            let err = check_round(3, scan, sweep, accepted);
+            assert!(
+                matches!(&err, Err(TieError::InvariantViolated(m)) if m.contains(needle) && m.contains("round 3")),
+                "{err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn speculation_depth_never_exceeds_the_worker_count() {
+        // On an edgeless graph no round changes the labels, so nothing
+        // invalidates a batch and the depth keeps doubling, up to the cap:
+        // the worker count, whatever `batch` asks for.
+        use std::sync::Arc;
+        use tie_trace::{MemorySink, TraceLevel};
+
+        let topo = Topology::grid2d(2, 2);
+        let pcube = recognize_partial_cube(&topo.graph).unwrap();
+        let ga = Graph::from_edges(8, &[]);
+        let mapping = Mapping::new(vec![0, 0, 1, 1, 2, 2, 3, 3], 4);
+        let workers = 2.min(hardware_threads());
+        let sink = Arc::new(MemorySink::default());
+        let cfg = TimerConfig::new(40, 1)
+            .with_threads(2)
+            .with_batch(64)
+            .with_trace(TraceHandle::new(sink.clone(), TraceLevel::Phase));
+        assert_eq!(cfg.effective_batch(), workers);
+        let r = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+        assert_eq!(r.hierarchies_accepted, 40);
+        let mut cap = 0;
+        let mut batches = Vec::new();
+        for record in sink.events() {
+            match record.event {
+                TraceEvent::RunStart { batch, .. } => cap = batch,
+                TraceEvent::Speculation { batch_len, .. } => batches.push(batch_len),
+                _ => {}
+            }
+        }
+        assert_eq!(cap, workers);
+        assert!(batches.iter().all(|&b| b <= workers), "{batches:?}");
+        if workers > 1 {
+            assert!(batches.contains(&workers), "{batches:?}");
+        }
+    }
+
+    #[test]
+    fn unrepresentable_deadline_means_no_deadline() {
+        let (ga, _, pcube, mapping) = fixture(3);
+        let plain = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(5, 11)).unwrap();
+        let cfg = TimerConfig::new(5, 11).with_deadline(std::time::Duration::MAX);
+        let r = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+        assert_eq!(r.stop_reason, StopReason::Completed);
+        assert_eq!(r.labeling.labels, plain.labeling.labels);
+    }
+
+    #[test]
     fn more_hierarchies_do_not_hurt() {
         let (ga, _, pcube, mapping) = fixture(4);
         let few = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(2, 9)).unwrap();
@@ -984,6 +1069,7 @@ mod tests {
         )
         .unwrap();
         assert!(result.final_coco <= result.initial_coco);
+        assert_eq!(result.hierarchies_accepted, 8, "every exact round is kept");
         assert_eq!(
             result.final_coco,
             coco_by_distances(&ga, &topo.graph, &result.mapping)
@@ -1038,7 +1124,6 @@ mod tests {
             assert_eq!(r.final_diversity, sequential.final_diversity);
             assert_eq!(r.hierarchies_accepted, sequential.hierarchies_accepted);
             assert_eq!(r.total_swaps, sequential.total_swaps);
-            assert_eq!(r.total_repaired, sequential.total_repaired);
         }
     }
 

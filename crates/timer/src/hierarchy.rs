@@ -3,13 +3,14 @@
 //!
 //! Starting from the application graph with (digit-permuted) labels, each
 //! round first sweeps over all vertex pairs whose labels agree on everything
-//! but the last digit and swaps their labels whenever that improves the
-//! (level-local) `Coco⁺` estimate, and then contracts such pairs into single
-//! vertices while cutting off the last digit. Repeating this until only two
-//! digits remain yields a hierarchy of graphs `G¹, …, G^{dim−1}` whose labels
-//! encode a recursive bipartition of `Ga` induced by the processor topology —
-//! oblivious to `Ga`'s own edge structure, which is exactly the diversity the
-//! TIMER search exploits.
+//! but the last digit and whose suffix classes match (see *Exact swaps*
+//! below), swaps their labels whenever that improves the (level-local)
+//! `Coco⁺` estimate, and then contracts such pairs into single vertices
+//! while cutting off the last digit. Repeating this until only two digits
+//! remain yields a hierarchy of graphs `G¹, …, G^{dim−1}` whose labels
+//! encode a recursive bipartition of `Ga` induced by the processor topology
+//! — oblivious to `Ga`'s own edge structure, which is exactly the diversity
+//! the TIMER search exploits.
 //!
 //! # Levels are views
 //!
@@ -38,14 +39,36 @@
 //!   contractions — makes it the new base, and the view restarts as the
 //!   identity. So deep levels do not re-read all of `Ga`, and the levels in
 //!   between allocate no graph.
+//!
+//! # Exact swaps: a deviation from the paper
+//!
+//! The sweep swaps two sibling groups only when both carry the same
+//! multiset of lower-digit suffixes, their *suffix class*:
+//!
+//! * every level-0 vertex has class LEAF (1). Repeated labels enter as
+//!   multiplicities: a level-1 vertex's pair counts its children per digit;
+//! * a coarser vertex's class is the interned pair (class of its digit-0
+//!   child, class of its digit-1 child), EMPTY (0) for a missing child.
+//!
+//! A swap exchanges two equal classes, so no class changes during a sweep,
+//! and each level's labels, every one extended by the suffixes under it,
+//! stay the input's label multiset. [`crate::assemble`] is then plain
+//! composition, and the round's `(ΔCoco, ΔDiv)` is the sum of the sweeps'
+//! own deltas ([`HierarchyRun::coco_delta`], [`HierarchyRun::div_delta`]).
+//! Algorithm 2 of the paper instead rebuilds every fine label with a
+//! prefix-existence check that ignores multiplicity and inverts a digit
+//! whose prefix no label carries (lines 9–14). No swap here creates such a
+//! prefix, so that inversion never triggers, no label needs a repair, and
+//! the gate keeps every round: a swap on a PE digit only lowers Coco, one
+//! on an extension digit only raises Div. `BENCH_quality.json` holds the
+//! evidence: all 60 cells of the quality matrix keep every round and end
+//! below their input.
 
 use std::time::Instant;
 
 use tie_graph::contract::{contract_into, ContractScratch};
 use tie_graph::{Graph, NodeId};
 use tie_trace::{Phase, PhaseTimes, TraceEvent, TraceHandle, TraceLevel};
-
-use crate::assemble::AssembleScratch;
 
 /// A level about to be swept becomes the new base graph once it has at most
 /// `1 / MATERIALIZE_FACTOR` of the current base's vertices. Sequential
@@ -69,7 +92,7 @@ pub struct Level {
 /// A full hierarchy: `levels[0]` belongs to the application graph itself
 /// (with the labels as left behind by the level-1 swap sweep),
 /// `levels.last()` to the coarsest graph with 2-digit labels.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct HierarchyRun {
     /// Levels from finest to coarsest.
     pub levels: Vec<Level>,
@@ -81,6 +104,12 @@ pub struct HierarchyRun {
     /// Arcs of the base graphs handed to [`contract_into`] to materialize a
     /// level. Deterministic as well.
     pub contract_arcs: usize,
+    /// Summed `Coco` change (under `p_mask`) of the swaps on PE digits:
+    /// exactly the change from the input labels to the composed ones.
+    pub coco_delta: i64,
+    /// Summed `Div` change (under `e_mask`) of the swaps on extension
+    /// digits, exact in the same way.
+    pub div_delta: i64,
     /// Wall-clock spent in the sweeps and contractions of this hierarchy
     /// (accumulated per [`Phase`]; always collected, the cost is two
     /// monotonic-clock reads per level).
@@ -208,34 +237,35 @@ impl LevelView {
 }
 
 /// Swap sweep of one level through `view`: for every candidate pair of
-/// [`collect_swap_pairs`], swap the labels if the closed-form delta is
-/// negative. Returns the number of swaps; adds the base arcs read to
-/// `arcs_read`.
+/// [`collect_swap_pairs`] whose members have the same suffix class, swap
+/// the labels if the closed-form delta is negative. Adds the swaps, the
+/// base arcs read and the swaps' Coco and Div changes to `run`.
 fn sweep_level(
     base: &Graph,
     view: &LevelView,
     labels: &mut [u64],
-    p_mask: u64,
-    e_mask: u64,
+    classes: &[u32],
     pairs: &[(NodeId, NodeId)],
-    arcs_read: &mut usize,
-) -> usize {
+    (p_mask, e_mask): (u64, u64),
+    run: &mut HierarchyRun,
+) {
     // Digit 0's cost per differing arc: +1 as a PE digit, −1 as an
     // extension digit.
-    let s = (p_mask & 1) as i64 - (e_mask & 1) as i64;
-    let mut swaps = 0usize;
+    let (p, e) = ((p_mask & 1) as i64, (e_mask & 1) as i64);
     for &(u, v) in pairs {
-        if labels[u as usize] == labels[v as usize] {
+        let (a, b) = (u as usize, v as usize);
+        if labels[a] == labels[b] || classes[a] != classes[b] {
             continue;
         }
         let (sum, arcs) = view.pair_sum(base, labels, u, v);
-        *arcs_read += arcs;
-        if s * sum < 0 {
-            labels.swap(u as usize, v as usize);
-            swaps += 1;
+        run.sweep_arcs += arcs;
+        if (p - e) * sum < 0 {
+            labels.swap(a, b);
+            run.total_swaps += 1;
+            run.coco_delta += p * sum;
+            run.div_delta += e * sum;
         }
     }
-    swaps
 }
 
 /// The contraction's prefix ranking: every vertex maps to the rank of its
@@ -255,24 +285,107 @@ fn rank_prefixes(keyed: &[(u64, NodeId)]) -> (Vec<u64>, Vec<NodeId>) {
     (coarse_labels, fine_to_coarse)
 }
 
+/// Class of every level-0 vertex.
+const LEAF: u32 = 1;
+/// Class of a missing child.
+const EMPTY: u32 = 0;
+
+/// The suffix classes of the level being swept (see the module docs) and
+/// the buffers that intern the next level's.
+#[derive(Clone, Debug, Default)]
+struct SuffixClasses {
+    /// Class of every vertex of the level.
+    class: Vec<u32>,
+    /// Per coarse vertex, the summed classes of its digit-0 and its digit-1
+    /// children.
+    pairs: Vec<[u32; 2]>,
+    /// Coarse vertices in the order of the counting sorts.
+    order: Vec<NodeId>,
+    /// The other buffer of the counting sorts.
+    sorted: Vec<NodeId>,
+    /// Bucket starts of the counting sorts.
+    start: Vec<usize>,
+}
+
+impl SuffixClasses {
+    /// Every one of the `n` vertices of level 0 is a LEAF.
+    fn reset(&mut self, n: usize) {
+        self.class.clear();
+        self.class.resize(n, LEAF);
+    }
+
+    /// Moves the classes one level down. `labels` are the swept level's and
+    /// `fine_to_coarse` maps it onto `coarse_n` vertices. Children of one
+    /// coarse vertex differ in digit 0 except for repeated level-0 labels,
+    /// whose LEAF classes sum to their multiplicity; so summing classes per
+    /// digit gives each coarse vertex its exact pair. Two stable counting
+    /// sorts, by the digit-1 entry and then by the digit-0 entry, make equal
+    /// pairs adjacent, and they are interned as `1, 2, …` in that order:
+    /// O(level size + largest fine class), with no hashing.
+    fn contract(&mut self, labels: &[u64], fine_to_coarse: &[NodeId], coarse_n: usize) {
+        self.pairs.clear();
+        self.pairs.resize(coarse_n, [EMPTY; 2]);
+        for ((&c, &l), &class) in fine_to_coarse.iter().zip(labels).zip(&self.class) {
+            self.pairs[c as usize][(l & 1) as usize] += class;
+        }
+        let buckets = self
+            .pairs
+            .iter()
+            .flatten()
+            .max()
+            .map_or(0, |&m| m as usize + 1);
+        self.order.clear();
+        self.order.extend(0..coarse_n as NodeId);
+        self.sorted.resize(coarse_n, 0);
+        for digit in [1, 0] {
+            self.start.clear();
+            self.start.resize(buckets + 1, 0);
+            for &c in &self.order {
+                self.start[self.pairs[c as usize][digit] as usize + 1] += 1;
+            }
+            for k in 1..=buckets {
+                self.start[k] += self.start[k - 1];
+            }
+            for &c in &self.order {
+                let slot = &mut self.start[self.pairs[c as usize][digit] as usize];
+                self.sorted[*slot] = c;
+                *slot += 1;
+            }
+            std::mem::swap(&mut self.order, &mut self.sorted);
+        }
+        self.class.clear();
+        self.class.resize(coarse_n, EMPTY);
+        let mut id = EMPTY;
+        let mut previous = None;
+        for &c in &self.order {
+            let pair = self.pairs[c as usize];
+            if previous != Some(pair) {
+                id += 1;
+                previous = Some(pair);
+            }
+            self.class[c as usize] = id;
+        }
+    }
+}
+
 /// Reusable buffers for a full hierarchy round: the sweep's prefix-bucket
-/// pair search ([`SweepScratch`]), the level view, the counting-sort buffers
-/// of the CSR contraction kernel ([`ContractScratch`]) and the label trie of
-/// [`assemble_labels`](crate::assemble::assemble_labels). One scratch serves
-/// all `dim − 1` levels of a hierarchy — and, threaded through the driver's
-/// speculative workers, all rounds a worker ever executes: buffers grow to
-/// the largest level once and are never reallocated again. Results never
-/// depend on leftover scratch contents.
+/// pair search ([`SweepScratch`]), the level view, the suffix classes and
+/// the counting-sort buffers of the CSR contraction kernel
+/// ([`ContractScratch`]). One scratch serves all `dim − 1` levels of a
+/// hierarchy — and, threaded through the driver's speculative workers, all
+/// rounds a worker ever executes: buffers grow to the largest level once
+/// and are never reallocated again. Results never depend on leftover
+/// scratch contents.
 #[derive(Clone, Debug, Default)]
 pub struct HierarchyScratch {
     /// Pair-search buffers shared by the sweeps and the prefix ranking.
     sweep: SweepScratch,
     /// The view of the level being swept.
     view: LevelView,
+    /// Suffix classes of the level being swept.
+    classes: SuffixClasses,
     /// Counting-sort buffers of the CSR contraction kernel.
     contract: ContractScratch,
-    /// Label trie and repair buffers of the assemble step.
-    pub(crate) assemble: AssembleScratch,
 }
 
 /// Builds the full hierarchy for one permutation round: alternating swap
@@ -306,11 +419,12 @@ pub fn build_hierarchy(
 /// `trace` (at `TraceLevel::Debug`) and tagged with `hierarchy_round` so
 /// concurrent speculated rounds stay distinguishable in the recording. A
 /// level's contraction span includes the materialization of the next level,
-/// if any. `scratch` carries the sweep, view and contraction buffers across
-/// all levels — and, when the caller keeps it alive (as the driver's
-/// speculative workers do), across hierarchy rounds. The result never
-/// depends on what a previous run left in the scratch. `graph` is borrowed,
-/// and of the materialized graphs only the current base is alive.
+/// if any, and the interning of the next level's suffix classes. `scratch`
+/// carries the sweep, view, class and contraction buffers across all levels
+/// — and, when the caller keeps it alive (as the driver's speculative
+/// workers do), across hierarchy rounds. The result never depends on what a
+/// previous run left in the scratch. `graph` is borrowed, and of the
+/// materialized graphs only the current base is alive.
 #[allow(clippy::too_many_arguments)] // mirrors build_hierarchy + trace context
 pub fn build_hierarchy_traced(
     graph: &Graph,
@@ -323,13 +437,9 @@ pub fn build_hierarchy_traced(
     scratch: &mut HierarchyScratch,
 ) -> HierarchyRun {
     debug_assert_eq!(labels.len(), graph.num_vertices(), "one label per vertex");
-    let mut levels: Vec<Level> = Vec::new();
-    let mut total_swaps = 0usize;
-    let mut sweep_arcs = 0usize;
-    let mut contract_arcs = 0usize;
+    let mut run = HierarchyRun::default();
     let mut materialized: Option<Graph> = None;
     let mut current_labels = labels;
-    let mut phases = PhaseTimes::default();
     // Cheap enough to collect always; only *emission* is gated on the level.
     let per_level = trace.enabled(TraceLevel::Debug);
     let emit = |phase: Phase, level: usize, elapsed_us: u64| {
@@ -345,8 +455,8 @@ pub fn build_hierarchy_traced(
     let HierarchyScratch {
         sweep,
         view,
+        classes,
         contract,
-        ..
     } = scratch;
 
     // Paper: for i = 2 .. dim_Ga - 1; sweep on G^{i-1}, contract into G^i.
@@ -354,65 +464,64 @@ pub fn build_hierarchy_traced(
     if rounds > 0 {
         let t = Instant::now();
         view.reset(graph.num_vertices());
-        phases.add(Phase::Contract, t.elapsed().as_micros() as u64);
+        classes.reset(graph.num_vertices());
+        run.phases
+            .add(Phase::Contract, t.elapsed().as_micros() as u64);
     }
     for round in 0..rounds {
         let base = materialized.as_ref().unwrap_or(graph);
         let t = Instant::now();
         collect_swap_pairs(&current_labels, sweep);
-        total_swaps += sweep_level(
+        sweep_level(
             base,
             view,
             &mut current_labels,
-            p_mask >> round,
-            e_mask >> round,
+            &classes.class,
             &sweep.pairs,
-            &mut sweep_arcs,
+            (p_mask >> round, e_mask >> round),
+            &mut run,
         );
         let sweep_us = t.elapsed().as_micros() as u64;
-        phases.add(Phase::Sweep, sweep_us);
+        run.phases.add(Phase::Sweep, sweep_us);
         emit(Phase::Sweep, round, sweep_us);
 
         let t = Instant::now();
         let (coarse_labels, fine_to_coarse) = rank_prefixes(&sweep.keyed);
         let coarse_n = coarse_labels.len();
-        // The coarsest level is never swept, so it needs no view.
+        // The coarsest level is never swept, so it needs no view and no
+        // classes.
         if round + 1 < rounds {
             view.compose(&fine_to_coarse, coarse_n);
+            classes.contract(&current_labels, &fine_to_coarse, coarse_n);
             if MATERIALIZE_FACTOR * coarse_n <= base.num_vertices() {
-                contract_arcs += base.num_arcs();
+                run.contract_arcs += base.num_arcs();
                 let next = contract_into(base, &view.anc, coarse_n, contract);
                 view.reset(coarse_n);
                 materialized = Some(next);
             }
         }
         let contract_us = t.elapsed().as_micros() as u64;
-        phases.add(Phase::Contract, contract_us);
+        run.phases.add(Phase::Contract, contract_us);
         emit(Phase::Contract, round, contract_us);
-        levels.push(Level {
+        run.levels.push(Level {
             labels: current_labels,
             fine_to_coarse,
         });
         current_labels = coarse_labels;
     }
     // Coarsest level (no further contraction).
-    levels.push(Level {
+    run.levels.push(Level {
         labels: current_labels,
         fine_to_coarse: Vec::new(),
     });
-    HierarchyRun {
-        levels,
-        total_swaps,
-        sweep_arcs,
-        contract_arcs,
-        phases,
-    }
+    run
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objective::{objective_for_labels, swap_delta};
+    use crate::assemble::assemble_labels;
+    use crate::objective::{coco_and_div_for_labels, objective_for_labels, swap_delta};
     use proptest::prelude::*;
     use tie_graph::contract::contract;
     use tie_graph::{generators, GraphBuilder};
@@ -457,60 +566,98 @@ mod tests {
         (builder.build(), coarse_labels, fine_to_coarse)
     }
 
-    /// The sweep before the closed form: every candidate pair priced by
-    /// [`swap_delta`] on the level's own graph.
+    /// The sorted suffixes of the level-0 vertices under every vertex of a
+    /// level with `n` vertices, below which `levels` are finished: each
+    /// vertex's suffix takes one digit from every finished level, as it
+    /// walks up its `fine_to_coarse` chain. The literal form of the suffix
+    /// class, with no interning.
+    fn suffixes_under(levels: &[Level], n: usize) -> Vec<Vec<u64>> {
+        let mut under = vec![Vec::new(); n];
+        for x in 0..levels.first().map_or(n, |l| l.labels.len()) {
+            let (mut a, mut suffix) = (x, 0u64);
+            for (digit, level) in levels.iter().enumerate() {
+                suffix |= (level.labels[a] & 1) << digit;
+                a = level.fine_to_coarse[a] as usize;
+            }
+            under[a].push(suffix);
+        }
+        for suffixes in &mut under {
+            suffixes.sort_unstable();
+        }
+        under
+    }
+
+    /// The sweep before the closed form: every candidate pair whose members
+    /// have the same suffixes `under` them is priced by [`swap_delta`] on
+    /// the level's own graph. Returns the swaps and their summed `Coco` and
+    /// `Div` changes.
     fn sweep_with(
         graph: &Graph,
         labels: &mut [u64],
-        p_mask: u64,
-        e_mask: u64,
+        (p_mask, e_mask): (u64, u64),
+        under: &[Vec<u64>],
         scratch: &mut SweepScratch,
-    ) -> usize {
+    ) -> (usize, i64, i64) {
         collect_swap_pairs(labels, scratch);
-        let mut swaps = 0usize;
+        let (mut swaps, mut coco, mut div) = (0usize, 0i64, 0i64);
         for &(u, v) in &scratch.pairs {
-            if swap_delta(graph, labels, p_mask, e_mask, u, v) < 0 {
+            if under[u as usize] == under[v as usize]
+                && swap_delta(graph, labels, p_mask, e_mask, u, v) < 0
+            {
+                coco += swap_delta(graph, labels, p_mask, 0, u, v);
+                div -= swap_delta(graph, labels, 0, e_mask, u, v);
                 labels.swap(u as usize, v as usize);
                 swaps += 1;
             }
         }
-        swaps
+        (swaps, coco, div)
     }
 
     /// The hierarchy loop before the level views, kept as the oracle: every
-    /// level's graph is built by [`contract_level_reference`] and every
-    /// sweep is priced by [`swap_delta`]. Returns the levels and the swap
-    /// count.
+    /// level's graph is built by [`contract_level_reference`], every sweep
+    /// is priced by [`swap_delta`], and a pair may swap only when
+    /// [`suffixes_under`] finds the same suffixes under both members.
+    /// Returns the levels, the swap count and the swaps' `Coco` and `Div`
+    /// changes; the work counts and phases stay zero.
     fn build_hierarchy_reference(
         graph: &Graph,
         labels: Vec<u64>,
         dim: usize,
         p_mask: u64,
         e_mask: u64,
-    ) -> (Vec<Level>, usize) {
-        let mut levels: Vec<Level> = Vec::new();
-        let mut total_swaps = 0usize;
+    ) -> HierarchyRun {
+        let mut run = HierarchyRun::default();
         let mut coarse_graph: Option<Graph> = None;
         let mut current_labels = labels;
         let mut scratch = SweepScratch::default();
         for round in 0..dim.saturating_sub(2) {
             let current_graph = coarse_graph.as_ref().unwrap_or(graph);
-            let (pm, em) = (p_mask >> round, e_mask >> round);
-            total_swaps += sweep_with(current_graph, &mut current_labels, pm, em, &mut scratch);
+            let under = suffixes_under(&run.levels, current_labels.len());
+            let masks = (p_mask >> round, e_mask >> round);
+            let (swaps, coco, div) = sweep_with(
+                current_graph,
+                &mut current_labels,
+                masks,
+                &under,
+                &mut scratch,
+            );
+            run.total_swaps += swaps;
+            run.coco_delta += coco;
+            run.div_delta += div;
             let (next_graph, coarse_labels, fine_to_coarse) =
                 contract_level_reference(current_graph, &current_labels);
-            levels.push(Level {
+            run.levels.push(Level {
                 labels: current_labels,
                 fine_to_coarse,
             });
             coarse_graph = Some(next_graph);
             current_labels = coarse_labels;
         }
-        levels.push(Level {
+        run.levels.push(Level {
             labels: current_labels,
             fine_to_coarse: Vec::new(),
         });
-        (levels, total_swaps)
+        run
     }
 
     /// For every swept level, whether it was swept through a graph
@@ -541,9 +688,13 @@ mod tests {
         p_mask: u64,
         e_mask: u64,
     ) {
-        let (levels, swaps) = build_hierarchy_reference(graph, labels, dim, p_mask, e_mask);
-        assert_eq!(run.levels, levels);
-        assert_eq!(run.total_swaps, swaps);
+        let reference = build_hierarchy_reference(graph, labels, dim, p_mask, e_mask);
+        assert_eq!(run.levels, reference.levels);
+        assert_eq!(run.total_swaps, reference.total_swaps);
+        assert_eq!(
+            (run.coco_delta, run.div_delta),
+            (reference.coco_delta, reference.div_delta)
+        );
     }
 
     /// A small instance with unique 4-digit labels on an 8-vertex graph.
@@ -737,7 +888,14 @@ mod tests {
         assert_eq!(fresh.total_swaps, reused.total_swaps);
         assert_eq!(fresh.levels, reused.levels);
         let mut swept = labels;
-        let swaps = sweep_with(&g, &mut swept, p_mask, e_mask, &mut SweepScratch::default());
+        let under = suffixes_under(&[], swept.len());
+        let (swaps, ..) = sweep_with(
+            &g,
+            &mut swept,
+            (p_mask, e_mask),
+            &under,
+            &mut SweepScratch::default(),
+        );
         assert_eq!(fresh.levels[0].labels, swept);
         assert!(swaps > 0, "the fixture must exercise the sweep");
     }
@@ -844,8 +1002,9 @@ mod tests {
         );
     }
 
-    /// `n` labels of `dim` digits: distinct when `unique` and `2^dim ≥ n`,
-    /// otherwise drawn with repetition (duplicates whenever `2^dim < n`).
+    /// `n` labels of `dim` digits: distinct when `unique` and `2^dim ≥ n`;
+    /// otherwise vertex `v` shares its label with `v + n/2`, so every
+    /// `n ≥ 2` has duplicates.
     fn random_labels(n: usize, dim: usize, unique: bool, seed: u64) -> Vec<u64> {
         if unique && n <= 1 << dim {
             generators::random_permutation(1 << dim, seed)[..n]
@@ -853,13 +1012,41 @@ mod tests {
                 .map(|&l| u64::from(l))
                 .collect()
         } else {
+            let distinct = (n as u64 / 2).max(1);
             (0..n as u64)
                 .map(|v| {
-                    let x = v.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(seed);
+                    let x = (v % distinct)
+                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                        .wrapping_add(seed);
                     (x >> 17) & low_mask(dim)
                 })
                 .collect()
         }
+    }
+
+    /// A random weighted G(n, m) graph, its `random_labels` (two thirds
+    /// distinct, one third with duplicates) and digit masks: mostly a
+    /// PE/extension split of the digits, but when `seed % 4 == 0` both masks
+    /// are raw bit draws, so digits fall in neither or both.
+    fn random_instance(
+        n: usize,
+        m: usize,
+        dim: usize,
+        seed: u64,
+        unique: u32,
+        p_bits: u64,
+        e_bits: u64,
+    ) -> (Graph, Vec<u64>, u64, u64) {
+        let labels = random_labels(n, dim, unique > 0, seed);
+        let base = generators::erdos_renyi_gnm(n, m.min(n * (n - 1) / 2), seed);
+        let g = generators::randomize_edge_weights(&base, 7, seed ^ 0xc0ffee);
+        let e_mask = e_bits & low_mask(dim);
+        let p_mask = if seed.is_multiple_of(4) {
+            p_bits & low_mask(dim)
+        } else {
+            low_mask(dim) & !e_mask
+        };
+        (g, labels, p_mask, e_mask)
     }
 
     proptest! {
@@ -868,8 +1055,9 @@ mod tests {
         /// On random weighted G(n, m) graphs × random labelings (distinct
         /// labels or multisets with duplicates, `dim` 2–14) × random digit
         /// masks, the lazy hierarchy reproduces the per-level reference loop
-        /// — every level's labels and `fine_to_coarse`, and the swap count —
-        /// on a fresh scratch and on one dirtied by an unrelated hierarchy.
+        /// — every level's labels and `fine_to_coarse`, the swap count and
+        /// the swaps' summed deltas — on a fresh scratch and on one dirtied
+        /// by an unrelated hierarchy.
         #[test]
         fn lazy_hierarchy_equivalent_to_per_level_reference(
             n in 2..302usize,
@@ -881,14 +1069,7 @@ mod tests {
             e_bits in 0..(1u64 << 14),
             dirty in 0..2u32,
         ) {
-            // Two thirds distinct labels, one third with repetition.
-            let labels = random_labels(n, dim, unique > 0, seed);
-            let base = generators::erdos_renyi_gnm(n, m.min(n * (n - 1) / 2), seed);
-            let g = generators::randomize_edge_weights(&base, 7, seed ^ 0xc0ffee);
-            // Mostly a PE/extension split of the digits; some digits of the
-            // raw bit draws fall in neither or both masks.
-            let e_mask = e_bits & low_mask(dim);
-            let p_mask = if seed % 4 == 0 { p_bits & low_mask(dim) } else { low_mask(dim) & !e_mask };
+            let (g, labels, p_mask, e_mask) = random_instance(n, m, dim, seed, unique, p_bits, e_bits);
             let mut scratch = HierarchyScratch::default();
             if dirty == 1 {
                 let other = generators::barabasi_albert(n + 64, 3, seed ^ 0x5eed);
@@ -896,9 +1077,43 @@ mod tests {
                 let _ = build_with(&other, other_labels, 12, 0b1111_1100_0000, 0b11_1111, &mut scratch);
             }
             let run = build_with(&g, labels.clone(), dim, p_mask, e_mask, &mut scratch);
-            let (levels, swaps) = build_hierarchy_reference(&g, labels, dim, p_mask, e_mask);
-            prop_assert_eq!(run.levels, levels);
-            prop_assert_eq!(run.total_swaps, swaps);
+            let reference = build_hierarchy_reference(&g, labels, dim, p_mask, e_mask);
+            prop_assert_eq!(run.levels, reference.levels);
+            prop_assert_eq!(run.total_swaps, reference.total_swaps);
+            prop_assert_eq!(
+                (run.coco_delta, run.div_delta),
+                (reference.coco_delta, reference.div_delta)
+            );
+        }
+
+        /// On the same random instances, exact swaps keep the label
+        /// multiset: the composed labels are a permutation of the input, and
+        /// a full recompute of `(ΔCoco, ΔDiv)` equals the sweeps' summed
+        /// deltas.
+        #[test]
+        fn composed_labels_are_a_permutation_with_the_sweep_deltas(
+            n in 1..302usize,
+            m in 0..1200usize,
+            dim in 2..15usize,
+            seed in 0..10_000u64,
+            unique in 0..3u32,
+            p_bits in 0..(1u64 << 14),
+            e_bits in 0..(1u64 << 14),
+        ) {
+            let (g, labels, p_mask, e_mask) = random_instance(n, m, dim, seed, unique, p_bits, e_bits);
+            let run = build_hierarchy(&g, labels.clone(), dim, p_mask, e_mask);
+            let composed = assemble_labels(&run);
+            let (coco, div) = coco_and_div_for_labels(&g, &labels, p_mask, e_mask);
+            let (new_coco, new_div) = coco_and_div_for_labels(&g, &composed, p_mask, e_mask);
+            let mut sorted = composed;
+            sorted.sort_unstable();
+            let mut input = labels;
+            input.sort_unstable();
+            prop_assert_eq!(sorted, input);
+            prop_assert_eq!(
+                (new_coco as i64 - coco as i64, new_div as i64 - div as i64),
+                (run.coco_delta, run.div_delta)
+            );
         }
     }
 }

@@ -63,11 +63,10 @@ pub struct TimerConfig {
     /// byte-identical for every thread count.
     pub threads: usize,
     /// Cap on the adaptive speculation depth (hierarchy rounds in flight per
-    /// batch); 0 (the default) matches `threads`. A run with one worker
-    /// keeps the depth at 1 whatever the cap. Purely a scheduling knob —
-    /// results never depend on it — and values above `threads` only add
-    /// wasted work when a round is accepted, so the default is almost always
-    /// right.
+    /// batch); 0 (the default) matches `threads`. The depth never exceeds
+    /// the run's worker count whatever the cap (see
+    /// [`TimerConfig::effective_batch`]). Purely a scheduling knob — results
+    /// never depend on it.
     pub batch: usize,
     /// Flight-recorder handle (see `tie-trace`). Disabled by default, in
     /// which case every instrumentation point is a single branch and
@@ -77,7 +76,8 @@ pub struct TimerConfig {
     /// Optional wall-clock budget for the whole search. Checked at batch
     /// boundaries; on expiry the driver returns the best labeling accepted
     /// so far with [`StopReason::DeadlineExceeded`]. `None` (the default)
-    /// means unbounded. Note that a wall-clock stop may land on a different
+    /// means unbounded, and so does a budget too large for any instant to
+    /// hold (such as `Duration::MAX`). Note that a wall-clock stop may land on a different
     /// round for different thread counts, so deadline-bounded runs are the
     /// one mode exempt from the byte-identity guarantee.
     pub deadline: Option<Duration>,
@@ -164,16 +164,25 @@ impl TimerConfig {
         self
     }
 
-    /// The speculation-depth cap a run with more than one worker uses:
-    /// `batch` with the `0` sentinel resolved to `threads`. The single source
-    /// of truth for that resolution — harness and reporting code must use
-    /// this instead of re-deriving it.
+    /// The speculation-depth cap a run uses: `batch` with the `0` sentinel
+    /// resolved to `threads`, and never more than the run's workers
+    /// (`threads`, at most the hardware's threads), so a batch holds at most
+    /// one candidate labeling per worker. It depends on the host, as the
+    /// worker count does. The single source of truth for that resolution —
+    /// harness and reporting code must use this instead of re-deriving it.
     pub fn effective_batch(&self) -> usize {
-        if self.batch == 0 {
-            self.threads.max(1)
+        let batch = if self.batch == 0 {
+            self.threads
         } else {
             self.batch
-        }
+        };
+        batch.min(self.workers())
+    }
+
+    /// Worker threads a run gets: `threads`, at most the hardware's threads
+    /// and at least one.
+    pub(crate) fn workers(&self) -> usize {
+        self.threads.min(driver::hardware_threads()).max(1)
     }
 
     /// Checks the config's internal sanity (the instance-independent half of

@@ -28,7 +28,8 @@ pub struct RoundTelemetry {
     /// Rounds the gate kept (including equal-objective ties). Mirrors
     /// `TimerResult::hierarchies_accepted`.
     pub accepted: usize,
-    /// Rounds the gate rejected.
+    /// Rounds the gate rejected. Always 0 in a finished run: the driver
+    /// turns a rejected round into `TieError::InvariantViolated`.
     pub rejected: usize,
     /// Kept rounds whose objective delta was zero (`ΔCoco == ΔDiv`): the
     /// tie-keeps that replace the labeling without improving `Coco⁺`.
@@ -37,12 +38,6 @@ pub struct RoundTelemetry {
     pub delta_coco: LogHistogram,
     /// Distribution of the per-round `ΔDiv` the gate ruled on.
     pub delta_div: LogHistogram,
-    /// Distribution of the per-round count of vertices the bijection repair
-    /// relabelled, over the rounds the gate ruled on.
-    pub repaired: LogHistogram,
-    /// Repaired vertices summed over the rounds the gate ruled on. Mirrors
-    /// `TimerResult::total_repaired`.
-    pub total_repaired: usize,
     /// Base-graph arcs the hierarchy sweeps read, summed over the rounds the
     /// gate ruled on (discarded speculations are not counted, so the total
     /// does not depend on the thread count).
@@ -59,21 +54,13 @@ pub struct RoundTelemetry {
     /// excluded from [`RoundTelemetry::same_gate_trajectory`].
     pub worker_panics: usize,
     /// Why the run stopped offering rounds ([`StopReason::Completed`] unless
-    /// a deadline, cancellation, or the adaptive stopping rule cut it short).
+    /// a deadline or a cancellation cut it short).
     pub stop_reason: StopReason,
 }
 
 impl RoundTelemetry {
-    /// Records one gate verdict on a round whose assemble step repaired
-    /// `repaired` vertices. `tie` implies `accepted`.
-    pub fn record_gate(
-        &mut self,
-        coco_delta: i64,
-        div_delta: i64,
-        repaired: usize,
-        accepted: bool,
-        tie: bool,
-    ) {
+    /// Records one gate verdict. `tie` implies `accepted`.
+    pub fn record_gate(&mut self, coco_delta: i64, div_delta: i64, accepted: bool, tie: bool) {
         debug_assert!(accepted || !tie, "a tie is by definition kept");
         if accepted {
             self.accepted += 1;
@@ -85,8 +72,6 @@ impl RoundTelemetry {
         }
         self.delta_coco.record(coco_delta);
         self.delta_div.record(div_delta);
-        self.repaired.record(repaired as i64);
-        self.total_repaired += repaired;
     }
 
     /// Total rounds the gate ruled on (`accepted + rejected`).
@@ -103,8 +88,6 @@ impl RoundTelemetry {
             && self.ties == other.ties
             && self.delta_coco == other.delta_coco
             && self.delta_div == other.delta_div
-            && self.repaired == other.repaired
-            && self.total_repaired == other.total_repaired
             && self.sweep_arcs == other.sweep_arcs
             && self.contract_arcs == other.contract_arcs
     }
@@ -117,10 +100,10 @@ mod tests {
     #[test]
     fn gate_recording_counts_and_histograms() {
         let mut t = RoundTelemetry::default();
-        t.record_gate(-5, -1, 0, true, false);
-        t.record_gate(0, 0, 7, true, true);
-        t.record_gate(3, -2, 600, false, false);
-        t.record_gate(2, 2, 0, true, true);
+        t.record_gate(-5, -1, true, false);
+        t.record_gate(0, 0, true, true);
+        t.record_gate(3, -2, false, false);
+        t.record_gate(2, 2, true, true);
         assert_eq!(t.accepted, 3);
         assert_eq!(t.rejected, 1);
         assert_eq!(t.ties, 2);
@@ -129,27 +112,25 @@ mod tests {
         assert_eq!(t.delta_div.count(), 4);
         assert_eq!(t.delta_coco.min(), Some(-5));
         assert_eq!(t.delta_coco.max(), Some(3));
-        assert_eq!(t.repaired.count(), 4);
-        assert_eq!(t.repaired.zeros(), 2);
-        assert_eq!(t.repaired.max(), Some(600));
-        assert_eq!(t.total_repaired, 607);
+        assert_eq!(t.delta_div.zeros(), 1);
+        assert_eq!(t.delta_div.min(), Some(-2));
     }
 
     #[test]
     fn gate_trajectory_comparison_ignores_phases() {
         let mut a = RoundTelemetry::default();
         let mut b = RoundTelemetry::default();
-        a.record_gate(-1, 0, 3, true, false);
-        b.record_gate(-1, 0, 3, true, false);
+        a.record_gate(-1, 0, true, false);
+        b.record_gate(-1, 0, true, false);
         a.phases.add(tie_trace::Phase::Sweep, 123);
         b.phases.add(tie_trace::Phase::Sweep, 456);
         assert!(a.same_gate_trajectory(&b));
         let mut c = b.clone();
-        b.record_gate(1, 1, 0, true, true);
+        b.record_gate(1, 1, true, true);
         assert!(!a.same_gate_trajectory(&b));
-        // The same verdicts with a different repair count diverge too.
-        a.record_gate(0, 0, 4, true, true);
-        c.record_gate(0, 0, 5, true, true);
+        // The same verdicts with a different Div delta diverge too.
+        a.record_gate(0, 0, true, true);
+        c.record_gate(0, 1, true, false);
         assert!(!a.same_gate_trajectory(&c));
         // So do equal verdicts whose hierarchies did different work.
         let (mut d, mut e) = (RoundTelemetry::default(), RoundTelemetry::default());

@@ -20,7 +20,8 @@ pub enum TraceEvent {
         nh: usize,
         /// Worker threads requested for the speculative batches.
         threads: usize,
-        /// Speculation-depth cap the run uses (1 when it runs one worker).
+        /// Speculation-depth cap the run uses: the effective batch, at most
+        /// the number of workers the run gets.
         batch: usize,
         /// `Coco` of the initial labeling.
         initial_coco: u64,
@@ -37,9 +38,6 @@ pub enum TraceEvent {
         coco_delta: i64,
         /// Exact `Div` change of the candidate vs the accepted labeling.
         div_delta: i64,
-        /// Vertices whose assembled label the round's bijection repair
-        /// replaced.
-        repaired: usize,
         /// Whether the candidate was kept.
         accepted: bool,
         /// Whether it was kept as an equal-objective tie
@@ -169,7 +167,6 @@ impl TraceEvent {
                 round,
                 coco_delta,
                 div_delta,
-                repaired,
                 accepted,
                 tie,
                 coco,
@@ -178,8 +175,8 @@ impl TraceEvent {
                 let _ = write!(
                     s,
                     ", \"round\": {round}, \"coco_delta\": {coco_delta}, \
-                     \"div_delta\": {div_delta}, \"repaired\": {repaired}, \
-                     \"accepted\": {accepted}, \"tie\": {tie}, \"coco\": {coco}, \"div\": {div}"
+                     \"div_delta\": {div_delta}, \"accepted\": {accepted}, \"tie\": {tie}, \
+                     \"coco\": {coco}, \"div\": {div}"
                 );
             }
             TraceEvent::Phase {
@@ -269,7 +266,6 @@ impl TraceEvent {
                 round,
                 coco_delta,
                 div_delta,
-                repaired,
                 accepted,
                 tie,
                 coco,
@@ -283,7 +279,7 @@ impl TraceEvent {
                 let _ = write!(
                     s,
                     "round {round:>3}: {verdict} dCoco={coco_delta:+} dDiv={div_delta:+} \
-                     dObj={:+} repaired={repaired} -> Coco={coco} Div={div}",
+                     dObj={:+} -> Coco={coco} Div={div}",
                     coco_delta - div_delta
                 );
             }
@@ -372,7 +368,6 @@ mod tests {
                 round: 3,
                 coco_delta: -12,
                 div_delta: 40,
-                repaired: 604,
                 accepted: false,
                 tie: false,
                 coco: 71581,
@@ -442,7 +437,6 @@ mod tests {
             round: 17,
             coco_delta: -3,
             div_delta: 5,
-            repaired: 9,
             accepted: false,
             tie: false,
             coco: 100,
@@ -452,7 +446,6 @@ mod tests {
         assert!(json.contains("\"round\": 17"));
         assert!(json.contains("\"coco_delta\": -3"));
         assert!(json.contains("\"div_delta\": 5"));
-        assert!(json.contains("\"repaired\": 9"));
         assert!(json.contains("\"accepted\": false"));
         assert!(json.contains("\"tie\": false"));
     }
@@ -513,7 +506,6 @@ mod tests {
             round: 0,
             coco_delta: 0,
             div_delta: 0,
-            repaired: 0,
             accepted: true,
             tie: true,
             coco: 0,

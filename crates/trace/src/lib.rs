@@ -216,7 +216,6 @@ mod tests {
             round: 0,
             coco_delta: -1,
             div_delta: 0,
-            repaired: 0,
             accepted: true,
             tie: false,
             coco: 9,
@@ -247,7 +246,6 @@ mod tests {
                 round,
                 coco_delta: 0,
                 div_delta: 0,
-                repaired: 0,
                 accepted: true,
                 tie: true,
                 coco: 0,

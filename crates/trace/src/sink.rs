@@ -170,7 +170,6 @@ mod tests {
                 round,
                 coco_delta: -(round as i64),
                 div_delta: 0,
-                repaired: 0,
                 accepted: true,
                 tie: round == 0,
                 coco: 0,

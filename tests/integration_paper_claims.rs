@@ -185,7 +185,6 @@ fn batched_enhance_is_byte_identical_across_thread_counts() {
                     sequential.hierarchies_accepted
                 );
                 assert_eq!(batched.total_swaps, sequential.total_swaps);
-                assert_eq!(batched.total_repaired, sequential.total_repaired);
             }
         }
     }

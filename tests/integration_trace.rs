@@ -76,26 +76,30 @@ fn jsonl_trace_is_parseable_and_covers_every_round() {
     // Telemetry agrees with the event stream.
     assert_eq!(result.telemetry.rounds(), NH);
 
-    // Every gate line carries the accept verdict, both deltas and the
-    // round's repair count; the counts add up to the run's total.
-    let mut repaired = 0usize;
+    // Every gate line carries both deltas and a kept verdict (the driver
+    // fails a run on a rejected round), and the Coco deltas add up to the
+    // run's change of Coco.
+    let mut coco_change = 0i64;
     for line in lines.iter().filter(|l| l.contains("\"event\": \"gate\"")) {
-        for key in [
-            "\"round\": ",
-            "\"coco_delta\": ",
-            "\"div_delta\": ",
-            "\"repaired\": ",
-            "\"accepted\": ",
-        ] {
+        for key in ["\"round\": ", "\"coco_delta\": ", "\"div_delta\": "] {
             assert!(line.contains(key), "missing {key} in {line}");
         }
-        let value = line.split("\"repaired\": ").nth(1).unwrap();
-        let digits: String = value.chars().take_while(char::is_ascii_digit).collect();
-        repaired += digits.parse::<usize>().unwrap();
+        assert!(
+            line.contains("\"accepted\": true"),
+            "rejected round: {line}"
+        );
+        let value = line.split("\"coco_delta\": ").nth(1).unwrap();
+        let number: String = value
+            .chars()
+            .take_while(|c| *c == '-' || c.is_ascii_digit())
+            .collect();
+        coco_change += number.parse::<i64>().unwrap();
     }
-    assert_eq!(repaired, result.total_repaired);
-    assert_eq!(result.telemetry.total_repaired, result.total_repaired);
-    assert_eq!(result.telemetry.repaired.count(), NH as u64);
+    assert_eq!(
+        coco_change,
+        result.final_coco as i64 - result.initial_coco as i64
+    );
+    assert_eq!(result.telemetry.delta_coco.count(), NH as u64);
 }
 
 #[test]
@@ -124,7 +128,6 @@ fn tracing_never_changes_the_result() {
             assert_eq!(r.final_coco, baseline.final_coco);
             assert_eq!(r.hierarchies_accepted, baseline.hierarchies_accepted);
             assert_eq!(r.total_swaps, baseline.total_swaps);
-            assert_eq!(r.total_repaired, baseline.total_repaired);
             // So are the hierarchies' work counts.
             assert_eq!(r.telemetry.sweep_arcs, baseline.telemetry.sweep_arcs);
             assert_eq!(r.telemetry.contract_arcs, baseline.telemetry.contract_arcs);
