@@ -299,12 +299,13 @@ struct SuffixClasses {
     /// Per coarse vertex, the summed classes of its digit-0 and its digit-1
     /// children.
     pairs: Vec<[u32; 2]>,
-    /// Coarse vertices in the order of the counting sorts.
+    /// Coarse vertices grouped by their digit-0 entry.
     order: Vec<NodeId>,
-    /// The other buffer of the counting sorts.
-    sorted: Vec<NodeId>,
-    /// Bucket starts of the counting sorts.
+    /// Bucket starts of the counting sort.
     start: Vec<usize>,
+    /// Per digit-1 entry, the digit-0 entry of the pair it was last seen in
+    /// and that pair's class.
+    seen: Vec<Option<(u32, u32)>>,
 }
 
 impl SuffixClasses {
@@ -318,10 +319,11 @@ impl SuffixClasses {
     /// `fine_to_coarse` maps it onto `coarse_n` vertices. Children of one
     /// coarse vertex differ in digit 0 except for repeated level-0 labels,
     /// whose LEAF classes sum to their multiplicity; so summing classes per
-    /// digit gives each coarse vertex its exact pair. Two stable counting
-    /// sorts, by the digit-1 entry and then by the digit-0 entry, make equal
-    /// pairs adjacent, and they are interned as `1, 2, …` in that order:
-    /// O(level size + largest fine class), with no hashing.
+    /// digit gives each coarse vertex its exact pair. A counting sort groups
+    /// the pairs by their digit-0 entry, and within a group `seen` tells a
+    /// repeated digit-1 entry from a new one, since no group recurs: equal
+    /// pairs get equal classes `1, 2, …` in O(level size + largest fine
+    /// class), with no hashing.
     fn contract(&mut self, labels: &[u64], fine_to_coarse: &[NodeId], coarse_n: usize) {
         self.pairs.clear();
         self.pairs.resize(coarse_n, [EMPTY; 2]);
@@ -334,36 +336,35 @@ impl SuffixClasses {
             .flatten()
             .max()
             .map_or(0, |&m| m as usize + 1);
-        self.order.clear();
-        self.order.extend(0..coarse_n as NodeId);
-        self.sorted.resize(coarse_n, 0);
-        for digit in [1, 0] {
-            self.start.clear();
-            self.start.resize(buckets + 1, 0);
-            for &c in &self.order {
-                self.start[self.pairs[c as usize][digit] as usize + 1] += 1;
-            }
-            for k in 1..=buckets {
-                self.start[k] += self.start[k - 1];
-            }
-            for &c in &self.order {
-                let slot = &mut self.start[self.pairs[c as usize][digit] as usize];
-                self.sorted[*slot] = c;
-                *slot += 1;
-            }
-            std::mem::swap(&mut self.order, &mut self.sorted);
+        self.start.clear();
+        self.start.resize(buckets + 1, 0);
+        for &[a, _] in &self.pairs {
+            self.start[a as usize + 1] += 1;
         }
+        for k in 1..=buckets {
+            self.start[k] += self.start[k - 1];
+        }
+        self.order.resize(coarse_n, 0);
+        for (c, &[a, _]) in self.pairs.iter().enumerate() {
+            self.order[self.start[a as usize]] = c as NodeId;
+            self.start[a as usize] += 1;
+        }
+        self.seen.clear();
+        self.seen.resize(buckets, None);
         self.class.clear();
         self.class.resize(coarse_n, EMPTY);
         let mut id = EMPTY;
-        let mut previous = None;
         for &c in &self.order {
-            let pair = self.pairs[c as usize];
-            if previous != Some(pair) {
-                id += 1;
-                previous = Some(pair);
-            }
-            self.class[c as usize] = id;
+            let [a, b] = self.pairs[c as usize];
+            let seen = &mut self.seen[b as usize];
+            self.class[c as usize] = match *seen {
+                Some((group, class)) if group == a => class,
+                _ => {
+                    id += 1;
+                    *seen = Some((a, id));
+                    id
+                }
+            };
         }
     }
 }

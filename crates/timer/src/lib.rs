@@ -77,9 +77,9 @@ pub struct TimerConfig {
     /// boundaries; on expiry the driver returns the best labeling accepted
     /// so far with [`StopReason::DeadlineExceeded`]. `None` (the default)
     /// means unbounded, and so does a budget too large for any instant to
-    /// hold (such as `Duration::MAX`). Note that a wall-clock stop may land on a different
-    /// round for different thread counts, so deadline-bounded runs are the
-    /// one mode exempt from the byte-identity guarantee.
+    /// hold (such as `Duration::MAX`). Note that a wall-clock stop may land
+    /// on a different round for different thread counts, so deadline-bounded
+    /// runs are the one mode exempt from the byte-identity guarantee.
     pub deadline: Option<Duration>,
     /// Cooperative cancellation, checked at batch boundaries. The default
     /// token is never cancelled.

@@ -54,7 +54,7 @@ pub struct RoundTelemetry {
     /// excluded from [`RoundTelemetry::same_gate_trajectory`].
     pub worker_panics: usize,
     /// Why the run stopped offering rounds ([`StopReason::Completed`] unless
-    /// a deadline or a cancellation cut it short).
+    /// a deadline, cancellation, or the adaptive stopping rule cut it short).
     pub stop_reason: StopReason,
 }
 
