@@ -119,8 +119,7 @@ fn run() -> Result<(), String> {
         let ga = spec.build(scale);
         let part = partition(&ga, &PartitionConfig::new(topo.num_pes(), SEED));
         // Scrambled block-to-PE bijection: plenty of room for improvement, so
-        // the accept pattern (accept-heavy head, reject-heavy tail) matches
-        // the realistic enhancement workload instead of a no-op run.
+        // the rounds do real work instead of a no-op run.
         let scramble = random_permutation(topo.num_pes(), SEED);
         let mapping = Mapping::from_partition(&part, &scramble, topo.num_pes());
         eprintln!(

@@ -11,8 +11,8 @@ pub enum Phase {
     Sweep,
     /// One contraction of a hierarchy level into the next coarser one.
     Contract,
-    /// Assembling fine-level labels from a finished hierarchy, including the
-    /// bijection repair.
+    /// Assembling fine-level labels from a finished hierarchy (a push-down
+    /// from the coarsest level) and undoing the digit permutation.
     Assemble,
     /// The incidence-limited `(ΔCoco, ΔDiv)` scan pricing a candidate.
     DeltaScan,
