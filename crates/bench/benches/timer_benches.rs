@@ -1,8 +1,6 @@
 //! Criterion micro-benchmarks for the TIMER core: NH sweep (Table 2's cost
-//! driver), the Coco⁺ objective ablation, and the sequential driver vs the
-//! speculative hierarchy batches (Section 6.3 outlook). The batched driver
-//! returns byte-identical results for every thread count, so the
-//! `timer_speculative_batches` group measures pure scheduling gains.
+//! driver), the Coco⁺ objective ablation and the per-topology cost of one
+//! run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -66,28 +64,6 @@ fn objective_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sequential driver vs speculative hierarchy batches at 2/4/8 workers
-/// (results are byte-identical; only the wall-clock may differ).
-fn speculative_batches(c: &mut Criterion) {
-    let (ga, pcube, mapping, _) = bench_instance();
-    let mut group = c.benchmark_group("timer_speculative_batches");
-    group.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
-            b.iter(|| {
-                enhance_mapping(
-                    &ga,
-                    &pcube,
-                    &mapping,
-                    TimerConfig::new(10, 2).with_threads(t),
-                )
-                .unwrap()
-            });
-        });
-    }
-    group.finish();
-}
-
 /// Per-topology cost of one TIMER run (the rows of Table 2 / Figure 5).
 fn per_topology(c: &mut Criterion) {
     let spec = paper_networks()
@@ -108,11 +84,5 @@ fn per_topology(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    nh_sweep,
-    objective_ablation,
-    speculative_batches,
-    per_topology
-);
+criterion_group!(benches, nh_sweep, objective_ablation, per_topology);
 criterion_main!(benches);

@@ -1,10 +1,6 @@
-//! TIMER perf-trajectory harness: times `Timer::enhance` per workload scale
-//! × thread count and writes the machine-readable `BENCH_timer.json`
-//! artifact, so the wall-clock/quality trajectory of the batched driver is
-//! tracked across PRs. The batched driver is byte-identical to the
-//! sequential one, so the trajectory (see `trajectory_mismatch`) must
-//! agree across thread counts within a scale — the harness fails the run
-//! when it does not.
+//! TIMER perf-trajectory harness: times `Timer::enhance` at each workload
+//! scale and writes the machine-readable `BENCH_timer.json` artifact, so
+//! the wall-clock/quality trajectory of the driver is tracked across PRs.
 //!
 //! Usage:
 //!   cargo run -p tie-bench --bin bench_timer --release -- \
@@ -98,7 +94,6 @@ fn run() -> Result<(), String> {
     } else {
         &[Scale::Tiny, Scale::Small, Scale::Medium]
     };
-    let thread_counts = [1usize, 2, 4];
     let trace = trace_from_flags(&args)?;
     let faults = FaultHandle::from_env().map_err(|e| format!("invalid TIE_FAULTS: {e}"))?;
     let hardware_threads = std::thread::available_parallelism()
@@ -128,103 +123,56 @@ fn run() -> Result<(), String> {
             ga.num_vertices(),
             ga.num_edges()
         );
-        // The threads = 1 result every other thread count must reproduce.
-        let mut reference: Option<TimerResult> = None;
-        for &threads in &thread_counts {
-            let oversubscribed = threads > hardware_threads;
-            if oversubscribed {
-                eprintln!(
-                    "  note: {threads} threads on {hardware_threads} hardware thread(s) \
-                     run {hardware_threads} worker(s) — this row runs exactly the \
-                     threads = {hardware_threads} schedule"
-                );
-            }
-            // Repeat the cell: the trajectory is deterministic, so every
-            // repetition must reproduce the first one exactly — only the
-            // wall-clock varies, and min/median tame its noise.
-            let mut walls_ms: Vec<f64> = Vec::with_capacity(reps);
-            let mut result = None;
-            let mut effective_batch = 0;
-            for rep in 0..reps {
-                let cfg = TimerConfig::new(nh, SEED)
-                    .with_threads(threads)
-                    .with_trace(trace.clone())
-                    .with_faults(faults.clone());
-                effective_batch = cfg.effective_batch();
-                let start = Instant::now();
-                let rep_result = enhance_mapping(&ga, &pcube, &mapping, cfg)
-                    .map_err(|e| format!("enhance failed at scale {}: {e}", scale_name(scale)))?;
-                walls_ms.push(start.elapsed().as_secs_f64() * 1e3);
-                match &result {
-                    None => result = Some(rep_result),
-                    Some(first) => {
-                        if let Some(field) = trajectory_mismatch(first, &rep_result) {
-                            return Err(format!(
-                                "scale {}, threads {threads}: rep {rep} diverged from rep 0 \
-                                 ({field} differs)",
-                                scale_name(scale)
-                            ));
-                        }
+        // Repeat the cell: the trajectory is deterministic, so every
+        // repetition must reproduce the first one exactly — only the
+        // wall-clock varies, and min/median tame its noise.
+        let mut walls_ms: Vec<f64> = Vec::with_capacity(reps);
+        let mut result: Option<TimerResult> = None;
+        for rep in 0..reps {
+            let cfg = TimerConfig::new(nh, SEED)
+                .with_trace(trace.clone())
+                .with_faults(faults.clone());
+            let start = Instant::now();
+            let rep_result = enhance_mapping(&ga, &pcube, &mapping, cfg)
+                .map_err(|e| format!("enhance failed at scale {}: {e}", scale_name(scale)))?;
+            walls_ms.push(start.elapsed().as_secs_f64() * 1e3);
+            match &result {
+                None => result = Some(rep_result),
+                Some(first) => {
+                    if let Some(field) = trajectory_mismatch(first, &rep_result) {
+                        return Err(format!(
+                            "scale {}: rep {rep} diverged from rep 0 ({field} differs)",
+                            scale_name(scale)
+                        ));
                     }
                 }
             }
-            let result = result.expect("reps >= 1 is enforced at parse time");
-            walls_ms.sort_by(|a, b| a.total_cmp(b));
-            let wall_ms_min = walls_ms[0];
-            let wall_ms = if walls_ms.len() % 2 == 1 {
-                walls_ms[walls_ms.len() / 2]
-            } else {
-                let hi = walls_ms.len() / 2;
-                (walls_ms[hi - 1] + walls_ms[hi]) / 2.0
-            };
-            eprintln!(
-                "  threads {threads}: median {wall_ms:.1} ms, min {wall_ms_min:.1} ms \
-                 over {reps} rep(s), Coco {} -> {} ({} kept rounds{})",
-                result.initial_coco,
-                result.final_coco,
-                result.hierarchies_accepted,
-                if result.telemetry.worker_panics > 0 {
-                    format!(
-                        ", {} worker panic(s) absorbed",
-                        result.telemetry.worker_panics
-                    )
-                } else {
-                    String::new()
-                }
-            );
-            // The whole trajectory, gate telemetry included, must be
-            // byte-identical across thread counts; only the phase wall-clock
-            // may differ.
-            if let Some(first) = &reference {
-                if let Some(field) = trajectory_mismatch(first, &result) {
-                    return Err(format!(
-                        "scale {}: threads {threads} diverged from the sequential \
-                         trajectory ({field} differs)",
-                        scale_name(scale)
-                    ));
-                }
-            }
-            entries.push(TimerBenchEntry {
-                scale: scale_name(scale).to_string(),
-                threads,
-                batch: effective_batch,
-                wall_ms,
-                wall_ms_min,
-                initial_coco: result.initial_coco,
-                final_coco: result.final_coco,
-                accepted: result.hierarchies_accepted,
-                total_swaps: result.total_swaps,
-                threads_oversubscribed: oversubscribed,
-            });
-            if reference.is_none() {
-                reference = Some(result);
-            }
         }
-        // The embedded record is the threads = 1 run's, so the phase
-        // breakdown reads as sequential time.
-        if let Some(first) = reference {
-            telemetry.push((scale_name(scale).to_string(), first.telemetry));
-        }
+        let result = result.expect("reps >= 1 is enforced at parse time");
+        walls_ms.sort_by(|a, b| a.total_cmp(b));
+        let wall_ms_min = walls_ms[0];
+        let wall_ms = if walls_ms.len() % 2 == 1 {
+            walls_ms[walls_ms.len() / 2]
+        } else {
+            let hi = walls_ms.len() / 2;
+            (walls_ms[hi - 1] + walls_ms[hi]) / 2.0
+        };
+        eprintln!(
+            "  median {wall_ms:.1} ms, min {wall_ms_min:.1} ms over {reps} rep(s), \
+             Coco {} -> {} ({} kept rounds)",
+            result.initial_coco, result.final_coco, result.hierarchies_accepted
+        );
+        entries.push(TimerBenchEntry {
+            scale: scale_name(scale).to_string(),
+            wall_ms,
+            wall_ms_min,
+            initial_coco: result.initial_coco,
+            final_coco: result.final_coco,
+            accepted: result.hierarchies_accepted,
+            total_swaps: result.total_swaps,
+        });
+        // The embedded record is the first repetition's.
+        telemetry.push((scale_name(scale).to_string(), result.telemetry));
     }
 
     let json = format_bench_json(

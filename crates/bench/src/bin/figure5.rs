@@ -2,11 +2,7 @@
 //! per processor topology, for the experimental cases c1–c4.
 //!
 //! Usage:
-//! `cargo run -p tie-bench --bin figure5 --release -- [--case c1|c2|c3|c4] [--full] [--scale ...] [--reps N] [--nh N] [--threads N] [--batch B]`
-//!
-//! `--threads`/`--batch` drive TIMER's speculative hierarchy batches; the
-//! reported quality numbers are byte-identical for every setting — the flags
-//! only change the wall-clock.
+//! `cargo run -p tie-bench --bin figure5 --release -- [--case c1|c2|c3|c4] [--full] [--scale ...] [--reps N] [--nh N]`
 //!
 //! Without `--case`, all four cases are run (Figures 5a, 5b, 5c and 5d).
 

@@ -12,7 +12,7 @@
 //! Usage:
 //!   cargo run -p tie-bench --bin map_file --release -- \
 //!       --graph app.metis --topology grid16x16 [--case c2|c3|c4|c1] \
-//!       [--nh 50] [--eps 0.03] [--seed 1] [--threads N] [--batch B] \
+//!       [--nh 50] [--eps 0.03] [--seed 1] \
 //!       [--deadline-ms N] [--out mapping.txt] [--json] \
 //!       [--client SOCKET [--ping | --shutdown [--shutdown-mode drain|cancel]]] \
 //!       [--trace-out trace.jsonl] [--trace-level gate|phase|debug]
@@ -33,17 +33,13 @@ use tie_mapd::protocol::{GraphSource, MapRequest, MapResponse, Response, Shutdow
 use tie_mapd::{Service, ServiceOptions};
 
 const USAGE: &str = "usage: map_file --graph FILE --topology NAME \
-     [--case c1|c2|c3|c4] [--nh N] [--eps F] [--seed N] [--threads N] \
-     [--batch N] [--deadline-ms N] [--out PATH] [--json] \
+     [--case c1|c2|c3|c4] [--nh N] [--eps F] [--seed N] \
+     [--deadline-ms N] [--out PATH] [--json] \
      [--client SOCKET [--ping | --shutdown [--shutdown-mode drain|cancel]]] \
      [--trace-out PATH|-] [--trace-level off|gate|phase|debug]";
 
 fn build_request(args: &[String]) -> Result<MapRequest, String> {
     let seed: u64 = parsed_flag(args, "--seed", 1)?;
-    let threads: usize = parsed_flag(args, "--threads", 1)?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".to_string());
-    }
     // Without --graph a demo network is generated so the binary is runnable
     // out of the box. It travels inline even in client mode, so local and
     // served runs rebuild the identical graph.
@@ -67,8 +63,9 @@ fn build_request(args: &[String]) -> Result<MapRequest, String> {
         nh: parsed_flag(args, "--nh", 50)?,
         eps: parsed_flag(args, "--eps", 0.03)?,
         seed,
-        threads,
-        batch: parsed_flag(args, "--batch", 0)?,
+        // Wire fields without effect (see `MapRequest::threads`).
+        threads: 1,
+        batch: 0,
         deadline_ms: parsed_flag(args, "--deadline-ms", 0)?,
     })
 }

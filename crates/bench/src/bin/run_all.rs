@@ -2,11 +2,12 @@
 //! Figures 5a–5d and Table 2. This is the binary EXPERIMENTS.md is generated
 //! from.
 //!
-//! Usage: `cargo run -p tie-bench --bin run_all --release -- [--scale tiny|small|medium] [--reps N] [--nh N] [--threads N] [--batch B] [--deadline-ms N] [--out PATH]`
+//! Usage: `cargo run -p tie-bench --bin run_all --release -- [--scale tiny|small|medium] [--reps N] [--nh N] [--deadline-ms N] [--out PATH]`
 //!
-//! A repetition that fails (fault injection, malformed input, worker panic)
-//! does not abort the run: the sweep keeps going, the failure is reported on
-//! stderr, and `--out PATH` writes a JSON record with per-row errors.
+//! A repetition that fails (fault injection, malformed input, a panicking
+//! round) does not abort the run: the sweep keeps going, the failure is
+//! reported on stderr, and `--out PATH` writes a JSON record with per-row
+//! errors.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -40,18 +41,13 @@ fn main() -> ExitCode {
 
     println!("== TIMER reproduction: reduced-scale evaluation ==");
     println!(
-        "scale {:?}, {} networks, {} topologies, reps {}, NH {}, eps {}, threads {} (batch {})\n",
+        "scale {:?}, {} networks, {} topologies, reps {}, NH {}, eps {}\n",
         options.scale,
         networks.len(),
         topologies.len(),
         options.repetitions,
         options.num_hierarchies,
         options.epsilon,
-        options.threads,
-        tie_timer::TimerConfig::default()
-            .with_threads(options.threads)
-            .with_batch(options.batch)
-            .effective_batch()
     );
 
     // Table 1 (reduced).

@@ -31,11 +31,6 @@ pub struct ExperimentConfig {
     pub epsilon: f64,
     /// Base seed; repetition `r` uses `seed + r`.
     pub seed: u64,
-    /// Worker threads for TIMER's speculative hierarchy batches
-    /// (1 = paper setting; results are byte-identical for any value).
-    pub threads: usize,
-    /// Hierarchy rounds speculated per batch (0 = match `threads`).
-    pub batch: usize,
     /// Flight-recorder handle passed through to TIMER (disabled by
     /// default; recording never changes results).
     pub trace: TraceHandle,
@@ -53,8 +48,6 @@ impl Default for ExperimentConfig {
             num_hierarchies: 50,
             epsilon: 0.03,
             seed: 1,
-            threads: 1,
-            batch: 0,
             trace: TraceHandle::off(),
             deadline: None,
             faults: FaultHandle::off(),
@@ -77,11 +70,9 @@ pub struct CaseResult {
     pub timer_time: Duration,
     /// Number of hierarchy rounds TIMER accepted.
     pub hierarchies_accepted: usize,
-    /// Why the TIMER run stopped (`Completed` unless a deadline or the
-    /// adaptive stopping rule cut it short).
+    /// Why the TIMER run stopped (`Completed` unless a deadline cut it
+    /// short).
     pub stop_reason: StopReason,
-    /// Speculative worker panics TIMER absorbed (0 on healthy runs).
-    pub worker_panics: usize,
 }
 
 impl CaseResult {
@@ -150,8 +141,6 @@ pub fn run_case(
         num_hierarchies: config.num_hierarchies,
         seed: config.seed,
         use_diversity: true,
-        threads: config.threads,
-        batch: config.batch,
         trace: config.trace.clone(),
         deadline: config.deadline,
         faults: config.faults.clone(),
@@ -175,7 +164,6 @@ pub fn run_case(
         timer_time,
         hierarchies_accepted: result.hierarchies_accepted,
         stop_reason: result.stop_reason,
-        worker_panics: result.telemetry.worker_panics,
     })
 }
 

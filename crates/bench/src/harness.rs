@@ -26,10 +26,6 @@ pub struct SweepOptions {
     pub num_hierarchies: usize,
     /// Partitioner imbalance (3 % in the paper).
     pub epsilon: f64,
-    /// Worker threads for TIMER's speculative hierarchy batches.
-    pub threads: usize,
-    /// Hierarchy rounds speculated per batch (0 = match `threads`).
-    pub batch: usize,
     /// Flight-recorder handle (from `--trace-out`/`--trace-level`; disabled
     /// by default).
     pub trace: TraceHandle,
@@ -47,8 +43,6 @@ impl Default for SweepOptions {
             repetitions: 3,
             num_hierarchies: 10,
             epsilon: 0.03,
-            threads: 1,
-            batch: 0,
             trace: TraceHandle::off(),
             deadline: None,
             faults: FaultHandle::off(),
@@ -98,8 +92,6 @@ pub fn run_sweep(
                     num_hierarchies: options.num_hierarchies,
                     epsilon: options.epsilon,
                     seed: spec.seed.wrapping_mul(31).wrapping_add(rep as u64),
-                    threads: options.threads,
-                    batch: options.batch,
                     trace: options.trace.clone(),
                     deadline: options.deadline,
                     faults: options.faults.clone(),
@@ -204,13 +196,12 @@ pub fn timing_rows(
 /// One-line usage text shared by the report binaries; printed alongside the
 /// error when [`parse_options`] rejects a flag.
 pub const USAGE: &str = "options: [--scale tiny|small|medium] [--reps N] [--nh N] \
-     [--threads N] [--batch N] [--full] [--deadline-ms N] \
+     [--full] [--deadline-ms N] \
      [--trace-out PATH|-] [--trace-level off|gate|phase|debug]  \
      (env: TIE_FAULTS=<fault spec> arms fault injection)";
 
 /// Parses the flags shared by the binaries (`--scale`, `--reps`, `--nh`,
-/// `--threads`, `--batch`, `--full`, `--deadline-ms`, `--trace-out`,
-/// `--trace-level`) with the `tie_mapd::cli` helpers. Unknown flags are
+/// `--full`, `--deadline-ms`, `--trace-out`, `--trace-level`) with the `tie_mapd::cli` helpers. Unknown flags are
 /// ignored so binaries can add their own; a known flag with a *missing or
 /// malformed* value is an `Err` with a one-line explanation — callers print
 /// it with [`USAGE`] and exit instead of panicking mid-parse.
@@ -241,11 +232,6 @@ pub fn parse_options(args: &[String]) -> Result<SweepOptions, String> {
     }
     opts.repetitions = parsed_flag(args, "--reps", opts.repetitions)?;
     opts.num_hierarchies = parsed_flag(args, "--nh", opts.num_hierarchies)?;
-    opts.threads = parsed_flag(args, "--threads", opts.threads)?;
-    if opts.threads == 0 {
-        return Err("--threads must be at least 1".to_string());
-    }
-    opts.batch = parsed_flag(args, "--batch", opts.batch)?;
     if let Some(ms) = try_flag_value(args, "--deadline-ms")? {
         match ms.parse() {
             Ok(ms) if ms > 0 => opts.deadline = Some(Duration::from_millis(ms)),
@@ -293,27 +279,14 @@ mod tests {
 
     #[test]
     fn parse_options_flags() {
-        let args: Vec<String> = [
-            "--scale",
-            "tiny",
-            "--reps",
-            "7",
-            "--nh",
-            "12",
-            "--threads",
-            "2",
-            "--batch",
-            "4",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        let args: Vec<String> = ["--scale", "tiny", "--reps", "7", "--nh", "12"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         let o = parse_options(&args).unwrap();
         assert_eq!(o.scale, Scale::Tiny);
         assert_eq!(o.repetitions, 7);
         assert_eq!(o.num_hierarchies, 12);
-        assert_eq!(o.threads, 2);
-        assert_eq!(o.batch, 4);
         assert_eq!(o.deadline, None);
         let full = parse_options(&["--full".to_string()]).unwrap();
         assert_eq!(full.repetitions, 5);
@@ -323,16 +296,14 @@ mod tests {
     #[test]
     fn parse_options_rejects_malformed_values() {
         let cases: &[&[&str]] = &[
-            &["--threads", "zero"],
-            &["--threads", "0"],
-            &["--batch", "-3"],
+            &["--reps", "-3"],
             &["--reps", "many"],
             &["--nh", "1.5"],
             &["--scale", "huge"],
             &["--deadline-ms", "soon"],
             &["--deadline-ms", "0"],
             &["--trace-level", "loud"],
-            &["--threads"],
+            &["--nh"],
         ];
         for case in cases {
             let args: Vec<String> = case.iter().map(|s| s.to_string()).collect();

@@ -208,16 +208,11 @@ pub fn format_sweep_json(per_case: &[(MapCase, Vec<CellObservations>)]) -> Strin
 }
 
 /// One measurement of the TIMER perf-trajectory harness (`bench_timer`):
-/// a full `Timer::enhance` run at one scale × thread-count cell.
+/// a full `Timer::enhance` run at one scale.
 #[derive(Clone, Debug)]
 pub struct TimerBenchEntry {
     /// Workload scale name (`tiny`, `small`, `medium`).
     pub scale: String,
-    /// Worker threads for the speculative batches.
-    pub threads: usize,
-    /// Speculation-depth cap the run used (`TimerConfig::effective_batch`:
-    /// the resolved value, never more than the run's worker count).
-    pub batch: usize,
     /// Median wall-clock of the `enhance` call across repetitions, in
     /// milliseconds (with `--reps 1` this is the single measurement).
     pub wall_ms: f64,
@@ -225,17 +220,12 @@ pub struct TimerBenchEntry {
     pub wall_ms_min: f64,
     /// Coco of the initial mapping.
     pub initial_coco: u64,
-    /// Coco of the enhanced mapping (byte-identical across thread counts).
+    /// Coco of the enhanced mapping.
     pub final_coco: u64,
     /// Hierarchy rounds whose result was kept.
     pub accepted: usize,
     /// Label swaps performed across all sweeps.
     pub total_swaps: usize,
-    /// True when this row asked for more worker threads than the machine
-    /// has. The driver then runs one worker per hardware thread and caps
-    /// the speculation depth there, so the row runs exactly the schedule of
-    /// the row with `hardware_threads` threads.
-    pub threads_oversubscribed: bool,
 }
 
 /// Formats a [`LogHistogram`] as a JSON array of its non-empty buckets,
@@ -262,9 +252,8 @@ fn format_histogram_json(hist: &LogHistogram) -> String {
 /// emitted by hand.
 ///
 /// `telemetry` carries one accept-gate record per scale (gate outcomes and
-/// hierarchy work counts are byte-identical across thread counts, so one
-/// record covers all rows of a scale; the phase breakdown comes from that scale's threads = 1 run, and
-/// with `reps > 1` from that run's first repetition).
+/// hierarchy work counts are byte-identical across repetitions; the phase
+/// breakdown comes from the scale's first repetition).
 #[allow(clippy::too_many_arguments)] // flat artifact header, one field each
 pub fn format_bench_json(
     nh: usize,
@@ -282,27 +271,23 @@ pub fn format_bench_json(
     let _ = writeln!(out, "  \"reps\": {reps},");
     let _ = writeln!(out, "  \"network\": \"{network}\",");
     let _ = writeln!(out, "  \"topology\": \"{topology}\",");
-    // Wall-clock context: with hardware_threads = 1 the batched rows can at
-    // best tie the sequential row; real speedups need real cores.
+    // Wall-clock context: the host the rows were timed on.
     let _ = writeln!(out, "  \"hardware_threads\": {hardware_threads},");
     let _ = writeln!(out, "  \"results\": [");
     for (i, e) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "    {{\"scale\": \"{}\", \"threads\": {}, \"batch\": {}, \"wall_ms\": {:.3}, \
-             \"wall_ms_min\": {:.3}, \"initial_coco\": {}, \"final_coco\": {}, \
-             \"accepted\": {}, \"total_swaps\": {}, \"threads_oversubscribed\": {}}}{}",
+            "    {{\"scale\": \"{}\", \"wall_ms\": {:.3}, \"wall_ms_min\": {:.3}, \
+             \"initial_coco\": {}, \"final_coco\": {}, \"accepted\": {}, \
+             \"total_swaps\": {}}}{}",
             e.scale,
-            e.threads,
-            e.batch,
             e.wall_ms,
             e.wall_ms_min,
             e.initial_coco,
             e.final_coco,
             e.accepted,
             e.total_swaps,
-            e.threads_oversubscribed,
             comma
         );
     }
@@ -418,27 +403,21 @@ mod tests {
         let entries = vec![
             TimerBenchEntry {
                 scale: "tiny".into(),
-                threads: 1,
-                batch: 1,
                 wall_ms: 12.3456,
                 wall_ms_min: 11.9,
                 initial_coco: 100,
                 final_coco: 80,
                 accepted: 3,
                 total_swaps: 42,
-                threads_oversubscribed: false,
             },
             TimerBenchEntry {
-                scale: "tiny".into(),
-                threads: 4,
-                batch: 4,
-                wall_ms: 4.0,
-                wall_ms_min: 3.5,
-                initial_coco: 100,
-                final_coco: 80,
+                scale: "small".into(),
+                wall_ms: 40.0,
+                wall_ms_min: 35.5,
+                initial_coco: 300,
+                final_coco: 250,
                 accepted: 3,
-                total_swaps: 42,
-                threads_oversubscribed: true,
+                total_swaps: 97,
             },
         ];
         let mut tel = RoundTelemetry::default();
@@ -463,10 +442,10 @@ mod tests {
         assert!(s.contains("\"hardware_threads\": 4"));
         assert!(s.contains("\"wall_ms\": 12.346"));
         assert!(s.contains("\"wall_ms_min\": 11.900"));
-        assert!(s.contains("\"threads\": 4"));
+        assert!(s.contains("\"scale\": \"small\""));
         assert!(s.contains("\"final_coco\": 80"));
-        assert!(s.contains("\"threads_oversubscribed\": false"));
-        assert!(s.contains("\"threads_oversubscribed\": true"));
+        assert!(!s.contains("\"threads\""), "no per-row thread count");
+        assert!(!s.contains("batch"));
         // Telemetry block: gate counts, histograms with inclusive bounds,
         // and the full fixed phase vocabulary.
         assert!(s.contains("\"accepted\": 2,"));

@@ -5,9 +5,9 @@
 //! (`tie-trace`-style plumbing: a disabled handle is one branch per probe
 //! site), and a [`FaultPlan`] arms specific faults at specific places:
 //!
-//! * **worker panics** at chosen hierarchy rounds (`panic@R`, or seeded via
-//!   [`FaultPlan::with_seeded_panics`]) — exercising the driver's
-//!   panic-isolated speculation,
+//! * **round panics** at chosen hierarchy rounds (`panic@R`, or seeded via
+//!   [`FaultPlan::with_seeded_panics`]) — exercising the driver's panic
+//!   guard, which turns the first one into `TieError::WorkerPanicked`,
 //! * **IO errors** on the n-th counted IO operation (`io@N`) — exercising
 //!   the typed-error paths of `tie-graph::io` and the `mapd` socket framing
 //!   layer (readers and socket frames share one operation counter),
@@ -16,11 +16,8 @@
 //!   ([`SITES`]) include the daemon's `socket_io` and `cache_build` probes.
 //!
 //! Every fault is *consumed* when it fires: a panic armed once at round `R`
-//! hits the first attempt of round `R` and lets the quarantine re-run
-//! succeed, which is exactly the transient-fault model the driver's
-//! graceful-degradation contract is written against (`docs/RESILIENCE.md`).
-//! Arm a fault more than once (`panic@R*2`) to model a *persistent* fault
-//! and drive the hard-failure path.
+//! hits the first run of round `R` only. Arm a fault more than once
+//! (`panic@R*2`) to make it fire again on a later run with the same handle.
 //!
 //! Binaries pick up a plan from the `TIE_FAULTS` environment variable via
 //! [`FaultHandle::from_env`]; libraries never read the environment — they
@@ -89,8 +86,8 @@ impl FaultPlan {
     }
 
     /// Arms panics at the first `times` attempts of hierarchy round `round`
-    /// (`times >= 2` makes the fault persistent: the quarantine re-run
-    /// panics too and the run fails with `WorkerPanicked`).
+    /// (`times >= 2` makes a later run with the same handle panic at that
+    /// round too).
     pub fn with_panic_at_round_times(mut self, round: usize, times: u32) -> Self {
         *self.panic_rounds.entry(round).or_insert(0) += times;
         self
@@ -197,8 +194,8 @@ impl FaultPlan {
 }
 
 struct HandleInner {
-    /// Remaining panics per round; consumed as they fire so quarantine
-    /// re-runs of a once-armed round succeed.
+    /// Remaining panics per round; consumed as they fire, so a later
+    /// attempt of a once-armed round succeeds.
     panic_rounds: Mutex<BTreeMap<usize, u32>>,
     io_ops: BTreeSet<u64>,
     io_counter: AtomicU64,
@@ -286,7 +283,7 @@ impl FaultHandle {
         if fire {
             inner.panics_fired.fetch_add(1, Ordering::Relaxed);
             // tie-lint: allow(no-panic-paths) — this panic IS the injected fault; callers opt in via TIE_FAULTS
-            panic!("{INJECTED_PANIC_PREFIX} worker panic at round {round}");
+            panic!("{INJECTED_PANIC_PREFIX} panic at round {round}");
         }
     }
 
@@ -367,7 +364,7 @@ mod tests {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| h.maybe_panic(3)));
         assert!(r.is_err());
         assert_eq!(h.panics_fired(), 1);
-        // Consumed: the quarantine re-run of round 3 succeeds.
+        // Consumed: a later attempt of round 3 succeeds.
         h.maybe_panic(3);
         assert_eq!(h.panics_fired(), 1);
     }

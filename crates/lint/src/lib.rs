@@ -5,8 +5,9 @@
 //! machine-checked on every commit instead of guarded only by tests after
 //! the fact.
 //!
-//! The load-bearing invariant is that `Timer::enhance` is byte-identical
-//! across every `(threads, batch)` setting (docs/DETERMINISM.md). The rules:
+//! The load-bearing invariant is that `Timer::enhance` returns
+//! byte-identical results on every re-run with the same seed
+//! (docs/DETERMINISM.md). The rules:
 //!
 //! * **no-unordered-iteration** — no `HashMap`/`HashSet` iteration on
 //!   non-test paths of result-affecting crates (lookups stay legal);

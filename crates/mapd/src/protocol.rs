@@ -113,9 +113,11 @@ pub struct MapRequest {
     pub eps: f64,
     /// Seed for partitioning, initial mapping and TIMER.
     pub seed: u64,
-    /// TIMER worker threads (results are thread-count-invariant).
+    /// Has no effect beyond being checked to be at least 1: TIMER runs its
+    /// rounds one after another. Kept only until the end-to-end benchmark,
+    /// which still sends it, drops it.
     pub threads: usize,
-    /// TIMER speculation-depth cap (0 = match threads).
+    /// Has no effect, like `threads`, and kept for the same reason.
     pub batch: usize,
     /// Whole-request deadline in milliseconds (0 = unbounded). Covers
     /// admission queueing *and* enhancement.

@@ -215,8 +215,6 @@ impl Service {
         let initial = case.initial_mapping(&ga, &part, &topo.graph, req.seed);
 
         let mut cfg = TimerConfig::new(req.nh, req.seed)
-            .with_threads(req.threads)
-            .with_batch(req.batch)
             .with_trace(self.trace.clone())
             .with_cancel_token(self.cancel.clone())
             .with_faults(self.faults.clone());
@@ -296,6 +294,16 @@ fn load_graph(src: &GraphSource, faults: &FaultHandle) -> Result<Graph, ServeErr
             num_vertices,
             edges,
         } => {
+            // The rule `read_edge_list` applies to its header: a vertex count
+            // beyond both the edge count and 2^20 isolated vertices is an
+            // overflow or a typo, refused before anything is allocated.
+            if *num_vertices > edges.len().max(1 << 20) {
+                return Err(ServeError::Invalid(format!(
+                    "{num_vertices} vertices for {} edges: refusing to allocate \
+                     for an impossible count",
+                    edges.len()
+                )));
+            }
             let mut b = GraphBuilder::new(*num_vertices);
             for &(u, v, w) in edges {
                 if (u as usize) >= *num_vertices || (v as usize) >= *num_vertices {
@@ -395,6 +403,31 @@ mod tests {
             service.execute(&bad_threads),
             Err(ServeError::Invalid(_))
         ));
+    }
+
+    /// Request fields that would size an allocation, or leave no PE to map
+    /// to, are refused up front: each of these aborted the process or
+    /// panicked.
+    #[test]
+    fn execute_refuses_oversized_graphs_and_topologies() {
+        let service = Service::new(ServiceOptions::default());
+        let mut huge_graph = demo_request(3);
+        huge_graph.graph = GraphSource::Inline {
+            num_vertices: 1 << 40,
+            edges: vec![(0, 1, 1)],
+        };
+        let mut huge_path = demo_request(3);
+        huge_path.topology = "path1099511627776".to_string();
+        let mut huge_cube = demo_request(3);
+        huge_cube.topology = "hypercube21".to_string();
+        let mut no_pes = demo_request(3);
+        no_pes.topology = "grid0x4".to_string();
+        for req in [huge_graph, huge_path, huge_cube, no_pes] {
+            let result = service.execute(&req);
+            assert!(matches!(result, Err(ServeError::Invalid(_))), "{result:?}");
+        }
+        // The service still serves afterwards.
+        assert!(service.execute(&demo_request(3)).is_ok());
     }
 
     #[test]

@@ -16,13 +16,18 @@ use tie_trace::{MemorySink, TraceHandle, TraceLevel};
 
 #[test]
 fn concurrent_misses_are_single_flight() {
-    let cache = TopologyCache::new(4, TraceHandle::off(), FaultHandle::off());
-    let builds = AtomicUsize::new(0);
-    let topo = Topology::grid2d(4, 4);
+    let cache = Arc::new(TopologyCache::new(
+        4,
+        TraceHandle::off(),
+        FaultHandle::off(),
+    ));
+    let builds = Arc::new(AtomicUsize::new(0));
+    let topo = Arc::new(Topology::grid2d(4, 4));
 
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            s.spawn(|| {
+    let workers: Vec<_> = (0..4)
+        .map(|_| {
+            let (cache, builds, topo) = (cache.clone(), builds.clone(), topo.clone());
+            std::thread::spawn(move || {
                 let (ctx, _) = cache
                     .get_or_build("grid4x4", || {
                         builds.fetch_add(1, Ordering::SeqCst);
@@ -30,9 +35,12 @@ fn concurrent_misses_are_single_flight() {
                     })
                     .unwrap();
                 assert_eq!(ctx.num_pes(), 16);
-            });
-        }
-    });
+            })
+        })
+        .collect();
+    for worker in workers {
+        worker.join().unwrap();
+    }
 
     // Exactly one thread built; the other three waited and shared the result.
     assert_eq!(builds.load(Ordering::SeqCst), 1);
@@ -166,7 +174,7 @@ fn hit_and_miss_enhancements_are_byte_identical() {
     let cache = TopologyCache::new(2, TraceHandle::off(), FaultHandle::off());
 
     let run = |ctx: &TopologyContext| {
-        Timer::new(TimerConfig::new(8, 11).with_threads(2))
+        Timer::new(TimerConfig::new(8, 11))
             .enhance_with_context(&ga, ctx, &initial)
             .unwrap()
     };

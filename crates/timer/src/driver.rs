@@ -1,11 +1,13 @@
 //! The TIMER driver (Algorithm 1): multi-hierarchical label swapping over
 //! `NH` random digit permutations.
 //!
-//! The permutations (line 6) come from one seeded RNG. The driver draws
-//! each round's permutation when it first schedules that round and keeps
-//! the ones drawn so far, so the stream, and hence every hierarchy, is the
-//! same for every schedule, and memory grows with the rounds actually run,
-//! not with `NH`.
+//! The `NH` rounds run one after another, each from the labeling the rounds
+//! before it left behind. Every round draws its digit permutation (line 6)
+//! from one seeded RNG into one reused buffer, builds and sweeps its
+//! hierarchy on one [`HierarchyScratch`] that lives for the whole run,
+//! offers the result to the accept gate and commits it. Memory therefore
+//! does not grow with `NH`, and cancel and deadline are checked before
+//! every round.
 //!
 //! Every round is kept. The hierarchy swaps only sibling groups of equal
 //! suffix class (see [`crate::hierarchy`]), so a round's `(ΔCoco, ΔDiv)` is
@@ -15,37 +17,15 @@
 //! sums, or that the gate rejects, ends the run with
 //! [`TieError::InvariantViolated`].
 //!
-//! # Speculative hierarchy batches
-//!
-//! The `NH` rounds form a sequential chain through the accept gate: round
-//! `k` starts from whatever labeling rounds `0..k` left behind. A batch of
-//! speculated rounds pays off only while kept rounds leave the labels
-//! unchanged, as on an edgeless graph; every kept round that changes them
-//! invalidates the rest of its batch. The driver runs
-//! `min(threads, hardware threads)` workers, each with one hierarchy
-//! scratch for the whole run. With more than one worker it runs a batch of
-//! `B` rounds (distinct digit permutations) concurrently from the same
-//! accepted base labeling, then commits the results in permutation order
-//! against the live gate. A kept round that actually changes the labels
-//! invalidates the not-yet-committed speculations (they were built from a
-//! stale base); those rounds are discarded — without touching any counter —
-//! and re-executed from the new base in the next batch. The committed
-//! trajectory is therefore **byte-identical to the sequential driver** for
-//! every `(threads, batch)` combination: same labels, same counters, same
-//! result — batching and threading are pure scheduling knobs.
-//!
-//! The speculation depth adapts like a branch predictor: it doubles after
-//! every batch whose speculations all survived and resets to 1 whenever an
-//! acceptance invalidated the batch. It never exceeds the worker count, so
-//! a batch holds at most one candidate labeling per worker, and with one
-//! worker every round runs inline.
+//! Since every kept round changes the labels that the next round starts
+//! from, no round can start before its predecessor is committed: the driver
+//! runs on the calling thread. A round that panics ends the run with
+//! [`TieError::WorkerPanicked`].
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
 use std::time::Instant;
 
-use crossbeam::thread;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -94,17 +74,18 @@ pub struct TimerResult {
     /// Number of label swaps performed across all hierarchy sweeps.
     pub total_swaps: usize,
     /// Always 0: assembly is exact, so no assembled label is ever repaired
-    /// (see [`crate::assemble`]). Kept for callers that still read it.
+    /// (see [`crate::assemble`]). Kept only until the end-to-end benchmark,
+    /// which still reads it, drops it.
     pub total_repaired: usize,
     /// Flight-recorder summary of the run: accept/reject/tie counts, the
     /// per-round `ΔCoco`/`ΔDiv` histograms and a per-phase wall-clock
     /// breakdown. Always collected (the gate side rides the delta scan the
-    /// driver performs anyway); the gate side is byte-identical across
-    /// `(threads, batch)` settings, the phase side is wall-clock.
+    /// driver performs anyway); the gate side is deterministic, the phase
+    /// side is wall-clock.
     pub telemetry: RoundTelemetry,
     /// Why the run stopped offering rounds: [`StopReason::Completed`] on a
     /// full run, or the deadline or cancellation that cut it short (the
-    /// labeling is then the best accepted so far).
+    /// labeling is then the one the last committed round left).
     pub stop_reason: StopReason,
 }
 
@@ -139,15 +120,13 @@ impl Timer {
     /// Returns [`TieError::InvalidInput`] for a malformed config or a
     /// graph/mapping size mismatch, [`TieError::IncompatibleTopology`] when
     /// the labeling cannot carry the mapping (PE-count mismatch, duplicate
-    /// PE labels, label overflow), and [`TieError::WorkerPanicked`] when a
-    /// hierarchy round panics *persistently* (a transient worker panic is
-    /// absorbed: the round is quarantined and re-run sequentially, counted
-    /// in `telemetry.worker_panics`), and [`TieError::InvariantViolated`]
-    /// when a round's delta scan differs from its sweep sums, when the gate
-    /// rejects a round, or when the end-of-run checks fail (changed label
-    /// multiset, or a gate that drifted from the final recompute). Deadline
-    /// expiry and cancellation are not errors — the run returns best-so-far
-    /// with the matching [`StopReason`].
+    /// PE labels, label overflow), [`TieError::WorkerPanicked`] when a
+    /// hierarchy round panics, and [`TieError::InvariantViolated`] when a
+    /// round's delta scan differs from its sweep sums, when the gate rejects
+    /// a round, or when the end-of-run checks fail (changed label multiset,
+    /// or a gate that drifted from the final recompute). Deadline expiry and
+    /// cancellation are not errors — the run returns the labeling of the
+    /// last committed round with the matching [`StopReason`].
     pub fn enhance(
         &self,
         graph: &Graph,
@@ -178,48 +157,27 @@ impl Timer {
             initial_coco,
             if cfg.use_diversity { initial_div } else { 0 },
         );
-        // The workers this run can use: a request's thread count never
-        // sizes an allocation beyond the hardware. A batch holds at most one
-        // candidate labeling per worker, so `batch` never sizes one either,
-        // and one worker runs every round inline.
-        let workers = cfg.workers();
-        let max_batch = cfg.effective_batch();
         let trace = &cfg.trace;
         let mut telemetry = RoundTelemetry::default();
         trace.emit(TraceEvent::RunStart {
             nh: cfg.num_hierarchies,
-            threads: cfg.threads,
-            batch: max_batch,
             initial_coco,
             initial_div: if cfg.use_diversity { initial_div } else { 0 },
         });
 
         let mut permutations = Permutations::new(cfg.seed, dim);
+        // One hierarchy scratch for the whole run: every round reuses its
+        // sweep/contraction buffers, so they grow to size once per `enhance`
+        // call instead of once per level per round. Scratch contents never
+        // influence results (pinned by the contraction-equivalence proptest).
+        let mut scratch = HierarchyScratch::default();
         let mut total_swaps = 0usize;
-
-        // Adaptive speculation depth, branch-predictor style: every kept
-        // round that changes the labels throws its speculated successors
-        // away. Start cautious, double the depth after every batch whose
-        // speculations all survived, reset to 1 whenever speculated rounds
-        // had to be discarded. The depth only schedules work — the committed
-        // trajectory stays byte-identical for every (threads, batch) setting.
-        let mut depth = 1usize;
-
         let mut stop_reason = StopReason::Completed;
-        let mut worker_panics = 0usize;
 
-        // One hierarchy scratch per worker, living for the whole run: worker
-        // k of every batch reuses scratch k's sweep/contraction buffers, so
-        // the hot path's buffers grow to size once per `enhance` call instead
-        // of once per level per round. Scratch contents never influence
-        // results (pinned by the contraction-equivalence proptest).
-        let mut scratches = vec![HierarchyScratch::default(); workers];
-
-        let mut next = 0usize;
-        while next < cfg.num_hierarchies {
-            // Graceful-degradation checks, once per batch boundary: the
-            // labeling is always a fully committed (best-so-far) state here,
-            // so stopping now loses nothing but unexplored rounds.
+        for round in 0..cfg.num_hierarchies {
+            // Graceful-degradation checks before every round: the labeling
+            // is always fully committed here, so stopping now loses nothing
+            // but unexplored rounds.
             if cfg.cancel.is_cancelled() {
                 stop_reason = StopReason::Cancelled;
                 break;
@@ -229,198 +187,67 @@ impl Timer {
                 stop_reason = StopReason::DeadlineExceeded;
                 break;
             }
-            let b = depth.min(cfg.num_hierarchies - next);
-            // Line 6, drawn as the rounds are first scheduled.
-            let perms = permutations.draw_until(next + b);
-            let attempts: Vec<Result<RoundOutcome, String>> = if b == 1 {
-                vec![guarded_round(
+            // Line 6.
+            let perm = permutations.next_round();
+            // A panicking round (real bug or injected fault) becomes a typed
+            // error instead of unwinding across the caller. Nothing the round
+            // touched is used after an unwind, which is what makes
+            // `AssertUnwindSafe` sound here.
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                run_round(
                     graph,
                     &labeling.labels,
-                    &perms[next],
+                    perm,
                     dim,
                     p_mask,
                     e_mask,
-                    next,
+                    round,
                     trace,
                     faults,
-                    &mut scratches[0],
-                )]
-            } else {
-                // Speculation: rounds next..next+b all start from the current
-                // accepted base. Workers get contiguous chunks; flattening in
-                // chunk order restores permutation order independently of the
-                // worker count.
-                let base: &[u64] = &labeling.labels;
-                let chunk = b.div_ceil(workers.min(b));
-                let joined = thread::scope(|scope| {
-                    let handles: Vec<(usize, _)> = perms[next..next + b]
-                        .chunks(chunk)
-                        .zip(scratches.iter_mut())
-                        .enumerate()
-                        .map(|(chunk_idx, (chunk_perms, scratch))| {
-                            let first_round = next + chunk_idx * chunk;
-                            let handle = scope.spawn(move |_| {
-                                chunk_perms
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(i, perm)| {
-                                        guarded_round(
-                                            graph,
-                                            base,
-                                            perm,
-                                            dim,
-                                            p_mask,
-                                            e_mask,
-                                            first_round + i,
-                                            trace,
-                                            faults,
-                                            scratch,
-                                        )
-                                    })
-                                    .collect::<Vec<_>>()
-                            });
-                            (chunk_perms.len(), handle)
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|(len, h)| match h.join() {
-                            Ok(results) => results,
-                            // `guarded_round` catches panics inside the worker,
-                            // so a join error means the panic escaped the guard
-                            // (e.g. in the iterator plumbing). Degrade it to
-                            // per-round failures and let the quarantine below
-                            // retry them sequentially.
-                            Err(payload) => {
-                                let msg = panic_message(payload.as_ref());
-                                (0..len).map(|_| Err(msg.clone())).collect()
-                            }
-                        })
-                        .collect::<Vec<_>>()
-                });
-                match joined {
-                    Ok(v) => v,
-                    // The vendored scope never constructs `Err` (worker panics
-                    // are surfaced via `join`, which we handled above), but if
-                    // one ever arrives, treat the whole batch as panicked and
-                    // let the quarantine retry it.
-                    Err(payload) => {
-                        let msg = panic_message(payload.as_ref());
-                        (0..b).map(|_| Err(msg.clone())).collect()
-                    }
-                }
-            };
+                    &mut scratch,
+                )
+            }))
+            .map_err(|payload| TieError::WorkerPanicked {
+                round,
+                message: panic_message(payload.as_ref()),
+            })?;
+            telemetry.phases.merge(&outcome.phases);
 
-            // Quarantine: a panicked speculative round is re-run sequentially
-            // from the same base. `run_round` is a pure function of
-            // (base, perm), so for a *transient* fault the re-run reproduces
-            // exactly what the healthy worker would have produced and the
-            // trajectory stays byte-identical; a second panic means the fault
-            // is persistent and the run fails with a typed error.
-            let mut outcomes: Vec<RoundOutcome> = Vec::with_capacity(attempts.len());
-            for (i, attempt) in attempts.into_iter().enumerate() {
-                let round = next + i;
-                match attempt {
-                    Ok(outcome) => outcomes.push(outcome),
-                    Err(_first_panic) => {
-                        worker_panics += 1;
-                        match guarded_round(
-                            graph,
-                            &labeling.labels,
-                            &perms[round],
-                            dim,
-                            p_mask,
-                            e_mask,
-                            round,
-                            trace,
-                            faults,
-                            &mut scratches[0],
-                        ) {
-                            Ok(outcome) => outcomes.push(outcome),
-                            Err(message) => {
-                                return Err(TieError::WorkerPanicked { round, message });
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Every executed round burned real wall-clock, including the
-            // speculations an acceptance is about to discard — the phase
-            // breakdown reports all of it. (Counters like `total_swaps` stay
-            // commit-only below: they are part of the deterministic
-            // trajectory, the phase times are honest work accounting.)
-            for outcome in &outcomes {
-                telemetry.phases.merge(&outcome.phases);
-            }
-
-            // Commit survivors in permutation order against the live gate,
-            // checking each round's invariants. A kept round that changes the
-            // labels invalidates the remaining speculations: they are dropped
-            // without touching any counter and re-run from the new base,
-            // which keeps the whole trajectory byte-identical to the
-            // sequential driver.
+            // Offer the round to the live gate, check its invariants and
+            // commit it.
             // tie-lint: allow(no-wallclock) — commit-phase telemetry
             let commit_start = Instant::now();
-            let mut committed = 0usize;
-            let mut invalidated = false;
-            for (i, outcome) in outcomes.into_iter().enumerate() {
-                total_swaps += outcome.swaps;
-                telemetry.sweep_arcs += outcome.sweep_arcs;
-                telemetry.contract_arcs += outcome.contract_arcs;
-                committed += 1;
-                let accepted = gate.offer(outcome.coco_delta, outcome.div_delta);
-                // An equal-objective keep: `ΔCoco⁺ = ΔCoco − ΔDiv = 0`.
-                let tie = accepted && outcome.coco_delta == outcome.div_delta;
-                telemetry.record_gate(outcome.coco_delta, outcome.div_delta, accepted, tie);
-                trace.emit(TraceEvent::Gate {
-                    round: next + i,
-                    coco_delta: outcome.coco_delta,
-                    div_delta: outcome.div_delta,
-                    accepted,
-                    tie,
-                    coco: gate.coco(),
-                    div: gate.div(),
-                });
-                check_round(
-                    next + i,
-                    (outcome.coco_delta, outcome.div_delta),
-                    outcome.sweep_deltas,
-                    accepted,
-                )?;
-                if accepted {
-                    invalidated = outcome.labels != labeling.labels;
-                    labeling.set_labels(outcome.labels);
-                    if invalidated {
-                        break;
-                    }
-                }
-            }
+            total_swaps += outcome.swaps;
+            telemetry.sweep_arcs += outcome.sweep_arcs;
+            telemetry.contract_arcs += outcome.contract_arcs;
+            let accepted = gate.offer(outcome.coco_delta, outcome.div_delta);
+            // An equal-objective keep: `ΔCoco⁺ = ΔCoco − ΔDiv = 0`.
+            let tie = accepted && outcome.coco_delta == outcome.div_delta;
+            telemetry.record_gate(outcome.coco_delta, outcome.div_delta, accepted, tie);
+            trace.emit(TraceEvent::Gate {
+                round,
+                coco_delta: outcome.coco_delta,
+                div_delta: outcome.div_delta,
+                accepted,
+                tie,
+                coco: gate.coco(),
+                div: gate.div(),
+            });
+            check_round(
+                round,
+                (outcome.coco_delta, outcome.div_delta),
+                outcome.sweep_deltas,
+                accepted,
+            )?;
+            labeling.set_labels(outcome.labels);
             let commit_us = commit_start.elapsed().as_micros() as u64;
             telemetry.phases.add(Phase::Commit, commit_us);
             trace.emit(TraceEvent::Phase {
                 phase: Phase::Commit,
-                round: None,
+                round: Some(round),
                 level: None,
                 elapsed_us: commit_us,
             });
-            if b > 1 {
-                trace.emit(TraceEvent::Speculation {
-                    first_round: next,
-                    batch_len: b,
-                    committed,
-                    invalidated,
-                    depth,
-                });
-            }
-            next += committed;
-            // Reset only when speculations were actually discarded (an
-            // acceptance in the batch's last slot wastes nothing).
-            depth = if invalidated && committed < b {
-                1
-            } else {
-                depth.saturating_mul(2).min(max_batch)
-            };
         }
 
         let (final_coco, final_div) =
@@ -432,7 +259,6 @@ impl Timer {
             final_coco,
             cfg.use_diversity.then_some(final_div),
         )?;
-        telemetry.worker_panics = worker_panics;
         telemetry.stop_reason = stop_reason;
         trace.emit(TraceEvent::RunEnd {
             final_coco,
@@ -441,7 +267,6 @@ impl Timer {
             rejected: telemetry.rejected,
             ties: telemetry.ties,
             stop_reason: stop_reason.name(),
-            worker_panics,
         });
         Ok(TimerResult {
             mapping: labeling.to_mapping(),
@@ -476,13 +301,12 @@ impl Timer {
 }
 
 /// Algorithm 1's digit permutations (line 6): one shuffled `0..dim`
-/// permutation per round, drawn in round order from one seeded RNG. Rounds
-/// are drawn when first scheduled and kept for re-runs, so the stream never
-/// depends on the schedule and only the rounds scheduled so far are held.
+/// permutation per round, drawn in round order from one seeded RNG into one
+/// reused buffer.
 struct Permutations {
     rng: StdRng,
     dim: usize,
-    drawn: Vec<Vec<usize>>,
+    perm: Vec<usize>,
 }
 
 impl Permutations {
@@ -490,26 +314,17 @@ impl Permutations {
         Permutations {
             rng: StdRng::seed_from_u64(seed.wrapping_add(0x51ed_270b)),
             dim,
-            drawn: Vec::new(),
+            perm: Vec::with_capacity(dim),
         }
     }
 
-    /// The permutations of rounds `0..end`, drawing the missing ones.
-    fn draw_until(&mut self, end: usize) -> &[Vec<usize>] {
-        while self.drawn.len() < end {
-            let mut perm: Vec<usize> = (0..self.dim).collect();
-            perm.shuffle(&mut self.rng);
-            self.drawn.push(perm);
-        }
-        &self.drawn
+    /// The next round's permutation.
+    fn next_round(&mut self) -> &[usize] {
+        self.perm.clear();
+        self.perm.extend(0..self.dim);
+        self.perm.shuffle(&mut self.rng);
+        &self.perm
     }
-}
-
-/// Usable hardware parallelism (respects CPU affinity/cgroup limits), cached
-/// after the first query; 1 when the platform cannot tell.
-pub(crate) fn hardware_threads() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Stringifies a panic payload (`&str` and `String` payloads cover every
@@ -520,7 +335,7 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
-        "worker panicked with a non-string payload".to_string()
+        "round panicked with a non-string payload".to_string()
     }
 }
 
@@ -570,36 +385,6 @@ fn check_round(
     Err(TieError::InvariantViolated(violation))
 }
 
-/// Runs one hierarchy round inside a panic guard: a panicking round (real
-/// bug or injected fault) becomes an `Err` carrying the panic message
-/// instead of unwinding across the driver. `run_round` only touches local
-/// state, so unwinding out of it cannot leave broken shared state behind —
-/// which is what makes `AssertUnwindSafe` sound here.
-#[allow(clippy::too_many_arguments)] // private helper mirroring run_round
-fn guarded_round(
-    graph: &Graph,
-    base: &[u64],
-    perm: &[usize],
-    dim: usize,
-    p_mask: u64,
-    e_mask: u64,
-    round: usize,
-    trace: &TraceHandle,
-    faults: &FaultHandle,
-    scratch: &mut HierarchyScratch,
-) -> Result<RoundOutcome, String> {
-    // `scratch` crossing the unwind boundary is sound for the same reason the
-    // base state is: every scratch buffer is cleared/resized at the start of
-    // its next use, so no result ever depends on what a panicked round left
-    // behind in it.
-    catch_unwind(AssertUnwindSafe(|| {
-        run_round(
-            graph, base, perm, dim, p_mask, e_mask, round, trace, faults, scratch,
-        )
-    }))
-    .map_err(|payload| panic_message(payload.as_ref()))
-}
-
 /// Result of one executed hierarchy round, ready for the accept gate.
 struct RoundOutcome {
     /// Candidate fine-level labels (digit permutation already undone).
@@ -623,8 +408,8 @@ struct RoundOutcome {
 /// Executes one full hierarchy round (Algorithm 1 lines 6–16) from `base`:
 /// permute digits, build and sweep the hierarchy, assemble, un-permute, and
 /// price the candidate against the base via an incidence-limited delta scan.
-/// Pure function of `(base, perm)` — the speculation correctness hinges on
-/// that; `round`/`trace` only record what happened and never influence it.
+/// Pure function of `(base, perm)`; `round`/`trace` only record what
+/// happened and never influence it.
 #[allow(clippy::too_many_arguments)] // private helper mirroring the algorithm
 fn run_round(
     graph: &Graph,
@@ -639,7 +424,7 @@ fn run_round(
     scratch: &mut HierarchyScratch,
 ) -> RoundOutcome {
     // Chaos probe: with an armed fault plan this round panics here (inside
-    // the caller's panic guard); with the default disabled handle it is a
+    // the driver's `catch_unwind`); with the default disabled handle it is a
     // single branch, exactly like the trace probes.
     faults.maybe_panic(round);
     let mut phases = PhaseTimes::default();
@@ -656,9 +441,7 @@ fn run_round(
     let p_mask_perm = permute_label_bits(p_mask, perm, dim);
     let e_mask_perm = permute_label_bits(e_mask, perm, dim);
 
-    // Lines 9-14: swap sweeps interleaved with contractions, all on this
-    // thread: parallelism lives one level up (whole rounds), which is what
-    // keeps the result thread-count-invariant.
+    // Lines 9-14: swap sweeps interleaved with contractions.
     let run = build_hierarchy_traced(
         graph,
         permuted,
@@ -741,6 +524,7 @@ pub fn enhance_mapping(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CancelToken;
     use tie_graph::generators;
     use tie_graph::traversal::all_pairs_distances;
     use tie_mapping::identity_mapping;
@@ -841,95 +625,92 @@ mod tests {
 
     #[test]
     fn lazy_draw_matches_generate_permutations() {
-        // Rounds are drawn in batches of any size, and a re-run asks again
-        // for rounds already drawn; the stream must not notice either.
+        // Drawing round by round into one reused buffer must reproduce the
+        // up-front stream, which is keyed by the seed, and every round is a
+        // permutation of `0..dim`.
         for (seed, dim, nh) in [(0, 4, 9), (7, 10, 12), (3, 22, 40), (u64::MAX, 30, 17)] {
             let reference = generate_permutations(seed, dim, nh);
             let mut perms = Permutations::new(seed, dim);
-            let mut next = 0;
-            for step in [1, 2, 0, 4, 1, 8, 3].into_iter().cycle() {
-                if next == nh {
-                    break;
-                }
-                next = (next + step).min(nh);
-                let drawn = perms.draw_until(next);
-                assert_eq!(drawn, &reference[..next], "seed {seed}, dim {dim}");
-                let _ = perms.draw_until(next / 2);
-            }
-            assert_eq!(perms.drawn.len(), nh);
-        }
-    }
-
-    #[test]
-    fn drawn_rounds_are_kept_and_keyed_by_seed_and_dim() {
-        let mut perms = Permutations::new(7, 10);
-        let first: Vec<*const usize> = perms.draw_until(5).iter().map(|p| p.as_ptr()).collect();
-        // Asking again, or for more rounds, hands back the kept rounds
-        // instead of drawing them anew.
-        let again: Vec<*const usize> = perms.draw_until(3).iter().map(|p| p.as_ptr()).collect();
-        assert_eq!(again, first);
-        let drawn = perms.draw_until(12).to_vec();
-        let kept: Vec<*const usize> = perms.drawn[..5].iter().map(|p| p.as_ptr()).collect();
-        assert_eq!(kept, first, "drawing more must not redraw kept rounds");
-        assert_eq!(drawn.len(), 12);
-        // The stream is keyed by both the seed and the dimension, and every
-        // round is a permutation of `0..dim`.
-        assert_ne!(Permutations::new(8, 10).draw_until(12), &drawn[..]);
-        let other_dim = Permutations::new(7, 11).draw_until(12).to_vec();
-        for (dim, stream) in [(10, &drawn), (11, &other_dim)] {
-            for perm in stream {
-                let mut sorted = perm.clone();
+            for (round, expected) in reference.iter().enumerate() {
+                assert_eq!(
+                    perms.next_round(),
+                    expected,
+                    "seed {seed}, dim {dim}, round {round}"
+                );
+                let mut sorted = expected.clone();
                 sorted.sort_unstable();
                 assert_eq!(sorted, (0..dim).collect::<Vec<_>>());
             }
+            assert_ne!(generate_permutations(seed ^ 1, dim, nh), reference);
         }
     }
 
     #[test]
-    fn speculation_events_account_for_every_executed_round() {
-        // Speculated rounds (Σ `batch_len`) plus single-round batches (commit
-        // spans without a speculation event) must be the rounds run (one
-        // hierarchy-build span each). One worker runs every round inline and
-        // must report no speculation, whatever `batch` asks for.
+    fn rounds_run_in_order_and_cancel_stops_after_the_current_round() {
         use std::sync::Arc;
-        use tie_trace::{MemorySink, TraceLevel};
+        use tie_trace::{MemorySink, TraceLevel, TraceSink};
 
         let (ga, _, pcube, mapping) = fixture(8);
-        for (threads, batch) in [(1, 2), (1, 4), (2, 0)] {
-            let sink = Arc::new(MemorySink::default());
-            let cfg = TimerConfig::new(12, 4)
-                .with_threads(threads)
-                .with_batch(batch)
-                .with_trace(TraceHandle::new(sink.clone(), TraceLevel::Phase));
-            enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
-            let (mut cap, mut speculated, mut spec_batches, mut batches, mut executed) =
-                (0, 0, 0, 0, 0);
-            for record in sink.events() {
-                match record.event {
-                    TraceEvent::RunStart { batch, .. } => cap = batch,
-                    TraceEvent::Speculation { batch_len, .. } => {
-                        speculated += batch_len;
-                        spec_batches += 1;
-                    }
-                    TraceEvent::Phase {
-                        phase: Phase::Commit,
-                        ..
-                    } => batches += 1,
-                    TraceEvent::Phase {
-                        phase: Phase::HierarchyBuild,
-                        ..
-                    } => executed += 1,
-                    _ => {}
+        let nh = 12;
+        // A traced run emits one hierarchy-build span, one gate event and
+        // one commit span per round, in round order, and never speculates.
+        let sink = Arc::new(MemorySink::default());
+        let cfg =
+            TimerConfig::new(nh, 4).with_trace(TraceHandle::new(sink.clone(), TraceLevel::Phase));
+        enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+        let (mut builds, mut gates, mut commits) = (Vec::new(), Vec::new(), Vec::new());
+        for record in sink.events() {
+            match record.event {
+                TraceEvent::Phase {
+                    phase: Phase::HierarchyBuild,
+                    round,
+                    ..
+                } => builds.push(round),
+                TraceEvent::Phase {
+                    phase: Phase::Commit,
+                    round,
+                    ..
+                } => commits.push(round),
+                TraceEvent::Gate { round, .. } => gates.push(Some(round)),
+                TraceEvent::Speculation { .. } => panic!("speculation event emitted"),
+                _ => {}
+            }
+        }
+        let rounds: Vec<Option<usize>> = (0..nh).map(Some).collect();
+        assert_eq!(builds, rounds, "hierarchy_build spans");
+        assert_eq!(gates, rounds, "gate events");
+        assert_eq!(commits, rounds, "commit spans");
+
+        /// Cancels the run's token when the gate rules on round `at`.
+        struct CancelAtGate {
+            token: CancelToken,
+            at: usize,
+        }
+        impl TraceSink for CancelAtGate {
+            fn record(&self, event: &TraceEvent, _ts_us: u64, _thread: u64) {
+                if matches!(event, TraceEvent::Gate { round, .. } if *round == self.at) {
+                    self.token.cancel();
                 }
             }
-            let label = format!("threads={threads} batch={batch}");
-            assert_eq!(speculated + batches - spec_batches, executed, "{label}");
-            if threads.min(hardware_threads()) == 1 {
-                assert_eq!((cap, spec_batches, executed), (1, 0, 12), "{label}");
-            } else {
-                assert_eq!(cap, 2, "{label}");
-                assert!(spec_batches > 0, "{label}: two workers must speculate");
-            }
+        }
+        // Cancelled while round k is committed, the run keeps k + 1 rounds
+        // and ends where a clean run of NH = k + 1 ends.
+        for k in [0, 5, nh - 2] {
+            let token = CancelToken::new();
+            let sink = Arc::new(CancelAtGate {
+                token: token.clone(),
+                at: k,
+            });
+            let cfg = TimerConfig::new(nh, 4)
+                .with_cancel_token(token)
+                .with_trace(TraceHandle::new(sink, TraceLevel::Gate));
+            let stopped = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+            let clean = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(k + 1, 4)).unwrap();
+            assert_eq!(stopped.stop_reason, StopReason::Cancelled, "k = {k}");
+            assert_eq!(stopped.hierarchies_accepted, k + 1, "k = {k}");
+            assert_eq!(stopped.labeling.labels, clean.labeling.labels, "k = {k}");
+            assert_eq!(stopped.total_swaps, clean.total_swaps, "k = {k}");
+            assert_eq!(stopped.final_coco, clean.final_coco, "k = {k}");
         }
     }
 
@@ -939,7 +720,7 @@ mod tests {
         // cold context, warm context and the plain `enhance` call all walk
         // the identical trajectory.
         let (ga, topo, pcube, mapping) = fixture(7);
-        let timer = Timer::new(TimerConfig::new(10, 7).with_threads(2));
+        let timer = Timer::new(TimerConfig::new(10, 7));
         let direct = timer.enhance(&ga, &pcube, &mapping).unwrap();
         let ctx = TopologyContext::recognize(&topo.graph).unwrap();
         let cold = timer.enhance_with_context(&ga, &ctx, &mapping).unwrap();
@@ -1004,43 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn speculation_depth_never_exceeds_the_worker_count() {
-        // On an edgeless graph no round changes the labels, so nothing
-        // invalidates a batch and the depth keeps doubling, up to the cap:
-        // the worker count, whatever `batch` asks for.
-        use std::sync::Arc;
-        use tie_trace::{MemorySink, TraceLevel};
-
-        let topo = Topology::grid2d(2, 2);
-        let pcube = recognize_partial_cube(&topo.graph).unwrap();
-        let ga = Graph::from_edges(8, &[]);
-        let mapping = Mapping::new(vec![0, 0, 1, 1, 2, 2, 3, 3], 4);
-        let workers = 2.min(hardware_threads());
-        let sink = Arc::new(MemorySink::default());
-        let cfg = TimerConfig::new(40, 1)
-            .with_threads(2)
-            .with_batch(64)
-            .with_trace(TraceHandle::new(sink.clone(), TraceLevel::Phase));
-        assert_eq!(cfg.effective_batch(), workers);
-        let r = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
-        assert_eq!(r.hierarchies_accepted, 40);
-        let mut cap = 0;
-        let mut batches = Vec::new();
-        for record in sink.events() {
-            match record.event {
-                TraceEvent::RunStart { batch, .. } => cap = batch,
-                TraceEvent::Speculation { batch_len, .. } => batches.push(batch_len),
-                _ => {}
-            }
-        }
-        assert_eq!(cap, workers);
-        assert!(batches.iter().all(|&b| b <= workers), "{batches:?}");
-        if workers > 1 {
-            assert!(batches.contains(&workers), "{batches:?}");
-        }
-    }
-
-    #[test]
     fn unrepresentable_deadline_means_no_deadline() {
         let (ga, _, pcube, mapping) = fixture(3);
         let plain = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(5, 11)).unwrap();
@@ -1077,57 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_variant_produces_valid_result() {
-        let (ga, topo, pcube, mapping) = fixture(6);
-        let result = enhance_mapping(
-            &ga,
-            &pcube,
-            &mapping,
-            TimerConfig::new(6, 2).with_threads(4),
-        )
-        .unwrap();
-        assert!(result.final_coco_plus <= result.initial_coco_plus);
-        assert_eq!(
-            result.final_coco,
-            coco_by_distances(&ga, &topo.graph, &result.mapping)
-        );
-        let mut before = mapping.load_per_pe();
-        let mut after = result.mapping.load_per_pe();
-        before.sort_unstable();
-        after.sort_unstable();
-        assert_eq!(before, after);
-    }
-
-    #[test]
-    fn batched_enhance_is_byte_identical_across_threads_and_batches() {
-        // Threads and batch are pure scheduling knobs: every combination must
-        // reproduce the sequential trajectory bit for bit, counters included.
-        let (ga, _, pcube, mapping) = fixture(8);
-        let sequential = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(12, 4)).unwrap();
-        for (threads, batch) in [(2, 0), (4, 0), (4, 2), (3, 5), (8, 8), (1, 4)] {
-            let r = enhance_mapping(
-                &ga,
-                &pcube,
-                &mapping,
-                TimerConfig::new(12, 4)
-                    .with_threads(threads)
-                    .with_batch(batch),
-            )
-            .unwrap();
-            assert_eq!(
-                r.labeling.labels, sequential.labeling.labels,
-                "threads={threads} batch={batch}"
-            );
-            assert_eq!(r.mapping, sequential.mapping);
-            assert_eq!(r.final_coco, sequential.final_coco);
-            assert_eq!(r.final_coco_plus, sequential.final_coco_plus);
-            assert_eq!(r.final_diversity, sequential.final_diversity);
-            assert_eq!(r.hierarchies_accepted, sequential.hierarchies_accepted);
-            assert_eq!(r.total_swaps, sequential.total_swaps);
-        }
-    }
-
-    #[test]
     fn equal_objective_rounds_count_as_accepted() {
         // Regression for the accept-gate bookkeeping: on an edgeless
         // application graph every candidate labeling has objective 0, so
@@ -1144,17 +837,6 @@ mod tests {
             result.hierarchies_accepted, 6,
             "every equal-objective round replaces the labeling and must be counted"
         );
-        // The tie-only instance also exercises the speculation fast path
-        // (kept rounds with unchanged labels must not invalidate the batch).
-        let batched = enhance_mapping(
-            &ga,
-            &pcube,
-            &mapping,
-            TimerConfig::new(6, 1).with_threads(4),
-        )
-        .unwrap();
-        assert_eq!(batched.hierarchies_accepted, 6);
-        assert_eq!(batched.labeling.labels, result.labeling.labels);
     }
 
     #[test]

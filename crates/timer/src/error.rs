@@ -5,11 +5,10 @@
 //! The taxonomy exists so a long-running service (`mapd`, see
 //! `docs/RESILIENCE.md`) can report and survive failures instead of
 //! panicking: malformed inputs, incompatible topology/labeling pairs,
-//! persistent worker panics, IO failures and violated end-of-run
-//! invariants all surface as values, while
-//! deadline expiry, cancellation and the adaptive stopping rule are *not*
-//! errors — they end a run gracefully with the best labeling found so far
-//! and a [`StopReason`] saying why.
+//! panicking hierarchy rounds, IO failures and violated invariants all
+//! surface as values, while deadline expiry and cancellation are *not*
+//! errors — they end a run gracefully with the labeling of the last
+//! committed round and a [`StopReason`] saying why.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -19,8 +18,8 @@ use tie_topology::RecognitionError;
 
 /// Why a library-path TIMER operation failed. Everything a caller can
 /// provoke (bad input, incompatible instance) or the environment can inflict
-/// (IO, persistent worker panics) is a variant here; library paths do not
-/// panic on these.
+/// (IO, a panicking round) is a variant here; library paths do not panic on
+/// these.
 #[derive(Debug)]
 pub enum TieError {
     /// The input violates a documented precondition (sizes, ranges, flags).
@@ -28,12 +27,10 @@ pub enum TieError {
     /// The topology/labeling pair cannot carry the mapping: non-partial-cube
     /// topology, PE-count mismatch, duplicate PE labels, label overflow.
     IncompatibleTopology(String),
-    /// A hierarchy-round worker panicked and the sequential quarantine
-    /// re-run panicked again — the fault is persistent, not transient, so
-    /// the run cannot complete. (A *transient* panic is absorbed: see
-    /// `RoundTelemetry::worker_panics`.)
+    /// A hierarchy round panicked, so the run cannot complete. The driver
+    /// returns this at once; the labeling it had committed is discarded.
     WorkerPanicked {
-        /// Round whose re-run failed.
+        /// Round that panicked.
         round: usize,
         /// Panic payload (stringified).
         message: String,
@@ -60,10 +57,7 @@ impl std::fmt::Display for TieError {
             TieError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
             TieError::IncompatibleTopology(msg) => write!(f, "incompatible topology: {msg}"),
             TieError::WorkerPanicked { round, message } => {
-                write!(
-                    f,
-                    "worker panicked persistently at round {round}: {message}"
-                )
+                write!(f, "hierarchy round {round} panicked: {message}")
             }
             TieError::DeadlineExceeded => write!(f, "deadline exceeded"),
             TieError::Io(e) => write!(f, "I/O error: {e}"),

@@ -373,9 +373,9 @@ impl SuffixClasses {
 /// pair search ([`SweepScratch`]), the level view, the suffix classes and
 /// the counting-sort buffers of the CSR contraction kernel
 /// ([`ContractScratch`]). One scratch serves all `dim − 1` levels of a
-/// hierarchy — and, threaded through the driver's speculative workers, all
-/// rounds a worker ever executes: buffers grow to the largest level once
-/// and are never reallocated again. Results never depend on leftover
+/// hierarchy — and, kept by the driver for the whole run, all of its
+/// rounds: buffers grow to the largest level once and are never
+/// reallocated again. Results never depend on leftover
 /// scratch contents.
 #[derive(Clone, Debug, Default)]
 pub struct HierarchyScratch {
@@ -393,9 +393,7 @@ pub struct HierarchyScratch {
 /// sweeps and contractions until the labels have only two digits left
 /// (Algorithm 1, lines 9–14). `p_mask`/`e_mask` are the PE/extension digit
 /// masks *in the permuted label space*; they are truncated alongside the
-/// labels on coarser levels. Every sweep runs on the calling thread;
-/// parallel TIMER runs whole rounds concurrently instead (see
-/// [`crate::driver`]).
+/// labels on coarser levels. Every sweep runs on the calling thread.
 pub fn build_hierarchy(
     graph: &Graph,
     labels: Vec<u64>,
@@ -418,12 +416,12 @@ pub fn build_hierarchy(
 /// [`build_hierarchy`] with flight-recorder context and caller-provided
 /// scratch: per-level sweep and contraction spans are emitted through
 /// `trace` (at `TraceLevel::Debug`) and tagged with `hierarchy_round` so
-/// concurrent speculated rounds stay distinguishable in the recording. A
+/// the rounds stay distinguishable in the recording. A
 /// level's contraction span includes the materialization of the next level,
 /// if any, and the interning of the next level's suffix classes. `scratch`
 /// carries the sweep, view, class and contraction buffers across all levels
-/// — and, when the caller keeps it alive (as the driver's speculative
-/// workers do), across hierarchy rounds. The result never depends on what a
+/// — and, when the caller keeps it alive (as the driver does), across
+/// hierarchy rounds. The result never depends on what a
 /// previous run left in the scratch. `graph` is borrowed, and of the
 /// materialized graphs only the current base is alive.
 #[allow(clippy::too_many_arguments)] // mirrors build_hierarchy + trace context

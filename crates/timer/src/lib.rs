@@ -56,32 +56,26 @@ pub struct TimerConfig {
     /// If false, the diversity term `Div` is dropped and plain `Coco` is
     /// optimized (ablation of the Section 5 extension).
     pub use_diversity: bool,
-    /// Number of worker threads for the speculative hierarchy batches
-    /// (1 = fully sequential, the paper's setting; >1 runs whole hierarchy
-    /// rounds concurrently, the Section 6.3 outlook). The driver runs at
-    /// most as many workers as the hardware has threads. The result is
-    /// byte-identical for every thread count.
+    /// Has no effect: the driver runs its rounds one after another on the
+    /// calling thread. Kept only until the end-to-end benchmark, which
+    /// still sets it, drops it.
     pub threads: usize,
-    /// Cap on the adaptive speculation depth (hierarchy rounds in flight per
-    /// batch); 0 (the default) matches `threads`. The depth never exceeds
-    /// the run's worker count whatever the cap (see
-    /// [`TimerConfig::effective_batch`]). Purely a scheduling knob — results
-    /// never depend on it.
+    /// Has no effect, like `threads`, and kept for the same reason.
     pub batch: usize,
     /// Flight-recorder handle (see `tie-trace`). Disabled by default, in
     /// which case every instrumentation point is a single branch and
     /// `Timer::enhance` behaves byte-identically to the uninstrumented
     /// driver. Tracing never influences the search — it only records it.
     pub trace: TraceHandle,
-    /// Optional wall-clock budget for the whole search. Checked at batch
-    /// boundaries; on expiry the driver returns the best labeling accepted
-    /// so far with [`StopReason::DeadlineExceeded`]. `None` (the default)
-    /// means unbounded, and so does a budget too large for any instant to
-    /// hold (such as `Duration::MAX`). Note that a wall-clock stop may land
-    /// on a different round for different thread counts, so deadline-bounded
-    /// runs are the one mode exempt from the byte-identity guarantee.
+    /// Optional wall-clock budget for the whole search. Checked before
+    /// every round; on expiry the driver returns the labeling of the last
+    /// committed round with [`StopReason::DeadlineExceeded`]. `None` (the
+    /// default) means unbounded, and so does a budget too large for any
+    /// instant to hold (such as `Duration::MAX`). A wall-clock stop may land
+    /// on a different round from run to run, so deadline-bounded runs are
+    /// the one mode exempt from the byte-identity guarantee.
     pub deadline: Option<Duration>,
-    /// Cooperative cancellation, checked at batch boundaries. The default
+    /// Cooperative cancellation, checked before every round. The default
     /// token is never cancelled.
     pub cancel: CancelToken,
     /// Fault-injection handle (see `tie-fault`). Disabled by default — a
@@ -123,21 +117,20 @@ impl TimerConfig {
         self
     }
 
-    /// Sets the number of worker threads for speculative hierarchy batches.
+    /// Sets `threads`, which has no effect (see [`TimerConfig::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }
 
-    /// Caps the number of hierarchy rounds speculated per batch
-    /// (0 = match `threads`).
+    /// Sets `batch`, which has no effect (see [`TimerConfig::batch`]).
     pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = batch;
         self
     }
 
-    /// Attaches a flight-recorder handle; the driver emits accept-gate,
-    /// phase-timing and speculation events through it.
+    /// Attaches a flight-recorder handle; the driver emits run, accept-gate
+    /// and phase-timing events through it.
     pub fn with_trace(mut self, trace: TraceHandle) -> Self {
         self.trace = trace;
         self
@@ -151,8 +144,8 @@ impl TimerConfig {
     }
 
     /// Attaches a cancellation token; `token.cancel()` makes the driver
-    /// return best-so-far with [`StopReason::Cancelled`] at the next batch
-    /// boundary.
+    /// return the labeling of the last committed round with
+    /// [`StopReason::Cancelled`] before the next round starts.
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = token;
         self
@@ -164,38 +157,12 @@ impl TimerConfig {
         self
     }
 
-    /// The speculation-depth cap a run uses: `batch` with the `0` sentinel
-    /// resolved to `threads`, and never more than the run's workers
-    /// (`threads`, at most the hardware's threads), so a batch holds at most
-    /// one candidate labeling per worker. It depends on the host, as the
-    /// worker count does. The single source of truth for that resolution —
-    /// harness and reporting code must use this instead of re-deriving it.
-    pub fn effective_batch(&self) -> usize {
-        let batch = if self.batch == 0 {
-            self.threads
-        } else {
-            self.batch
-        };
-        batch.min(self.workers())
-    }
-
-    /// Worker threads a run gets: `threads`, at most the hardware's threads
-    /// and at least one.
-    pub(crate) fn workers(&self) -> usize {
-        self.threads.min(driver::hardware_threads()).max(1)
-    }
-
     /// Checks the config's internal sanity (the instance-independent half of
     /// validation; `Timer::enhance` also checks the config against the
     /// concrete graph/topology/mapping). Called by the driver up front so a
     /// bad config fails fast with a [`TieError::InvalidInput`] instead of
     /// misbehaving mid-run.
     pub fn validate(&self) -> Result<(), TieError> {
-        if self.threads == 0 {
-            return Err(TieError::InvalidInput(
-                "threads must be >= 1 (0 workers cannot make progress)".into(),
-            ));
-        }
         if self.deadline == Some(Duration::ZERO) {
             return Err(TieError::InvalidInput(
                 "deadline must be > 0 when set (use cancel() for an \

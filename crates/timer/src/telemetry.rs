@@ -19,10 +19,8 @@ use crate::error::StopReason;
 ///
 /// The gate-side fields (`accepted`, `rejected`, `ties`, the histograms) and
 /// the hierarchy work counts (`sweep_arcs`, `contract_arcs`) are part of the
-/// deterministic trajectory and therefore byte-identical across every
-/// `(threads, batch)` setting. `phases` is wall-clock and is not:
-/// speculated rounds that get invalidated still burned real time, which the
-/// breakdown reports honestly.
+/// deterministic trajectory and therefore byte-identical from run to run.
+/// `phases` is wall-clock and is not.
 #[derive(Clone, Debug, Default)]
 pub struct RoundTelemetry {
     /// Rounds the gate kept (including equal-objective ties). Mirrors
@@ -39,22 +37,15 @@ pub struct RoundTelemetry {
     /// Distribution of the per-round `ΔDiv` the gate ruled on.
     pub delta_div: LogHistogram,
     /// Base-graph arcs the hierarchy sweeps read, summed over the rounds the
-    /// gate ruled on (discarded speculations are not counted, so the total
-    /// does not depend on the thread count).
+    /// gate ruled on.
     pub sweep_arcs: usize,
     /// Arcs fed to the contraction kernel to materialize hierarchy levels,
     /// summed over the rounds the gate ruled on.
     pub contract_arcs: usize,
-    /// Accumulated wall-clock per pipeline phase across the whole run
-    /// (including invalidated speculations — real work is counted).
+    /// Accumulated wall-clock per pipeline phase across the whole run.
     pub phases: PhaseTimes,
-    /// Speculative workers that panicked and were absorbed by the quarantine
-    /// re-run (see `docs/RESILIENCE.md`). Zero on every healthy run; like
-    /// `phases` it reports what *happened*, not the trajectory, so it is
-    /// excluded from [`RoundTelemetry::same_gate_trajectory`].
-    pub worker_panics: usize,
     /// Why the run stopped offering rounds ([`StopReason::Completed`] unless
-    /// a deadline, cancellation, or the adaptive stopping rule cut it short).
+    /// a deadline or cancellation cut it short).
     pub stop_reason: StopReason,
 }
 

@@ -1,15 +1,14 @@
-//! Chaos suite: TIMER under injected worker panics, deadlines and
+//! Chaos suite: TIMER under injected round panics, deadlines and
 //! cancellation.
 //!
 //! The central claims under test:
 //!
-//! * an injected speculative-worker panic is absorbed (quarantined round is
-//!   re-run sequentially) and the committed trajectory stays **byte-identical**
-//!   to a clean sequential run, for every thread count,
-//! * a *persistent* fault (panics again on the sequential re-run) surfaces as
-//!   `TieError::WorkerPanicked` instead of tearing the process down,
-//! * deadline expiry and cancellation return a fully committed best-so-far
-//!   labeling with the right `StopReason`.
+//! * a panicking hierarchy round surfaces as `TieError::WorkerPanicked`,
+//!   naming the round and keeping the panic payload, instead of tearing the
+//!   process down,
+//! * deadline expiry and cancellation return a fully committed labeling
+//!   with the right `StopReason`,
+//! * injected delays never change the trajectory.
 
 use std::sync::Once;
 use std::time::Duration;
@@ -74,85 +73,75 @@ fn assert_same_trajectory(a: &TimerResult, b: &TimerResult, context: &str) {
     assert_eq!(a.total_swaps, b.total_swaps, "{context}: total_swaps");
 }
 
-#[test]
-fn transient_worker_panic_is_absorbed_and_byte_identical() {
-    silence_injected_panics();
-    let (ga, pcube, mapping, _) = fixture();
-    let clean = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(NH, SEED)).unwrap();
-    assert_eq!(clean.stop_reason, StopReason::Completed);
-    assert_eq!(clean.telemetry.worker_panics, 0);
-
-    for threads in 1..=8usize {
-        // One panic armed in the middle of the run: it fires on the first
-        // attempt of round 3 (speculative or sequential) and is consumed, so
-        // the quarantine re-run succeeds.
-        let faults = FaultHandle::new(FaultPlan::new().with_panic_at_round(3));
-        let cfg = TimerConfig::new(NH, SEED)
-            .with_threads(threads)
-            .with_faults(faults);
-        let faulty = enhance_mapping(&ga, &pcube, &mapping, cfg)
-            .unwrap_or_else(|e| panic!("threads {threads}: enhance failed: {e}"));
-        assert_eq!(
-            faulty.telemetry.worker_panics, 1,
-            "threads {threads}: the injected panic must be counted"
-        );
-        assert_eq!(faulty.stop_reason, StopReason::Completed);
-        assert_same_trajectory(&faulty, &clean, &format!("threads {threads}"));
+/// Asserts that `result` failed at `expected_round` with the injected
+/// panic's payload kept.
+fn assert_panicked_at(result: Result<TimerResult, TieError>, expected_round: usize, context: &str) {
+    match result {
+        Err(TieError::WorkerPanicked { round, message }) => {
+            assert_eq!(round, expected_round, "{context}");
+            assert!(
+                message.contains(INJECTED_PANIC_PREFIX),
+                "{context}: panic payload should be preserved: {message}"
+            );
+        }
+        other => panic!("{context}: expected WorkerPanicked, got {other:?}"),
     }
 }
 
 #[test]
-fn seeded_panic_storm_is_absorbed_and_byte_identical() {
+fn panic_at_a_round_returns_worker_panicked_with_the_payload() {
     silence_injected_panics();
     let (ga, pcube, mapping, _) = fixture();
-    let clean = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(NH, SEED)).unwrap();
-
-    for threads in [2usize, 4, 8] {
-        // Three seeded one-shot panics spread over the first NH rounds.
-        let faults = FaultHandle::new(FaultPlan::new().with_seeded_panics(99, 3, NH));
-        let cfg = TimerConfig::new(NH, SEED)
-            .with_threads(threads)
-            .with_faults(faults.clone());
-        let faulty = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
-        assert_eq!(
-            faulty.telemetry.worker_panics,
-            faults.panics_fired(),
-            "every fired panic must be accounted for"
-        );
-        assert!(faulty.telemetry.worker_panics >= 1);
-        assert_same_trajectory(&faulty, &clean, &format!("storm, threads {threads}"));
+    for round in [0, 3, NH - 1] {
+        let faults = FaultHandle::new(FaultPlan::new().with_panic_at_round(round));
+        let cfg = TimerConfig::new(NH, SEED).with_faults(faults.clone());
+        let result = enhance_mapping(&ga, &pcube, &mapping, cfg);
+        assert_panicked_at(result, round, &format!("panic@{round}"));
+        assert_eq!(faults.panics_fired(), 1);
     }
+}
+
+#[test]
+fn seeded_panic_storm_returns_worker_panicked_at_the_first_firing_round() {
+    silence_injected_panics();
+    let (ga, pcube, mapping, _) = fixture();
+    // Three seeded one-shot panics spread over the first NH rounds. A probe
+    // of a second handle with the same plan finds the first round that
+    // fires.
+    let plan = || FaultPlan::new().with_seeded_panics(99, 3, NH);
+    let probe = FaultHandle::new(plan());
+    let first = (0..NH)
+        .find(|&r| std::panic::catch_unwind(|| probe.maybe_panic(r)).is_err())
+        .expect("the storm arms a round below NH");
+    let faults = FaultHandle::new(plan());
+    let cfg = TimerConfig::new(NH, SEED).with_faults(faults.clone());
+    let result = enhance_mapping(&ga, &pcube, &mapping, cfg);
+    assert_panicked_at(result, first, "storm");
+    assert_eq!(faults.panics_fired(), 1, "the run stops at the first panic");
 }
 
 #[test]
 fn persistent_panic_is_reported_as_worker_panicked() {
     silence_injected_panics();
     let (ga, pcube, mapping, _) = fixture();
-    for threads in [1usize, 4] {
-        // Armed twice at the same round: the quarantine re-run panics too,
-        // which the driver must surface as a typed error.
-        let faults = FaultHandle::new(FaultPlan::new().with_panic_at_round_times(2, 2));
-        let cfg = TimerConfig::new(NH, SEED)
-            .with_threads(threads)
-            .with_faults(faults);
-        match enhance_mapping(&ga, &pcube, &mapping, cfg) {
-            Err(TieError::WorkerPanicked { round, message }) => {
-                assert_eq!(round, 2);
-                assert!(
-                    message.contains(INJECTED_PANIC_PREFIX),
-                    "panic payload should be preserved: {message}"
-                );
-            }
-            other => panic!("threads {threads}: expected WorkerPanicked, got {other:?}"),
-        }
+    // Armed twice at the same round: each of two runs sharing the handle
+    // fails there, and a third run, with the fault used up, completes.
+    let faults = FaultHandle::new(FaultPlan::new().with_panic_at_round_times(2, 2));
+    let cfg = TimerConfig::new(NH, SEED).with_faults(faults);
+    for attempt in 0..2 {
+        let result = enhance_mapping(&ga, &pcube, &mapping, cfg.clone());
+        assert_panicked_at(result, 2, &format!("attempt {attempt}"));
     }
+    let clean = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(NH, SEED)).unwrap();
+    let third = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+    assert_same_trajectory(&third, &clean, "after the fault is used up");
 }
 
 #[test]
 fn expired_deadline_returns_best_so_far() {
     let (ga, pcube, mapping, topo) = fixture();
     // A deadline far shorter than the run: the driver stops at the first
-    // batch boundary it checks. 1 ns is over before the loop starts, so the
+    // round boundary it checks. 1 ns is over before the loop starts, so the
     // result is the initial labeling, fully committed and consistent.
     let cfg = TimerConfig::new(NH, SEED).with_deadline(Duration::from_nanos(1));
     let result = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
@@ -203,10 +192,7 @@ fn phase_delays_do_not_change_the_trajectory() {
             .with_delay("hierarchy_build", Duration::from_micros(200))
             .with_delay("delta_scan", Duration::from_micros(200)),
     );
-    let cfg = TimerConfig::new(NH, SEED)
-        .with_threads(4)
-        .with_faults(faults);
+    let cfg = TimerConfig::new(NH, SEED).with_faults(faults);
     let delayed = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
     assert_same_trajectory(&delayed, &clean, "delays");
-    assert_eq!(delayed.telemetry.worker_panics, 0);
 }

@@ -85,32 +85,6 @@ proptest! {
         });
     }
 
-    /// The speculative batched driver is a pure scheduling change: for any
-    /// instance, thread count and batch depth, the result is byte-identical
-    /// to the sequential trajectory.
-    #[test]
-    fn batched_driver_matches_sequential(
-        n in 100..250usize,
-        topo_idx in 0..4usize,
-        seed in 0..100u64,
-        threads in 2..5usize,
-        batch in 0..6usize,
-    ) {
-        let (ga, topo, mapping) = instance(n, topo_idx, seed);
-        let pcube = recognize_partial_cube(&topo.graph).unwrap();
-        let sequential = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(4, seed)).unwrap();
-        let batched = enhance_mapping(
-            &ga,
-            &pcube,
-            &mapping,
-            TimerConfig::new(4, seed).with_threads(threads).with_batch(batch),
-        ).unwrap();
-        prop_assert_eq!(&batched.labeling.labels, &sequential.labeling.labels);
-        prop_assert_eq!(batched.final_coco, sequential.final_coco);
-        prop_assert_eq!(batched.hierarchies_accepted, sequential.hierarchies_accepted);
-        prop_assert_eq!(batched.total_swaps, sequential.total_swaps);
-    }
-
     /// The incidence-limited delta scan is exact: for any random weighted
     /// graph, arbitrary labeling (duplicates allowed) and random partial
     /// relabeling, `coco_div_delta` agrees bit-for-bit with two full-graph

@@ -18,11 +18,6 @@ pub enum TraceEvent {
     RunStart {
         /// Number of hierarchy rounds (`NH`) the run will offer to the gate.
         nh: usize,
-        /// Worker threads requested for the speculative batches.
-        threads: usize,
-        /// Speculation-depth cap the run uses: the effective batch, at most
-        /// the number of workers the run gets.
-        batch: usize,
         /// `Coco` of the initial labeling.
         initial_coco: u64,
         /// `Div` of the initial labeling (0 when diversity is disabled).
@@ -61,7 +56,9 @@ pub enum TraceEvent {
         /// Span duration in microseconds.
         elapsed_us: u64,
     },
-    /// A speculation batch was committed (or cut short by an invalidation).
+    /// Never emitted: the driver runs its rounds one after another. Kept
+    /// only until the end-to-end benchmark, which still matches on it,
+    /// drops it.
     Speculation {
         /// First round index of the batch.
         first_round: usize,
@@ -107,8 +104,6 @@ pub enum TraceEvent {
         /// Why the run stopped (`StopReason::name()`: "completed",
         /// "deadline_exceeded" or "cancelled").
         stop_reason: &'static str,
-        /// Speculative worker panics absorbed by the quarantine re-run.
-        worker_panics: usize,
     },
 }
 
@@ -152,15 +147,13 @@ impl TraceEvent {
         match self {
             TraceEvent::RunStart {
                 nh,
-                threads,
-                batch,
                 initial_coco,
                 initial_div,
             } => {
                 let _ = write!(
                     s,
-                    ", \"nh\": {nh}, \"threads\": {threads}, \"batch\": {batch}, \
-                     \"initial_coco\": {initial_coco}, \"initial_div\": {initial_div}"
+                    ", \"nh\": {nh}, \"initial_coco\": {initial_coco}, \
+                     \"initial_div\": {initial_div}"
                 );
             }
             TraceEvent::Gate {
@@ -230,13 +223,12 @@ impl TraceEvent {
                 rejected,
                 ties,
                 stop_reason,
-                worker_panics,
             } => {
                 let _ = write!(
                     s,
                     ", \"final_coco\": {final_coco}, \"final_div\": {final_div}, \
                      \"accepted\": {accepted}, \"rejected\": {rejected}, \"ties\": {ties}, \
-                     \"stop_reason\": \"{stop_reason}\", \"worker_panics\": {worker_panics}"
+                     \"stop_reason\": \"{stop_reason}\""
                 );
             }
         }
@@ -251,15 +243,12 @@ impl TraceEvent {
         match self {
             TraceEvent::RunStart {
                 nh,
-                threads,
-                batch,
                 initial_coco,
                 initial_div,
             } => {
                 let _ = write!(
                     s,
-                    "run start: NH={nh} threads={threads} batch={batch} \
-                     Coco={initial_coco} Div={initial_div}"
+                    "run start: NH={nh} Coco={initial_coco} Div={initial_div}"
                 );
             }
             TraceEvent::Gate {
@@ -334,7 +323,6 @@ impl TraceEvent {
                 rejected,
                 ties,
                 stop_reason,
-                worker_panics,
             } => {
                 let _ = write!(
                     s,
@@ -342,9 +330,6 @@ impl TraceEvent {
                      accepted={accepted} (ties {ties}) rejected={rejected} \
                      stop={stop_reason}"
                 );
-                if *worker_panics > 0 {
-                    let _ = write!(s, " worker_panics={worker_panics}");
-                }
             }
         }
         s
@@ -359,8 +344,6 @@ mod tests {
         vec![
             TraceEvent::RunStart {
                 nh: 40,
-                threads: 2,
-                batch: 2,
                 initial_coco: 71581,
                 initial_div: 120933,
             },
@@ -399,7 +382,6 @@ mod tests {
                 rejected: 40,
                 ties: 0,
                 stop_reason: "completed",
-                worker_panics: 0,
             },
             // Appended (not inserted): `event_levels` indexes positionally.
             TraceEvent::Cache {

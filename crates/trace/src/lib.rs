@@ -19,8 +19,7 @@
 //!   and effectively free when tracing is off.
 //! * [`TraceEvent`] — the event vocabulary: run start/end, per-round accept
 //!   gate verdicts with their exact deltas, span-style phase timings with
-//!   monotonic timestamps and thread ids, and speculation commit/invalidate
-//!   records.
+//!   monotonic timestamps and thread ids, and `mapd` cache lookups.
 //! * [`LogHistogram`] — log₂-bucketed signed histograms for the ΔCoco/ΔDiv
 //!   distributions, built from the deltas the gate already computes (no
 //!   extra full-graph recomputes).
@@ -56,7 +55,7 @@ pub enum TraceLevel {
     Off,
     /// Run start/end and the per-round accept-gate verdicts.
     Gate,
-    /// Additionally: per-round phase spans and speculation batch records.
+    /// Additionally: per-round phase spans and `mapd` cache lookups.
     Phase,
     /// Additionally: per-hierarchy-level sweep/contraction spans.
     Debug,
@@ -94,7 +93,7 @@ struct HandleInner {
 
 /// The handle instrumented code carries. Cloning is cheap (an `Option<Arc>`),
 /// a disabled handle costs one branch per emission, and the handle is `Sync`
-/// so speculative worker threads can emit through it concurrently.
+/// so the `mapd` connection threads can emit through it concurrently.
 #[derive(Clone, Default)]
 pub struct TraceHandle {
     inner: Option<Arc<HandleInner>>,
@@ -196,7 +195,6 @@ mod tests {
             rejected: 0,
             ties: 0,
             stop_reason: "completed",
-            worker_panics: 0,
         });
         assert_eq!(format!("{h:?}"), "TraceHandle(off)");
     }

@@ -16,8 +16,8 @@ pub enum Phase {
     Assemble,
     /// The incidence-limited `(ΔCoco, ΔDiv)` scan pricing a candidate.
     DeltaScan,
-    /// Committing a speculation batch against the live accept gate
-    /// (including invalidation handling).
+    /// Offering one round to the live accept gate, checking the round's
+    /// invariants and committing its labels.
     Commit,
     /// One `mapd` daemon request served end to end (parse, admission,
     /// enhancement, response serialization).

@@ -8,7 +8,8 @@ use std::sync::Mutex;
 use crate::event::TraceEvent;
 
 /// Receiver of trace events. Implementations must be thread-safe: the
-/// speculative TIMER driver emits from its worker threads concurrently.
+/// `mapd` daemon serves requests on concurrent connection threads, and
+/// every request's TIMER run emits through the same handle.
 pub trait TraceSink: Send + Sync {
     /// Records one event. `ts_us` is monotonic microseconds since the
     /// owning [`crate::TraceHandle`] was created; `thread` a small
@@ -132,8 +133,6 @@ mod tests {
             let h = TraceHandle::new(sink, TraceLevel::Debug);
             h.emit(TraceEvent::RunStart {
                 nh: 2,
-                threads: 1,
-                batch: 1,
                 initial_coco: 10,
                 initial_div: 0,
             });
@@ -144,7 +143,6 @@ mod tests {
                 rejected: 2,
                 ties: 0,
                 stop_reason: "completed",
-                worker_panics: 0,
             });
         }
         let content = std::fs::read_to_string(&path).unwrap();
@@ -191,19 +189,22 @@ mod tests {
     fn sinks_are_shareable_across_threads() {
         let sink = Arc::new(MemorySink::default());
         let h = TraceHandle::new(sink.clone(), TraceLevel::Debug);
-        std::thread::scope(|scope| {
-            for t in 0..4usize {
+        let emitters: Vec<_> = (0..4usize)
+            .map(|t| {
                 let h = h.clone();
-                scope.spawn(move || {
+                std::thread::spawn(move || {
                     h.emit(TraceEvent::Phase {
                         phase: crate::Phase::Sweep,
                         round: Some(t),
                         level: None,
                         elapsed_us: 1,
                     });
-                });
-            }
-        });
+                })
+            })
+            .collect();
+        for emitter in emitters {
+            emitter.join().unwrap();
+        }
         let events = sink.events();
         assert_eq!(events.len(), 4);
         // Each spawned thread gets its own ordinal.

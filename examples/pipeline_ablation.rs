@@ -2,8 +2,6 @@
 //!
 //! * number of hierarchies NH (10 vs 50),
 //! * the diversity term of Coco⁺ (Section 5) on vs off,
-//! * sequential vs speculative batched hierarchy rounds (Section 6.3
-//!   outlook; identical result, different wall-clock),
 //! * TIMER followed by a label-swap polishing pass.
 //!
 //! Run with: `cargo run --release --example pipeline_ablation`
@@ -57,10 +55,6 @@ fn main() {
     run(
         "TIMER, NH=10, no diversity term",
         TimerConfig::new(10, 1).without_diversity(),
-    );
-    run(
-        "TIMER, NH=10, 4-way speculative batches",
-        TimerConfig::new(10, 1).with_threads(4),
     );
 
     // Extension (conclusions of the paper): TIMER followed by a cut-edge

@@ -42,10 +42,9 @@ fn service_results_are_identical_across_cache_dispositions_and_threads() {
         assert_eq!(miss.enhanced, hit.enhanced, "{case}");
         assert_eq!(miss.total_swaps, hit.total_swaps, "{case}");
 
-        // Thread count must not change the result either (the pipeline's
-        // determinism contract), served through a different service. A
-        // thread count far beyond the hardware runs as many workers as the
-        // hardware has; it must not size an allocation.
+        // The request's thread count is checked and otherwise ignored, so no
+        // value, however large, may change the result or size an
+        // allocation; served through a different service.
         for threads in [4, usize::MAX] {
             let threaded = b
                 .execute(&request(case, 42, threads))

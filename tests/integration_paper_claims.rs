@@ -140,57 +140,6 @@ fn experiments_are_deterministic_in_the_config_seed() {
 }
 
 #[test]
-fn batched_enhance_is_byte_identical_across_thread_counts() {
-    // Section 6.3 outlook, as implemented by the speculative batched driver:
-    // for a fixed seed, `Timer::enhance` must produce bit-for-bit the same
-    // result for threads ∈ {1, 2, 4} — i.e. exactly the sequential
-    // trajectory, so the parallel driver can never be worse than it — on
-    // grid, torus and hypercube targets.
-    use tie_mapping::identity_mapping;
-    use tie_partition::{partition, PartitionConfig};
-    use tie_timer::{enhance_mapping, TimerConfig};
-    use tie_topology::recognize_partial_cube;
-
-    for topo in [
-        Topology::grid2d(4, 4),
-        Topology::torus2d(4, 4),
-        Topology::hypercube(4),
-    ] {
-        let pcube =
-            recognize_partial_cube(&topo.graph).unwrap_or_else(|e| panic!("{}: {e}", topo.name));
-        for spec in quick_networks().iter().take(2) {
-            let ga = spec.build(Scale::Tiny);
-            let part = partition(&ga, &PartitionConfig::new(topo.num_pes(), SUITE_SEED));
-            let mapping = identity_mapping(&part, topo.num_pes());
-            let sequential =
-                enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(8, SUITE_SEED)).unwrap();
-            for threads in [2usize, 4] {
-                let batched = enhance_mapping(
-                    &ga,
-                    &pcube,
-                    &mapping,
-                    TimerConfig::new(8, SUITE_SEED).with_threads(threads),
-                )
-                .unwrap();
-                assert_eq!(
-                    batched.labeling.labels, sequential.labeling.labels,
-                    "{} × {}: labels diverged at {threads} threads",
-                    topo.name, spec.name
-                );
-                assert_eq!(batched.mapping, sequential.mapping);
-                assert_eq!(batched.final_coco, sequential.final_coco);
-                assert_eq!(batched.final_coco_plus, sequential.final_coco_plus);
-                assert_eq!(
-                    batched.hierarchies_accepted,
-                    sequential.hierarchies_accepted
-                );
-                assert_eq!(batched.total_swaps, sequential.total_swaps);
-            }
-        }
-    }
-}
-
-#[test]
 fn enhance_never_worsens_coco_plus_on_4x4_torus() {
     // Smoke test for the core invariant: on a 4x4 torus, Timer::enhance
     // accepts a hierarchy round only if it improves Coco+ without worsening

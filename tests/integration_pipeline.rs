@@ -107,30 +107,6 @@ fn timer_on_all_small_topologies() {
 }
 
 #[test]
-fn run_case_with_speculative_threads_matches_sequential() {
-    // The experiment harness threads flag must not change any reported
-    // number: the batched driver reproduces the sequential trajectory.
-    use tie_bench::experiment::{run_case, ExperimentConfig};
-    use tie_mapd::MapCase;
-
-    let (ga, topo) = fixture();
-    let sequential_cfg = ExperimentConfig {
-        num_hierarchies: 8,
-        seed: 3,
-        ..Default::default()
-    };
-    let threaded_cfg = ExperimentConfig {
-        threads: 4,
-        ..sequential_cfg.clone()
-    };
-    let a = run_case(&ga, &topo, MapCase::C2Identity, &sequential_cfg).unwrap();
-    let b = run_case(&ga, &topo, MapCase::C2Identity, &threaded_cfg).unwrap();
-    assert_eq!(a.enhanced.coco, b.enhanced.coco);
-    assert_eq!(a.enhanced.edge_cut, b.enhanced.edge_cut);
-    assert_eq!(a.hierarchies_accepted, b.hierarchies_accepted);
-}
-
-#[test]
 fn labeling_round_trip_respects_mapping_and_distances() {
     let (ga, topo) = fixture();
     let pcube = recognize_partial_cube(&topo.graph).unwrap();

@@ -13,7 +13,7 @@ use tie_trace::{JsonlSink, NullSink, TraceHandle, TraceLevel};
 
 const NH: usize = 8;
 
-fn run_with(trace: TraceHandle, threads: usize) -> TimerResult {
+fn run_with(trace: TraceHandle) -> TimerResult {
     let spec = paper_networks()
         .into_iter()
         .find(|s| s.name == "email-EuAll")
@@ -23,9 +23,7 @@ fn run_with(trace: TraceHandle, threads: usize) -> TimerResult {
     let pcube = recognize_partial_cube(&topo.graph).unwrap();
     let part = partition(&ga, &PartitionConfig::new(topo.num_pes(), 1));
     let initial = identity_mapping(&part, topo.num_pes());
-    let cfg = TimerConfig::new(NH, 1)
-        .with_threads(threads)
-        .with_trace(trace);
+    let cfg = TimerConfig::new(NH, 1).with_trace(trace);
     enhance_mapping(&ga, &pcube, &initial, cfg).unwrap()
 }
 
@@ -48,7 +46,7 @@ fn jsonl_trace_is_parseable_and_covers_every_round() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("integration_trace.jsonl");
     let sink = JsonlSink::create(&path).unwrap();
-    let result = run_with(TraceHandle::new(Arc::new(sink), TraceLevel::Phase), 1);
+    let result = run_with(TraceHandle::new(Arc::new(sink), TraceLevel::Phase));
 
     let content = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
@@ -66,12 +64,10 @@ fn jsonl_trace_is_parseable_and_covers_every_round() {
     };
     assert_eq!(count("run_start"), 1);
     assert_eq!(count("run_end"), 1);
-    // One gate event per hierarchy round, no more, no less — the committed
-    // trajectory covers exactly `nh` rounds even under speculation.
+    // One gate event per hierarchy round, no more, no less.
     assert_eq!(count("gate"), NH);
-    // Phase level adds the per-round phase spans: hierarchy build, assemble
-    // and delta scan fire once per round, commit once per batch (= per round
-    // sequentially).
+    // Phase level adds the per-round phase spans: hierarchy build, assemble,
+    // delta scan and commit fire once per round.
     assert_eq!(count("phase"), 4 * NH);
     // Telemetry agrees with the event stream.
     assert_eq!(result.telemetry.rounds(), NH);
@@ -104,36 +100,28 @@ fn jsonl_trace_is_parseable_and_covers_every_round() {
 
 #[test]
 fn tracing_never_changes_the_result() {
-    let baseline = run_with(TraceHandle::off(), 1);
+    let baseline = run_with(TraceHandle::off());
     assert!(baseline.telemetry.sweep_arcs > 0, "no sweep work recorded");
     let dir = std::env::temp_dir().join("tie_trace_test");
     std::fs::create_dir_all(&dir).unwrap();
 
-    for threads in [1usize, 4] {
-        let path = dir.join(format!("identity_check_{threads}.jsonl"));
-        let traced = run_with(
-            TraceHandle::new(
-                Arc::new(JsonlSink::create(&path).unwrap()),
-                TraceLevel::Debug,
-            ),
-            threads,
-        );
-        std::fs::remove_file(&path).ok();
-        let nulled = run_with(
-            TraceHandle::new(Arc::new(NullSink), TraceLevel::Debug),
-            threads,
-        );
-        for r in [&traced, &nulled] {
-            assert_eq!(r.labeling.labels, baseline.labeling.labels);
-            assert_eq!(r.final_coco, baseline.final_coco);
-            assert_eq!(r.hierarchies_accepted, baseline.hierarchies_accepted);
-            assert_eq!(r.total_swaps, baseline.total_swaps);
-            // So are the hierarchies' work counts.
-            assert_eq!(r.telemetry.sweep_arcs, baseline.telemetry.sweep_arcs);
-            assert_eq!(r.telemetry.contract_arcs, baseline.telemetry.contract_arcs);
-            // Gate-side telemetry is deterministic too (phases are
-            // wall-clock and may differ).
-            assert!(r.telemetry.same_gate_trajectory(&baseline.telemetry));
-        }
+    let path = dir.join("identity_check.jsonl");
+    let traced = run_with(TraceHandle::new(
+        Arc::new(JsonlSink::create(&path).unwrap()),
+        TraceLevel::Debug,
+    ));
+    std::fs::remove_file(&path).ok();
+    let nulled = run_with(TraceHandle::new(Arc::new(NullSink), TraceLevel::Debug));
+    for r in [&traced, &nulled] {
+        assert_eq!(r.labeling.labels, baseline.labeling.labels);
+        assert_eq!(r.final_coco, baseline.final_coco);
+        assert_eq!(r.hierarchies_accepted, baseline.hierarchies_accepted);
+        assert_eq!(r.total_swaps, baseline.total_swaps);
+        // So are the hierarchies' work counts.
+        assert_eq!(r.telemetry.sweep_arcs, baseline.telemetry.sweep_arcs);
+        assert_eq!(r.telemetry.contract_arcs, baseline.telemetry.contract_arcs);
+        // Gate-side telemetry is deterministic too (phases are
+        // wall-clock and may differ).
+        assert!(r.telemetry.same_gate_trajectory(&baseline.telemetry));
     }
 }
