@@ -626,8 +626,7 @@ mod tests {
     #[test]
     fn lazy_draw_matches_generate_permutations() {
         // Drawing round by round into one reused buffer must reproduce the
-        // up-front stream, which is keyed by the seed, and every round is a
-        // permutation of `0..dim`.
+        // up-front stream.
         for (seed, dim, nh) in [(0, 4, 9), (7, 10, 12), (3, 22, 40), (u64::MAX, 30, 17)] {
             let reference = generate_permutations(seed, dim, nh);
             let mut perms = Permutations::new(seed, dim);
@@ -637,11 +636,127 @@ mod tests {
                     expected,
                     "seed {seed}, dim {dim}, round {round}"
                 );
-                let mut sorted = expected.clone();
+            }
+        }
+    }
+
+    #[test]
+    fn drawn_rounds_are_kept_and_keyed_by_seed_and_dim() {
+        // Every round is drawn into the one buffer the stream keeps: no drawn
+        // round is stored beside it, so memory does not grow with `NH`.
+        let mut perms = Permutations::new(7, 10);
+        let buffer = perms.next_round().as_ptr();
+        let mut drawn = vec![perms.perm.clone()];
+        for _ in 1..12 {
+            assert_eq!(
+                perms.next_round().as_ptr(),
+                buffer,
+                "round drawn outside the kept buffer"
+            );
+            drawn.push(perms.perm.clone());
+        }
+        // The stream is keyed by both the seed and the dimension, and every
+        // round is a permutation of `0..dim`.
+        let stream = |seed, dim| {
+            let mut p = Permutations::new(seed, dim);
+            (0..12).map(|_| p.next_round().to_vec()).collect::<Vec<_>>()
+        };
+        assert_eq!(stream(7, 10), drawn);
+        assert_ne!(stream(8, 10), drawn);
+        let other_dim = stream(7, 11);
+        for (dim, rounds) in [(10, &drawn), (11, &other_dim)] {
+            for perm in rounds {
+                let mut sorted = perm.clone();
                 sorted.sort_unstable();
                 assert_eq!(sorted, (0..dim).collect::<Vec<_>>());
             }
-            assert_ne!(generate_permutations(seed ^ 1, dim, nh), reference);
+        }
+    }
+
+    #[test]
+    fn speculation_events_account_for_every_executed_round() {
+        // Speculated rounds (Σ `batch_len`) plus single-round batches (commit
+        // spans without a speculation event) must be the rounds run (one
+        // hierarchy-build span each). The driver runs every round on the
+        // calling thread, so it reports no speculation, whatever `threads`
+        // and `batch` ask for.
+        use std::sync::Arc;
+        use tie_trace::{MemorySink, TraceLevel};
+
+        let (ga, _, pcube, mapping) = fixture(8);
+        for (threads, batch) in [(1, 2), (1, 4), (2, 0), (4, 64)] {
+            let sink = Arc::new(MemorySink::default());
+            let cfg = TimerConfig::new(12, 4)
+                .with_threads(threads)
+                .with_batch(batch)
+                .with_trace(TraceHandle::new(sink.clone(), TraceLevel::Phase));
+            enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+            let (mut speculated, mut spec_batches, mut batches, mut executed) = (0, 0, 0, 0);
+            for record in sink.events() {
+                match record.event {
+                    TraceEvent::Speculation { batch_len, .. } => {
+                        speculated += batch_len;
+                        spec_batches += 1;
+                    }
+                    TraceEvent::Phase {
+                        phase: Phase::Commit,
+                        ..
+                    } => batches += 1,
+                    TraceEvent::Phase {
+                        phase: Phase::HierarchyBuild,
+                        ..
+                    } => executed += 1,
+                    _ => {}
+                }
+            }
+            let label = format!("threads={threads} batch={batch}");
+            assert_eq!(speculated + batches - spec_batches, executed, "{label}");
+            assert_eq!((spec_batches, executed), (0, 12), "{label}");
+        }
+    }
+
+    #[test]
+    fn speculation_depth_never_exceeds_the_worker_count() {
+        // On an edgeless graph no round changes the labels, which is where
+        // a speculating driver ran deepest. The depth is read off the trace
+        // as the rounds whose hierarchy was built but not yet committed: one
+        // at a time, so never more than the workers asked for, whatever
+        // `batch` asks for.
+        use std::sync::Arc;
+        use tie_trace::{MemorySink, TraceLevel};
+
+        let topo = Topology::grid2d(2, 2);
+        let pcube = recognize_partial_cube(&topo.graph).unwrap();
+        let ga = Graph::from_edges(8, &[]);
+        let mapping = Mapping::new(vec![0, 0, 1, 1, 2, 2, 3, 3], 4);
+        for workers in [1, 2, 4] {
+            let sink = Arc::new(MemorySink::default());
+            let cfg = TimerConfig::new(40, 1)
+                .with_threads(workers)
+                .with_batch(64)
+                .with_trace(TraceHandle::new(sink.clone(), TraceLevel::Phase));
+            let r = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+            assert_eq!(r.hierarchies_accepted, 40);
+            let (mut in_flight, mut depth) = (0usize, 0usize);
+            for record in sink.events() {
+                match record.event {
+                    TraceEvent::Phase {
+                        phase: Phase::HierarchyBuild,
+                        ..
+                    } => {
+                        in_flight += 1;
+                        depth = depth.max(in_flight);
+                    }
+                    TraceEvent::Phase {
+                        phase: Phase::Commit,
+                        ..
+                    } => in_flight -= 1,
+                    TraceEvent::Speculation { .. } => panic!("speculation event emitted"),
+                    _ => {}
+                }
+            }
+            assert_eq!((depth, in_flight), (1, 0), "workers={workers}");
+            assert!(depth <= workers);
         }
     }
 
@@ -653,7 +768,7 @@ mod tests {
         let (ga, _, pcube, mapping) = fixture(8);
         let nh = 12;
         // A traced run emits one hierarchy-build span, one gate event and
-        // one commit span per round, in round order, and never speculates.
+        // one commit span per round, in round order.
         let sink = Arc::new(MemorySink::default());
         let cfg =
             TimerConfig::new(nh, 4).with_trace(TraceHandle::new(sink.clone(), TraceLevel::Phase));
@@ -672,7 +787,6 @@ mod tests {
                     ..
                 } => commits.push(round),
                 TraceEvent::Gate { round, .. } => gates.push(Some(round)),
-                TraceEvent::Speculation { .. } => panic!("speculation event emitted"),
                 _ => {}
             }
         }
