@@ -8,9 +8,11 @@
 //! and c1–c4 (`MapCase::initial_mapping`), × Div on and Div off: 60 cells.
 //! Every cell runs NH 40 with TIMER and partition seed 1 on one thread and
 //! records initial and final Coco, kept rounds, `total_swaps` and the
-//! wall-clock of the `enhance` call. Everything but `wall_ms` is
-//! deterministic, so a regenerated file must reproduce every other field of
-//! the committed one.
+//! wall-clock of the `enhance` call, the median of `RUNS` runs. Everything
+//! but `wall_ms` is deterministic: the harness exits 2, naming the cell,
+//! when a run's final Coco, kept rounds or swaps differ from the first
+//! run's, and a regenerated file must reproduce every other field of the
+//! committed one.
 //!
 //! Usage:
 //!   cargo run --release -p tie-bench --bin bench_quality -- [--out BENCH_quality.json]
@@ -25,12 +27,14 @@ use tie_mapd::cli::try_flag_value;
 use tie_mapd::MapCase;
 use tie_mapping::Mapping;
 use tie_partition::{partition, PartitionConfig};
-use tie_timer::{enhance_mapping, TimerConfig};
+use tie_timer::{enhance_mapping, TimerConfig, TimerResult};
 use tie_topology::{recognize_partial_cube, Topology};
 
 const NETWORK: &str = "PGPgiantcompo";
 const NH: usize = 40;
 const SEED: u64 = 1;
+/// Runs per cell; `wall_ms` is their median, so one slow run does not set it.
+const RUNS: usize = 3;
 
 const USAGE: &str = "usage: bench_quality [--out PATH]";
 
@@ -80,17 +84,35 @@ fn run() -> Result<(), String> {
         }
         for (mapping_name, mapping) in &inputs {
             for diversity in [true, false] {
-                let mut cfg = TimerConfig::new(NH, SEED);
-                if !diversity {
-                    cfg = cfg.without_diversity();
+                let cell = format!("{} {mapping_name} div {diversity}", topo.name);
+                let key = |r: &TimerResult| (r.final_coco, r.hierarchies_accepted, r.total_swaps);
+                let mut walls_ms = Vec::with_capacity(RUNS);
+                let mut first: Option<TimerResult> = None;
+                for _ in 0..RUNS {
+                    let mut cfg = TimerConfig::new(NH, SEED);
+                    if !diversity {
+                        cfg = cfg.without_diversity();
+                    }
+                    let start = Instant::now();
+                    let run = enhance_mapping(&ga, &pcube, mapping, cfg)
+                        .map_err(|e| format!("{cell}: {e}"))?;
+                    walls_ms.push(start.elapsed().as_secs_f64() * 1e3);
+                    if let Some(r) = first.as_ref().filter(|r| key(r) != key(&run)) {
+                        return Err(format!(
+                            "{cell}: a run's (final Coco, kept rounds, swaps) {:?} differs \
+                             from the first run's {:?}",
+                            key(&run),
+                            key(r)
+                        ));
+                    }
+                    first.get_or_insert(run);
                 }
-                let start = Instant::now();
-                let r = enhance_mapping(&ga, &pcube, mapping, cfg)
-                    .map_err(|e| format!("{} {mapping_name}: {e}", topo.name))?;
-                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+                let r = first.expect("RUNS is at least 1");
+                walls_ms.sort_by(|a, b| a.total_cmp(b));
+                let wall_ms = walls_ms[RUNS / 2];
                 eprintln!(
-                    "  {} {mapping_name} div {diversity}: Coco {} -> {} ({} kept), {wall_ms:.0} ms",
-                    topo.name, r.initial_coco, r.final_coco, r.hierarchies_accepted
+                    "  {cell}: Coco {} -> {} ({} kept), median {wall_ms:.0} ms",
+                    r.initial_coco, r.final_coco, r.hierarchies_accepted
                 );
                 if !cells.is_empty() {
                     cells.push_str(",\n");

@@ -41,11 +41,9 @@ fn medium_scale_keeps_every_round_and_lowers_coco() {
         result.initial_coco, 71581,
         "medium-cell setup drifted — regenerate BENCH_timer.json and update this pin"
     );
-    // Every round is kept: the gate never rejects an exact round.
+    // Every round is committed: an exact round always passes the driver's
+    // check.
     assert_eq!(result.hierarchies_accepted, nh);
-    assert_eq!(result.telemetry.rounds(), nh);
-    assert_eq!(result.telemetry.accepted, nh);
-    assert_eq!(result.telemetry.rejected, 0);
     // The floor: a later change may lower this bound, never raise it.
     assert!(
         result.final_coco <= 71_434,

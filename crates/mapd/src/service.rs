@@ -181,6 +181,14 @@ impl Service {
                 "threads must be at least 1".to_string(),
             ));
         }
+        // A NaN or negative imbalance bound reaches the partitioner as some
+        // other bound, and an infinite one puts every vertex on one PE.
+        if !(req.eps.is_finite() && req.eps >= 0.0) {
+            return Err(ServeError::Invalid(format!(
+                "eps must be a finite number >= 0, got {}",
+                req.eps
+            )));
+        }
         let topo = parse_topology(&req.topology).map_err(ServeError::Invalid)?;
         let deadline =
             (req.deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(req.deadline_ms));
@@ -329,6 +337,7 @@ fn load_graph(src: &GraphSource, faults: &FaultHandle) -> Result<Graph, ServeErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Request;
     use tie_graph::generators;
 
     fn demo_request(seed: u64) -> MapRequest {
@@ -401,6 +410,27 @@ mod tests {
         bad_threads.threads = 0;
         assert!(matches!(
             service.execute(&bad_threads),
+            Err(ServeError::Invalid(_))
+        ));
+        // An imbalance bound that is NaN, negative or infinite.
+        for eps in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut bad_eps = demo_request(3);
+            bad_eps.eps = eps;
+            let result = service.execute(&bad_eps);
+            assert!(
+                matches!(&result, Err(ServeError::Invalid(m)) if m.contains("eps")),
+                "eps {eps}: {result:?}"
+            );
+        }
+        // The wire decoder reads an overflowing `1e400` as infinity.
+        let frame = Request::Map(Box::new(demo_request(3)))
+            .to_json()
+            .replace("\"eps\": 0.03", "\"eps\": 1e400");
+        let Ok(Request::Map(decoded)) = Request::from_json(&frame) else {
+            panic!("request does not decode: {frame}");
+        };
+        assert!(matches!(
+            service.execute(&decoded),
             Err(ServeError::Invalid(_))
         ));
     }

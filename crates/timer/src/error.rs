@@ -46,8 +46,10 @@ pub enum TieError {
     /// The processor graph is not a partial cube (or its labeling is
     /// internally inconsistent).
     Recognition(RecognitionError),
-    /// An end-of-run invariant of the driver failed (changed label multiset,
-    /// or accept-gate drift): a bug, reported instead of a wrong mapping.
+    /// A per-round or end-of-run invariant of the driver failed (a round
+    /// whose delta scan differs from its sweep sums or that raised Coco or
+    /// lowered Div, a changed label multiset, or running totals that drifted
+    /// from the final recompute): a bug, reported instead of a wrong mapping.
     InvariantViolated(String),
 }
 
@@ -97,13 +99,13 @@ impl From<RecognitionError> for TieError {
     }
 }
 
-/// Why a TIMER run stopped offering rounds to the accept gate. Anything
+/// Why a TIMER run stopped running hierarchy rounds. Anything
 /// other than [`StopReason::Completed`] means the run degraded gracefully:
-/// the returned labeling is the best accepted so far (never worse than the
+/// the returned labeling is the last committed one (never worse than the
 /// initial one) and the telemetry says how far the run got.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StopReason {
-    /// All `NH` hierarchy rounds were offered to the gate.
+    /// All `NH` hierarchy rounds were run and committed.
     #[default]
     Completed,
     /// The configured deadline expired at a round boundary.
@@ -122,7 +124,7 @@ impl StopReason {
         }
     }
 
-    /// Whether the run offered every configured round to the gate.
+    /// Whether the run committed every configured round.
     pub fn is_completed(&self) -> bool {
         matches!(self, StopReason::Completed)
     }

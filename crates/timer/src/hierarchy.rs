@@ -59,8 +59,8 @@
 //! prefix-existence check that ignores multiplicity and inverts a digit
 //! whose prefix no label carries (lines 9–14). No swap here creates such a
 //! prefix, so that inversion never triggers, no label needs a repair, and
-//! the gate keeps every round: a swap on a PE digit only lowers Coco, one
-//! on an extension digit only raises Div. `BENCH_quality.json` holds the
+//! every round has `ΔCoco ≤ 0 ≤ ΔDiv`: a swap on a PE digit only lowers
+//! Coco, one on an extension digit only raises Div. `BENCH_quality.json` holds the
 //! evidence: all 60 cells of the quality matrix keep every round and end
 //! below their input.
 

@@ -37,7 +37,7 @@ pub use context::TopologyContext;
 pub use driver::{enhance_mapping, Timer, TimerResult};
 pub use error::{CancelToken, StopReason, TieError};
 pub use labeling::Labeling;
-pub use objective::{coco, coco_plus, diversity, AcceptGate};
+pub use objective::{coco, coco_plus, diversity};
 pub use refinement::{polish, PolishStats};
 pub use telemetry::RoundTelemetry;
 
@@ -129,8 +129,8 @@ impl TimerConfig {
         self
     }
 
-    /// Attaches a flight-recorder handle; the driver emits run, accept-gate
-    /// and phase-timing events through it.
+    /// Attaches a flight-recorder handle; the driver emits run, gate and
+    /// phase-timing events through it.
     pub fn with_trace(mut self, trace: TraceHandle) -> Self {
         self.trace = trace;
         self

@@ -70,7 +70,7 @@ pub fn objective_for_labels(graph: &Graph, labels: &[u64], p_mask: u64, e_mask: 
 }
 
 /// Plain `Coco` and `Div` of raw labels in one edge scan. The driver seeds
-/// its [`AcceptGate`] from this instead of scanning the edges once per term.
+/// its running totals from this instead of scanning the edges once per term.
 pub fn coco_and_div_for_labels(
     graph: &Graph,
     labels: &[u64],
@@ -89,8 +89,8 @@ pub fn coco_and_div_for_labels(
 
 /// Exact change of `(Coco, Div)` between two labelings of the same graph,
 /// scanning only the edges incident to relabelled vertices. A hierarchy round
-/// typically relabels a fraction of the vertices, so this replaces the two
-/// full edge scans the accept gate used to pay per round.
+/// typically relabels a fraction of the vertices, so this replaces two full
+/// edge scans per round.
 pub fn coco_div_delta(
     graph: &Graph,
     old: &[u64],
@@ -122,69 +122,6 @@ pub fn coco_div_delta(
         }
     }
     (coco, div)
-}
-
-/// The driver's accept gate (Algorithm 1, lines 17–19, plus the Coco guard):
-/// a candidate labeling is **kept** iff it worsens neither the search
-/// objective `Coco − Div` nor plain `Coco`. A candidate with two zero deltas
-/// (an equal-objective round) is kept too — it replaces the labeling — so
-/// [`AcceptGate::kept`], not "strictly improved", is what
-/// `TimerResult::hierarchies_accepted` reports.
-///
-/// The gate carries the accepted `Coco`/`Div` values across rounds and folds
-/// in the per-round deltas of [`coco_div_delta`], so accepting a round costs
-/// O(1) instead of a full-graph objective recompute.
-#[derive(Clone, Debug)]
-pub struct AcceptGate {
-    coco: i64,
-    div: i64,
-    kept: usize,
-}
-
-impl AcceptGate {
-    /// Gate seeded with the objective values of the initial labeling.
-    pub fn new(coco: u64, div: u64) -> Self {
-        AcceptGate {
-            coco: coco as i64,
-            div: div as i64,
-            kept: 0,
-        }
-    }
-
-    /// Accepted plain `Coco`.
-    pub fn coco(&self) -> i64 {
-        self.coco
-    }
-
-    /// Accepted `Div`.
-    pub fn div(&self) -> i64 {
-        self.div
-    }
-
-    /// Accepted search objective `Coco − Div`.
-    pub fn objective(&self) -> i64 {
-        self.coco - self.div
-    }
-
-    /// Number of candidates kept so far (including equal-objective ones).
-    pub fn kept(&self) -> usize {
-        self.kept
-    }
-
-    /// Offers a candidate by its exact `(Coco, Div)` deltas against the
-    /// currently accepted labeling. Returns whether the candidate is kept;
-    /// if so the deltas are folded into the accepted values.
-    pub fn offer(&mut self, coco_delta: i64, div_delta: i64) -> bool {
-        let objective_delta = coco_delta - div_delta;
-        if objective_delta <= 0 && coco_delta <= 0 {
-            self.coco += coco_delta;
-            self.div += div_delta;
-            self.kept += 1;
-            true
-        } else {
-            false
-        }
-    }
 }
 
 /// Change of the objective if the labels of `u` and `v` were swapped
@@ -328,29 +265,6 @@ mod tests {
         );
         // Identical labelings have zero delta.
         assert_eq!(coco_div_delta(&ga, old, old, p_mask, e_mask), (0, 0));
-    }
-
-    #[test]
-    fn accept_gate_keeps_equal_objective_candidates_and_counts_them() {
-        let mut gate = AcceptGate::new(100, 10);
-        assert_eq!(gate.objective(), 90);
-        // Strict improvement: kept.
-        assert!(gate.offer(-5, 0));
-        assert_eq!((gate.coco(), gate.div(), gate.kept()), (95, 10, 1));
-        // Equal-objective candidate (both deltas zero): also kept — the
-        // labels are replaced — and therefore counted.
-        assert!(gate.offer(0, 0));
-        assert_eq!(gate.kept(), 2);
-        // Worse objective: rejected, values untouched.
-        assert!(!gate.offer(3, 0));
-        assert_eq!((gate.coco(), gate.kept()), (95, 2));
-        // Div growing faster than Coco shrinks the objective but would drag
-        // plain Coco upward: the Coco guard rejects it.
-        assert!(!gate.offer(2, 7));
-        assert_eq!((gate.coco(), gate.div(), gate.kept()), (95, 10, 2));
-        // Div-only improvement with flat Coco: kept.
-        assert!(gate.offer(0, 4));
-        assert_eq!((gate.coco(), gate.div(), gate.kept()), (95, 14, 3));
     }
 
     #[test]

@@ -16,31 +16,27 @@ use crate::TraceLevel;
 pub enum TraceEvent {
     /// A `Timer::enhance` run started.
     RunStart {
-        /// Number of hierarchy rounds (`NH`) the run will offer to the gate.
+        /// Number of hierarchy rounds (`NH`) the run will run.
         nh: usize,
         /// `Coco` of the initial labeling.
         initial_coco: u64,
         /// `Div` of the initial labeling (0 when diversity is disabled).
         initial_div: u64,
     },
-    /// The accept gate ruled on one hierarchy round. Exactly `nh` of these
-    /// are emitted per run, in round order, with the exact deltas the gate
-    /// saw — the evidence that used to be discarded.
+    /// One hierarchy round passed the driver's per-round check and is being
+    /// committed. A completed run emits exactly `nh` of these, in round
+    /// order, each with the round's exact deltas (`coco_delta ≤ 0 ≤
+    /// div_delta`, or the run would have ended with an error).
     Gate {
         /// Round index in `0..nh`.
         round: usize,
-        /// Exact `Coco` change of the candidate vs the accepted labeling.
+        /// Exact `Coco` change of the round vs the committed labeling.
         coco_delta: i64,
-        /// Exact `Div` change of the candidate vs the accepted labeling.
+        /// Exact `Div` change of the round vs the committed labeling.
         div_delta: i64,
-        /// Whether the candidate was kept.
-        accepted: bool,
-        /// Whether it was kept as an equal-objective tie
-        /// (`coco_delta == div_delta`, so `ΔCoco⁺ = 0`).
-        tie: bool,
-        /// Accepted `Coco` after the verdict.
+        /// Running `Coco` with the round committed.
         coco: i64,
-        /// Accepted `Div` after the verdict.
+        /// Running `Div` with the round committed.
         div: i64,
     },
     /// A pipeline phase finished (span-style: emitted at span end, duration
@@ -95,12 +91,8 @@ pub enum TraceEvent {
         final_coco: u64,
         /// `Div` of the final labeling.
         final_div: u64,
-        /// Rounds kept (including equal-objective ties).
+        /// Rounds committed.
         accepted: usize,
-        /// Rounds rejected.
-        rejected: usize,
-        /// Kept rounds that were equal-objective ties.
-        ties: usize,
         /// Why the run stopped (`StopReason::name()`: "completed",
         /// "deadline_exceeded" or "cancelled").
         stop_reason: &'static str,
@@ -160,16 +152,13 @@ impl TraceEvent {
                 round,
                 coco_delta,
                 div_delta,
-                accepted,
-                tie,
                 coco,
                 div,
             } => {
                 let _ = write!(
                     s,
                     ", \"round\": {round}, \"coco_delta\": {coco_delta}, \
-                     \"div_delta\": {div_delta}, \"accepted\": {accepted}, \"tie\": {tie}, \
-                     \"coco\": {coco}, \"div\": {div}"
+                     \"div_delta\": {div_delta}, \"coco\": {coco}, \"div\": {div}"
                 );
             }
             TraceEvent::Phase {
@@ -220,15 +209,12 @@ impl TraceEvent {
                 final_coco,
                 final_div,
                 accepted,
-                rejected,
-                ties,
                 stop_reason,
             } => {
                 let _ = write!(
                     s,
                     ", \"final_coco\": {final_coco}, \"final_div\": {final_div}, \
-                     \"accepted\": {accepted}, \"rejected\": {rejected}, \"ties\": {ties}, \
-                     \"stop_reason\": \"{stop_reason}\""
+                     \"accepted\": {accepted}, \"stop_reason\": \"{stop_reason}\""
                 );
             }
         }
@@ -255,19 +241,12 @@ impl TraceEvent {
                 round,
                 coco_delta,
                 div_delta,
-                accepted,
-                tie,
                 coco,
                 div,
             } => {
-                let verdict = match (accepted, tie) {
-                    (true, true) => "TIE ",
-                    (true, false) => "KEEP",
-                    (false, _) => "drop",
-                };
                 let _ = write!(
                     s,
-                    "round {round:>3}: {verdict} dCoco={coco_delta:+} dDiv={div_delta:+} \
+                    "round {round:>3}: dCoco={coco_delta:+} dDiv={div_delta:+} \
                      dObj={:+} -> Coco={coco} Div={div}",
                     coco_delta - div_delta
                 );
@@ -320,15 +299,12 @@ impl TraceEvent {
                 final_coco,
                 final_div,
                 accepted,
-                rejected,
-                ties,
                 stop_reason,
             } => {
                 let _ = write!(
                     s,
                     "run end: Coco={final_coco} Div={final_div} \
-                     accepted={accepted} (ties {ties}) rejected={rejected} \
-                     stop={stop_reason}"
+                     accepted={accepted} stop={stop_reason}"
                 );
             }
         }
@@ -351,10 +327,8 @@ mod tests {
                 round: 3,
                 coco_delta: -12,
                 div_delta: 40,
-                accepted: false,
-                tie: false,
-                coco: 71581,
-                div: 120933,
+                coco: 71569,
+                div: 120973,
             },
             TraceEvent::Phase {
                 phase: Phase::Sweep,
@@ -376,11 +350,9 @@ mod tests {
                 depth: 2,
             },
             TraceEvent::RunEnd {
-                final_coco: 71581,
-                final_div: 120933,
-                accepted: 0,
-                rejected: 40,
-                ties: 0,
+                final_coco: 70592,
+                final_div: 121933,
+                accepted: 40,
                 stop_reason: "completed",
             },
             // Appended (not inserted): `event_levels` indexes positionally.
@@ -419,8 +391,6 @@ mod tests {
             round: 17,
             coco_delta: -3,
             div_delta: 5,
-            accepted: false,
-            tie: false,
             coco: 100,
             div: 50,
         };
@@ -428,8 +398,13 @@ mod tests {
         assert!(json.contains("\"round\": 17"));
         assert!(json.contains("\"coco_delta\": -3"));
         assert!(json.contains("\"div_delta\": 5"));
-        assert!(json.contains("\"accepted\": false"));
-        assert!(json.contains("\"tie\": false"));
+        assert!(json.contains("\"coco\": 100"));
+        assert!(json.contains("\"div\": 50"));
+        // Every committed round passed the driver's check: no verdict field.
+        assert!(
+            !json.contains("\"accepted\"") && !json.contains("\"tie\""),
+            "{json}"
+        );
     }
 
     #[test]
@@ -484,15 +459,15 @@ mod tests {
             assert!(!line.contains('\n'));
             assert!(line.contains("t1"));
         }
-        let tie = TraceEvent::Gate {
-            round: 0,
-            coco_delta: 0,
-            div_delta: 0,
-            accepted: true,
-            tie: true,
-            coco: 0,
-            div: 0,
+        let gate = TraceEvent::Gate {
+            round: 4,
+            coco_delta: -5,
+            div_delta: 2,
+            coco: 95,
+            div: 12,
         };
-        assert!(tie.to_human(0, 0).contains("TIE"));
+        assert!(gate
+            .to_human(0, 0)
+            .contains("round   4: dCoco=-5 dDiv=+2 dObj=-7 -> Coco=95 Div=12"));
     }
 }

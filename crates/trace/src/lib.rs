@@ -1,14 +1,14 @@
 //! # tie-trace
 //!
 //! Flight-recorder observability for the TiMEr pipeline: a zero-dependency
-//! structured tracing and metrics facade that makes every accept-gate
-//! decision and pipeline phase explainable after the fact.
+//! structured tracing and metrics facade that makes every hierarchy round
+//! and pipeline phase explainable after the fact.
 //!
 //! The ICPP'18 TIMER loop runs `NH` hierarchy rounds and discards the
-//! per-round `(ΔCoco, ΔDiv)` evidence the moment the accept gate has ruled
-//! on it — which is why anomalies like the medium-scale 0/40 acceptance
-//! collapse in `BENCH_timer.json` were invisible. This crate provides the
-//! recording substrate:
+//! per-round `(ΔCoco, ΔDiv)` evidence once a round is decided — which is
+//! why anomalies like a medium-scale 0/40 acceptance collapse in
+//! `BENCH_timer.json` would be invisible without it. This crate provides
+//! the recording substrate:
 //!
 //! * [`TraceSink`] — where events go: [`NullSink`] (nothing, the default),
 //!   [`StderrSink`] (human-readable lines), [`JsonlSink`] (one JSON object
@@ -17,11 +17,11 @@
 //!   A disabled handle (the default) reduces every emission to one branch on
 //!   an `Option`, so instrumented hot paths stay byte-identical in behavior
 //!   and effectively free when tracing is off.
-//! * [`TraceEvent`] — the event vocabulary: run start/end, per-round accept
-//!   gate verdicts with their exact deltas, span-style phase timings with
+//! * [`TraceEvent`] — the event vocabulary: run start/end, per-round gate
+//!   events with their exact deltas, span-style phase timings with
 //!   monotonic timestamps and thread ids, and `mapd` cache lookups.
 //! * [`LogHistogram`] — log₂-bucketed signed histograms for the ΔCoco/ΔDiv
-//!   distributions, built from the deltas the gate already computes (no
+//!   distributions, built from the deltas the driver already computes (no
 //!   extra full-graph recomputes).
 //! * [`Phase`] / [`PhaseTimes`] — a fixed phase vocabulary and a zero-alloc
 //!   accumulator for per-phase wall-clock breakdowns.
@@ -53,7 +53,7 @@ pub enum TraceLevel {
     /// No events at all (the default).
     #[default]
     Off,
-    /// Run start/end and the per-round accept-gate verdicts.
+    /// Run start/end and the per-round gate events.
     Gate,
     /// Additionally: per-round phase spans and `mapd` cache lookups.
     Phase,
@@ -192,8 +192,6 @@ mod tests {
             final_coco: 0,
             final_div: 0,
             accepted: 0,
-            rejected: 0,
-            ties: 0,
             stop_reason: "completed",
         });
         assert_eq!(format!("{h:?}"), "TraceHandle(off)");
@@ -214,8 +212,6 @@ mod tests {
             round: 0,
             coco_delta: -1,
             div_delta: 0,
-            accepted: true,
-            tie: false,
             coco: 9,
             div: 0,
         });
@@ -244,8 +240,6 @@ mod tests {
                 round,
                 coco_delta: 0,
                 div_delta: 0,
-                accepted: true,
-                tie: true,
                 coco: 0,
                 div: 0,
             });

@@ -16,8 +16,7 @@ pub enum Phase {
     Assemble,
     /// The incidence-limited `(ΔCoco, ΔDiv)` scan pricing a candidate.
     DeltaScan,
-    /// Offering one round to the live accept gate, checking the round's
-    /// invariants and committing its labels.
+    /// Checking one round's invariants and committing its labels.
     Commit,
     /// One `mapd` daemon request served end to end (parse, admission,
     /// enhancement, response serialization).

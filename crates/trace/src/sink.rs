@@ -139,9 +139,7 @@ mod tests {
             h.emit(TraceEvent::RunEnd {
                 final_coco: 10,
                 final_div: 0,
-                accepted: 0,
-                rejected: 2,
-                ties: 0,
+                accepted: 2,
                 stop_reason: "completed",
             });
         }
@@ -168,8 +166,6 @@ mod tests {
                 round,
                 coco_delta: -(round as i64),
                 div_delta: 0,
-                accepted: true,
-                tie: round == 0,
                 coco: 0,
                 div: 0,
             });
