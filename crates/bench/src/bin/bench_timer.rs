@@ -1,6 +1,6 @@
 //! TIMER perf-trajectory harness: times `Timer::enhance` at each workload
 //! scale and writes the machine-readable `BENCH_timer.json` artifact, so
-//! the wall-clock/quality trajectory of the driver is tracked across PRs.
+//! the wall-clock/quality trajectory of the driver is tracked across commits.
 //!
 //! Usage:
 //!   cargo run -p tie-bench --bin bench_timer --release -- \

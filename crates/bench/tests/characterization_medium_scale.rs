@@ -41,8 +41,8 @@ fn medium_scale_keeps_every_round_and_lowers_coco() {
         result.initial_coco, 71581,
         "medium-cell setup drifted — regenerate BENCH_timer.json and update this pin"
     );
-    // Every round is committed: an exact round always passes the driver's
-    // check.
+    // Every round is committed: an exact round always passes the per-round
+    // check (`check_round`).
     assert_eq!(result.hierarchies_accepted, nh);
     // The floor: a later change may lower this bound, never raise it.
     assert!(

@@ -6,7 +6,7 @@
 //! site), and a [`FaultPlan`] arms specific faults at specific places:
 //!
 //! * **round panics** at chosen hierarchy rounds (`panic@R`, or seeded via
-//!   [`FaultPlan::with_seeded_panics`]) — exercising the driver's panic
+//!   [`FaultPlan::with_seeded_panics`]) — exercising the TIMER round panic
 //!   guard, which turns the first one into `TieError::WorkerPanicked`,
 //! * **IO errors** on the n-th counted IO operation (`io@N`) — exercising
 //!   the typed-error paths of `tie-graph::io` and the `mapd` socket framing

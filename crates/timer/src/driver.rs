@@ -412,7 +412,7 @@ fn run_round(
     scratch: &mut HierarchyScratch,
 ) -> RoundOutcome {
     // Chaos probe: with an armed fault plan this round panics here (inside
-    // the driver's `catch_unwind`); with the default disabled handle it is a
+    // the round's `catch_unwind`); with the default disabled handle it is a
     // single branch, exactly like the trace probes.
     faults.maybe_panic(round);
     let mut phases = PhaseTimes::default();
@@ -928,9 +928,26 @@ mod tests {
     fn equal_objective_rounds_count_as_accepted() {
         // On an edgeless application graph every round has zero deltas: it
         // changes neither Coco nor Div, passes the round check, is committed
-        // (its labels replace the labeling) and is counted. The flight
-        // recorder shows one gate event per round, in round order, with
-        // `(0, 0)` deltas and unchanged running totals.
+        // (its labels replace the labeling) and must therefore be counted.
+        let topo = Topology::grid2d(2, 2);
+        let pcube = recognize_partial_cube(&topo.graph).unwrap();
+        let ga = Graph::from_edges(8, &[]);
+        let mapping = Mapping::new(vec![0, 0, 1, 1, 2, 2, 3, 3], 4);
+        let result = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(6, 1)).unwrap();
+        assert_eq!(result.final_coco, 0);
+        assert_eq!(
+            result.hierarchies_accepted, 6,
+            "every equal-objective round replaces the labeling and must be counted"
+        );
+    }
+
+    #[test]
+    fn tie_rounds_are_kept_and_reported_as_ties_in_telemetry() {
+        // Equal-objective rounds, observed through the telemetry and the
+        // flight recorder: on an edgeless application graph every round has
+        // zero deltas, so every round is a tie. Each is committed, lands in
+        // the zero bucket of both delta histograms, and emits one gate event
+        // with `(0, 0)` deltas and unchanged running totals.
         use std::sync::Arc;
         use tie_trace::{MemorySink, TraceLevel};
 
@@ -943,12 +960,15 @@ mod tests {
         let cfg =
             TimerConfig::new(nh, 1).with_trace(TraceHandle::new(sink.clone(), TraceLevel::Gate));
         let result = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
-        assert_eq!(result.final_coco, 0);
-        assert_eq!(
-            result.hierarchies_accepted, nh,
-            "every equal-objective round replaces the labeling and must be counted"
-        );
 
+        assert_eq!(result.hierarchies_accepted, nh);
+        assert_eq!(result.telemetry.delta_coco.count(), nh as u64);
+        assert_eq!(result.telemetry.delta_coco.zeros(), nh as u64);
+        assert_eq!(result.telemetry.delta_div.count(), nh as u64);
+        assert_eq!(result.telemetry.delta_div.zeros(), nh as u64);
+
+        // One gate event per round, in round order, every one a kept tie
+        // with both deltas zero and the objective values unchanged.
         let gates: Vec<_> = sink
             .events()
             .into_iter()

@@ -90,7 +90,7 @@ proptest! {
     /// relabeling, `coco_div_delta` agrees bit-for-bit with two full-graph
     /// `coco_and_div_for_labels` recomputes — including edges whose both
     /// endpoints were relabelled, which the scan must count exactly once.
-    /// The driver's per-round check and the gate telemetry ride this scan, so
+    /// The per-round check (`check_round`) and the gate telemetry ride this scan, so
     /// they are only as trustworthy as this equivalence.
     #[test]
     fn coco_div_delta_agrees_with_full_recompute(

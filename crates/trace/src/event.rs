@@ -23,8 +23,8 @@ pub enum TraceEvent {
         /// `Div` of the initial labeling (0 when diversity is disabled).
         initial_div: u64,
     },
-    /// One hierarchy round passed the driver's per-round check and is being
-    /// committed. A completed run emits exactly `nh` of these, in round
+    /// One hierarchy round passed the per-round check (`check_round`) and is
+    /// being committed. A completed run emits exactly `nh` of these, in round
     /// order, each with the round's exact deltas (`coco_delta ≤ 0 ≤
     /// div_delta`, or the run would have ended with an error).
     Gate {
@@ -400,7 +400,7 @@ mod tests {
         assert!(json.contains("\"div_delta\": 5"));
         assert!(json.contains("\"coco\": 100"));
         assert!(json.contains("\"div\": 50"));
-        // Every committed round passed the driver's check: no verdict field.
+        // Every committed round passed the TIMER round check: no verdict field.
         assert!(
             !json.contains("\"accepted\"") && !json.contains("\"tie\""),
             "{json}"
