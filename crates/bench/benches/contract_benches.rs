@@ -19,7 +19,7 @@ use tie_partition::{partition, PartitionConfig};
 use tie_timer::hierarchy::{build_hierarchy_traced, HierarchyScratch};
 use tie_timer::Labeling;
 use tie_topology::{recognize_partial_cube, Topology};
-use tie_trace::TraceHandle;
+use tie_trace::{PhaseTimes, TraceHandle};
 
 const SCALES: [Scale; 3] = [Scale::Tiny, Scale::Small, Scale::Medium];
 
@@ -78,9 +78,12 @@ fn hierarchy_round(c: &mut Criterion) {
         let id = BenchmarkId::from_parameter(format!("{scale:?}"));
         group.bench_with_input(id, &(ga, labeling), |b, (ga, labeling)| {
             let mut scratch = HierarchyScratch::default();
-            let round = |scratch: &mut HierarchyScratch| {
+            let mut times = PhaseTimes::default();
+            let mut round = |scratch: &mut HierarchyScratch| {
                 let labels = labeling.labels.clone();
-                build_hierarchy_traced(ga, labels, dim, p_mask, e_mask, None, &trace, scratch)
+                build_hierarchy_traced(
+                    ga, labels, dim, p_mask, e_mask, None, &trace, scratch, &mut times,
+                )
             };
             round(&mut scratch); // warm the buffers
             b.iter(|| round(&mut scratch));

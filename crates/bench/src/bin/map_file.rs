@@ -110,11 +110,10 @@ fn render(resp: &MapResponse, args: &[String]) -> Result<(), String> {
 
 #[cfg(unix)]
 fn run_client(socket: &str, args: &[String], faults: FaultHandle) -> Result<(), String> {
+    use tie_mapd::check_eps;
     use tie_mapd::client::Client;
     use tie_mapd::protocol::Request;
 
-    let mut client =
-        Client::connect(std::path::Path::new(socket), faults).map_err(|e| e.to_string())?;
     let request = if has_flag(args, "--ping") {
         Request::Ping
     } else if has_flag(args, "--shutdown") {
@@ -125,8 +124,14 @@ fn run_client(socket: &str, args: &[String], faults: FaultHandle) -> Result<(), 
         };
         Request::Shutdown { mode }
     } else {
-        Request::Map(Box::new(build_request(args)?))
+        let req = build_request(args)?;
+        // The wire form has no spelling for a NaN or infinite eps, so it is
+        // refused here, as the service would, before anything is sent.
+        check_eps(req.eps).map_err(|e| e.to_string())?;
+        Request::Map(Box::new(req))
     };
+    let mut client =
+        Client::connect(std::path::Path::new(socket), faults).map_err(|e| e.to_string())?;
     match client.request(&request).map_err(|e| e.to_string())? {
         Response::Map(resp) => render(&resp, args),
         Response::Pong { in_flight, cache } => {

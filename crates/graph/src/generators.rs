@@ -36,15 +36,6 @@ pub fn cycle_graph(n: usize) -> Graph {
     b.build()
 }
 
-/// Star with a centre (vertex 0) and `n - 1` leaves.
-pub fn star_graph(n: usize) -> Graph {
-    let mut b = GraphBuilder::new(n);
-    for i in 1..n {
-        b.add_edge(0, i as NodeId, 1);
-    }
-    b.build()
-}
-
 /// Complete graph on `n` vertices.
 pub fn complete_graph(n: usize) -> Graph {
     let mut b = GraphBuilder::new(n);
@@ -354,9 +345,6 @@ mod tests {
 
     #[test]
     fn star_and_complete_shapes() {
-        let s = star_graph(6);
-        assert_eq!(s.degree(0), 5);
-        assert_eq!(s.num_edges(), 5);
         let k = complete_graph(5);
         assert_eq!(k.num_edges(), 10);
         for v in k.vertices() {

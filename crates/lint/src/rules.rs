@@ -43,9 +43,9 @@ pub const NO_PANIC_CRATES: &[&str] = &[
 ];
 
 /// Crates allowed to read the wall clock freely: the bench harness times
-/// things by definition, `tie-trace` owns the trace-timestamp epoch, and
-/// `mapd` anchors request deadlines and serve-phase spans on real time
-/// (its wall-clock reads gate *when* work stops, never what is computed).
+/// things by definition, `tie-trace` owns the trace-timestamp epoch and the
+/// phase spans, and `mapd` anchors request deadlines on real time (its
+/// wall-clock reads gate *when* work stops, never what is computed).
 pub const WALLCLOCK_EXEMPT_CRATES: &[&str] = &["bench", "trace", "mapd"];
 
 /// Rule identifiers as they appear in findings and allow directives.

@@ -19,7 +19,6 @@
 //! test), so eviction at capacity is always safe.
 
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
 
 use tie_timer::{TieError, TopologyContext};
 use tie_trace::{Phase, TraceEvent, TraceHandle, TraceLevel};
@@ -139,9 +138,11 @@ impl TopologyCache {
         // block lookups of other topologies. The `cache_build` delay site
         // makes the concurrent-miss window deterministic in tests.
         self.faults.delay("cache_build");
-        let build_start = Instant::now();
+        let span = self.trace.span(Phase::Cache, None, None);
         let built = build();
-        let build_us = build_start.elapsed().as_micros() as u64;
+        if built.is_ok() {
+            span.emit();
+        }
 
         let mut state = self.lock();
         state.building.retain(|k| k != key);
@@ -155,14 +156,6 @@ impl TopologyCache {
         while state.entries.len() > self.capacity {
             state.entries.remove(0);
             state.evictions += 1;
-        }
-        if self.trace.enabled(TraceLevel::Phase) {
-            self.trace.emit(TraceEvent::Phase {
-                phase: Phase::Cache,
-                round: None,
-                level: None,
-                elapsed_us: build_us,
-            });
         }
         self.emit(&state, key, CacheDisposition::Miss);
         Ok((ctx, CacheDisposition::Miss))

@@ -39,4 +39,4 @@ pub mod topo;
 
 pub use admission::Admission;
 pub use cache::{CacheDisposition, CacheStats, TopologyCache};
-pub use service::{MapCase, ServeError, Service, ServiceOptions};
+pub use service::{check_eps, MapCase, ServeError, Service, ServiceOptions};

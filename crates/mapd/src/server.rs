@@ -15,9 +15,9 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use tie_trace::{Phase, TraceEvent, TraceLevel};
+use tie_trace::Phase;
 
 use crate::protocol::{read_frame, write_frame, Request, Response, ShutdownMode};
 use crate::service::Service;
@@ -143,22 +143,14 @@ fn handle_connection(stream: &UnixStream, shared: &Arc<Shared>) -> io::Result<()
                 )
             }
             Ok(Request::Map(req)) => {
-                let start = Instant::now();
+                let serve = service.trace().span(Phase::Serve, None, None);
                 let response = match service.execute(&req) {
                     Ok(resp) => Response::Map(Box::new(resp)),
                     Err(e) => Response::Error {
                         message: e.to_string(),
                     },
                 };
-                let trace = service.trace();
-                if trace.enabled(TraceLevel::Phase) {
-                    trace.emit(TraceEvent::Phase {
-                        phase: Phase::Serve,
-                        round: None,
-                        level: None,
-                        elapsed_us: start.elapsed().as_micros() as u64,
-                    });
-                }
+                serve.emit();
                 (response, false)
             }
         };

@@ -90,6 +90,23 @@ impl MapCase {
     }
 }
 
+/// Refuses an imbalance bound `eps` that is not a finite number `>= 0`: a
+/// NaN or negative bound reaches the partitioner as some other bound, and an
+/// infinite one puts every vertex on one PE. `Service::execute` checks it,
+/// and so does a client before it sends a request.
+///
+/// # Errors
+/// [`ServeError::Invalid`] naming the refused value.
+pub fn check_eps(eps: f64) -> Result<(), ServeError> {
+    if eps.is_finite() && eps >= 0.0 {
+        Ok(())
+    } else {
+        Err(ServeError::Invalid(format!(
+            "eps must be a finite number >= 0, got {eps}"
+        )))
+    }
+}
+
 /// Why a request could not be served.
 #[derive(Debug)]
 pub enum ServeError {
@@ -181,14 +198,7 @@ impl Service {
                 "threads must be at least 1".to_string(),
             ));
         }
-        // A NaN or negative imbalance bound reaches the partitioner as some
-        // other bound, and an infinite one puts every vertex on one PE.
-        if !(req.eps.is_finite() && req.eps >= 0.0) {
-            return Err(ServeError::Invalid(format!(
-                "eps must be a finite number >= 0, got {}",
-                req.eps
-            )));
-        }
+        check_eps(req.eps)?;
         let topo = parse_topology(&req.topology).map_err(ServeError::Invalid)?;
         let deadline =
             (req.deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(req.deadline_ms));
@@ -433,6 +443,20 @@ mod tests {
             service.execute(&decoded),
             Err(ServeError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn eps_must_be_finite_and_non_negative() {
+        for eps in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let refusal = check_eps(eps).unwrap_err().to_string();
+            assert!(
+                refusal.contains("eps must be a finite number >= 0"),
+                "{eps}: {refusal}"
+            );
+        }
+        for eps in [0.0, 0.03, 1e308] {
+            assert!(check_eps(eps).is_ok(), "{eps}");
+        }
     }
 
     /// Request fields that would size an allocation, or leave no PE to map

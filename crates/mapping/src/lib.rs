@@ -135,12 +135,6 @@ impl Mapping {
     pub fn max_load(&self) -> usize {
         self.load_per_pe().into_iter().max().unwrap_or(0)
     }
-
-    /// Converts the mapping back into a partition of `Ga` with one block per
-    /// PE (blocks of unused PEs are empty).
-    pub fn as_partition(&self) -> Partition {
-        Partition::new(self.assignment.clone(), self.num_pes)
-    }
 }
 
 #[cfg(test)]
@@ -182,14 +176,6 @@ mod tests {
         let g = b.build();
         let m = Mapping::new(vec![0, 0, 1], 2);
         assert_eq!(m.weight_per_pe(&g), vec![2, 10]);
-    }
-
-    #[test]
-    fn as_partition_roundtrip() {
-        let m = Mapping::new(vec![1, 0, 1, 0], 2);
-        let p = m.as_partition();
-        assert_eq!(p.k(), 2);
-        assert_eq!(p.assignment(), m.assignment());
     }
 
     #[test]

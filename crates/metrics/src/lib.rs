@@ -46,11 +46,12 @@ pub struct MappingQuality {
 /// Computes all metrics at once (sharing the distance matrix).
 pub fn evaluate(ga: &Graph, gp: &Graph, mapping: &Mapping) -> MappingQuality {
     let dist = all_pairs_distances(gp);
+    let (avg_dilation, max_dilation) = dilation(ga, &dist, mapping);
     MappingQuality {
         coco: coco_with_distances(ga, &dist, mapping),
         edge_cut: edge_cut(ga, mapping),
-        avg_dilation: dilation(ga, &dist, mapping).0,
-        max_dilation: dilation(ga, &dist, mapping).1,
+        avg_dilation,
+        max_dilation,
         congestion: congestion(ga, gp, mapping),
         imbalance: imbalance(ga, mapping),
     }

@@ -53,20 +53,6 @@ impl Hierarchy {
     pub fn coarsest<'a>(&'a self, original: &'a Graph) -> &'a Graph {
         self.levels.last().map(|l| &l.graph).unwrap_or(original)
     }
-
-    /// Projects an assignment on the coarsest graph back to the original
-    /// vertices.
-    pub fn project_to_finest(&self, coarse_assignment: &[u32]) -> Vec<u32> {
-        let mut assignment: Vec<u32> = coarse_assignment.to_vec();
-        for level in self.levels.iter().rev() {
-            let mut fine = vec![0u32; level.fine_to_coarse.len()];
-            for (v, &c) in level.fine_to_coarse.iter().enumerate() {
-                fine[v] = assignment[c as usize];
-            }
-            assignment = fine;
-        }
-        assignment
-    }
 }
 
 /// Repeatedly matches and contracts until the graph has at most
@@ -146,33 +132,9 @@ mod tests {
     }
 
     #[test]
-    fn projection_roundtrip() {
-        let g = generators::grid2d(8, 8);
-        let h = coarsen_until(&g, 8, 3);
-        let coarsest = h.coarsest(&g);
-        // Assign alternating blocks on the coarsest graph and project.
-        let coarse_assignment: Vec<u32> =
-            (0..coarsest.num_vertices() as u32).map(|v| v % 2).collect();
-        let fine = h.project_to_finest(&coarse_assignment);
-        assert_eq!(fine.len(), g.num_vertices());
-        // Every fine vertex inherits the block of its coarse representative.
-        let mut v_to_c: Vec<u32> = (0..g.num_vertices() as u32).collect();
-        for level in &h.levels {
-            v_to_c = v_to_c
-                .iter()
-                .map(|&c| level.fine_to_coarse[c as usize])
-                .collect();
-        }
-        for v in 0..g.num_vertices() {
-            assert_eq!(fine[v], coarse_assignment[v_to_c[v] as usize]);
-        }
-    }
-
-    #[test]
     fn empty_hierarchy_on_tiny_graph() {
         let g = generators::path_graph(3);
         let h = coarsen_until(&g, 10, 0);
         assert!(h.levels.is_empty());
-        assert_eq!(h.project_to_finest(&[0, 1, 0]), vec![0, 1, 0]);
     }
 }

@@ -139,10 +139,9 @@ impl Timer {
     ) -> Result<TimerResult, TieError> {
         let cfg = &self.config;
         cfg.validate()?;
-        // tie-lint: allow(no-wallclock) — deadline anchor and telemetry total; never read by the algorithm
-        let start = Instant::now();
         // A deadline no instant can hold is no deadline.
-        let deadline = cfg.deadline.and_then(|d| start.checked_add(d));
+        // tie-lint: allow(no-wallclock) — deadline anchor; never read by the algorithm
+        let deadline = cfg.deadline.and_then(|d| Instant::now().checked_add(d));
         let faults = &cfg.faults;
         let mut labeling = Labeling::from_mapping(graph, pcube, initial, cfg.seed)?;
         let dim = labeling.dim;
@@ -209,17 +208,16 @@ impl Timer {
                     trace,
                     faults,
                     &mut scratch,
+                    &mut telemetry.phases,
                 )
             }))
             .map_err(|payload| TieError::WorkerPanicked {
                 round,
                 message: panic_message(payload.as_ref()),
             })?;
-            telemetry.phases.merge(&outcome.phases);
 
             // Check the round's invariants, then commit it.
-            // tie-lint: allow(no-wallclock) — commit-phase telemetry
-            let commit_start = Instant::now();
+            let commit = trace.span(Phase::Commit, Some(round), None);
             check_round(round, outcome.scan_deltas, outcome.sweep_deltas)?;
             let (coco_delta, div_delta) = outcome.scan_deltas;
             coco += coco_delta;
@@ -237,14 +235,7 @@ impl Timer {
                 div,
             });
             labeling.set_labels(outcome.labels);
-            let commit_us = commit_start.elapsed().as_micros() as u64;
-            telemetry.phases.add(Phase::Commit, commit_us);
-            trace.emit(TraceEvent::Phase {
-                phase: Phase::Commit,
-                round: Some(round),
-                level: None,
-                elapsed_us: commit_us,
-            });
+            commit.end(&mut telemetry.phases);
         }
 
         let (final_coco, final_div) =
@@ -256,7 +247,6 @@ impl Timer {
             final_coco,
             cfg.use_diversity.then_some(final_div),
         )?;
-        telemetry.stop_reason = stop_reason;
         trace.emit(TraceEvent::RunEnd {
             final_coco,
             final_div,
@@ -389,15 +379,14 @@ struct RoundOutcome {
     sweep_arcs: usize,
     /// Arcs the round fed to the contraction kernel.
     contract_arcs: usize,
-    /// Wall-clock breakdown of this round's phases.
-    phases: PhaseTimes,
 }
 
 /// Executes one full hierarchy round (Algorithm 1 lines 6–16) from `base`:
 /// permute digits, build and sweep the hierarchy, assemble, un-permute, and
 /// price the candidate against the base via an incidence-limited delta scan.
-/// Pure function of `(base, perm)`; `round`/`trace` only record what
-/// happened and never influence it.
+/// Pure function of `(base, perm)`; `round`, `trace` and `times` only record
+/// what happened and never influence it: each phase is a span that adds to
+/// `times` and emits through `trace`.
 #[allow(clippy::too_many_arguments)] // private helper mirroring the algorithm
 fn run_round(
     graph: &Graph,
@@ -410,18 +399,18 @@ fn run_round(
     trace: &TraceHandle,
     faults: &FaultHandle,
     scratch: &mut HierarchyScratch,
+    times: &mut PhaseTimes,
 ) -> RoundOutcome {
     // Chaos probe: with an armed fault plan this round panics here (inside
     // the round's `catch_unwind`); with the default disabled handle it is a
     // single branch, exactly like the trace probes.
     faults.maybe_panic(round);
-    let mut phases = PhaseTimes::default();
     let inv = invert_permutation(perm);
 
     // Line 7: permute labels (and the masks along with them).
     faults.delay("hierarchy_build");
-    // tie-lint: allow(no-wallclock) — hierarchy-phase telemetry
-    let build_start = Instant::now();
+    // The hierarchy-build span contains the per-level sweep/contract spans.
+    let build = trace.span(Phase::HierarchyBuild, Some(round), None);
     let permuted: Vec<u64> = base
         .iter()
         .map(|&l| permute_label_bits(l, perm, dim))
@@ -439,50 +428,26 @@ fn run_round(
         Some(round),
         trace,
         scratch,
+        times,
     );
-    // The hierarchy-build span contains the per-level sweep/contract spans.
-    let build_us = build_start.elapsed().as_micros() as u64;
-    phases.merge(&run.phases);
-    phases.add(Phase::HierarchyBuild, build_us);
-    trace.emit(TraceEvent::Phase {
-        phase: Phase::HierarchyBuild,
-        round: Some(round),
-        level: None,
-        elapsed_us: build_us,
-    });
+    build.end(times);
 
     // Line 15: assemble a new fine-level labeling from the hierarchy, then
     // (line 16) undo the digit permutation.
     faults.delay("assemble");
-    // tie-lint: allow(no-wallclock) — assemble-phase telemetry
-    let assemble_start = Instant::now();
+    let assemble = trace.span(Phase::Assemble, Some(round), None);
     let labels: Vec<u64> = assemble_labels(&run)
         .into_iter()
         .map(|l| permute_label_bits(l, &inv, dim))
         .collect();
-    let assemble_us = assemble_start.elapsed().as_micros() as u64;
-    phases.add(Phase::Assemble, assemble_us);
-    trace.emit(TraceEvent::Phase {
-        phase: Phase::Assemble,
-        round: Some(round),
-        level: None,
-        elapsed_us: assemble_us,
-    });
+    assemble.end(times);
 
     // The scan is independent of the sweeps' own sums, which the commit
     // checks it against.
     faults.delay("delta_scan");
-    // tie-lint: allow(no-wallclock) — delta-scan-phase telemetry
-    let scan_start = Instant::now();
+    let scan = trace.span(Phase::DeltaScan, Some(round), None);
     let scan_deltas = coco_div_delta(graph, base, &labels, p_mask, e_mask);
-    let scan_us = scan_start.elapsed().as_micros() as u64;
-    phases.add(Phase::DeltaScan, scan_us);
-    trace.emit(TraceEvent::Phase {
-        phase: Phase::DeltaScan,
-        round: Some(round),
-        level: None,
-        elapsed_us: scan_us,
-    });
+    scan.end(times);
     RoundOutcome {
         labels,
         scan_deltas,
@@ -490,7 +455,6 @@ fn run_round(
         sweep_deltas: (run.coco_delta, run.div_delta),
         sweep_arcs: run.sweep_arcs,
         contract_arcs: run.contract_arcs,
-        phases,
     }
 }
 

@@ -5,21 +5,20 @@
 //! The taxonomy exists so a long-running service (`mapd`, see
 //! `docs/RESILIENCE.md`) can report and survive failures instead of
 //! panicking: malformed inputs, incompatible topology/labeling pairs,
-//! panicking hierarchy rounds, IO failures and violated invariants all
-//! surface as values, while deadline expiry and cancellation are *not*
+//! panicking hierarchy rounds and violated invariants all surface as
+//! values, while deadline expiry and cancellation are *not*
 //! errors — they end a run gracefully with the labeling of the last
 //! committed round and a [`StopReason`] saying why.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use tie_graph::io::IoError;
 use tie_topology::RecognitionError;
 
 /// Why a library-path TIMER operation failed. Everything a caller can
-/// provoke (bad input, incompatible instance) or the environment can inflict
-/// (IO, a panicking round) is a variant here; library paths do not panic on
-/// these.
+/// provoke (bad input, incompatible instance) or a bug can cause (a
+/// panicking round, a violated invariant) is a variant here; library paths
+/// do not panic on these. No function returning it does I/O.
 #[derive(Debug)]
 pub enum TieError {
     /// The input violates a documented precondition (sizes, ranges, flags).
@@ -35,14 +34,6 @@ pub enum TieError {
         /// Panic payload (stringified).
         message: String,
     },
-    /// A hard deadline was exceeded where graceful degradation is not
-    /// possible (e.g. before a first feasible labeling exists). The driver
-    /// itself prefers `StopReason::DeadlineExceeded` + best-so-far.
-    DeadlineExceeded,
-    /// An underlying IO operation failed.
-    Io(std::io::Error),
-    /// Reading or parsing a graph file failed.
-    GraphIo(IoError),
     /// The processor graph is not a partial cube (or its labeling is
     /// internally inconsistent).
     Recognition(RecognitionError),
@@ -61,9 +52,6 @@ impl std::fmt::Display for TieError {
             TieError::WorkerPanicked { round, message } => {
                 write!(f, "hierarchy round {round} panicked: {message}")
             }
-            TieError::DeadlineExceeded => write!(f, "deadline exceeded"),
-            TieError::Io(e) => write!(f, "I/O error: {e}"),
-            TieError::GraphIo(e) => write!(f, "graph I/O error: {e}"),
             TieError::Recognition(e) => write!(f, "partial-cube recognition failed: {e}"),
             TieError::InvariantViolated(msg) => write!(f, "invariant violated: {msg}"),
         }
@@ -73,23 +61,9 @@ impl std::fmt::Display for TieError {
 impl std::error::Error for TieError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            TieError::Io(e) => Some(e),
-            TieError::GraphIo(e) => Some(e),
             TieError::Recognition(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<std::io::Error> for TieError {
-    fn from(e: std::io::Error) -> Self {
-        TieError::Io(e)
-    }
-}
-
-impl From<IoError> for TieError {
-    fn from(e: IoError) -> Self {
-        TieError::GraphIo(e)
     }
 }
 
@@ -122,11 +96,6 @@ impl StopReason {
             StopReason::DeadlineExceeded => "deadline_exceeded",
             StopReason::Cancelled => "cancelled",
         }
-    }
-
-    /// Whether the run committed every configured round.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, StopReason::Completed)
     }
 }
 
@@ -180,15 +149,6 @@ mod tests {
                 },
                 "round 3",
             ),
-            (TieError::DeadlineExceeded, "deadline"),
-            (
-                TieError::Io(std::io::Error::other("disk on fire")),
-                "disk on fire",
-            ),
-            (
-                TieError::GraphIo(IoError::Parse("bad header".into())),
-                "bad header",
-            ),
             (
                 TieError::Recognition(RecognitionError::NotBipartite),
                 "bipartite",
@@ -206,19 +166,13 @@ mod tests {
 
     #[test]
     fn conversions_preserve_payloads() {
-        let e: TieError = IoError::Parse("line 3".into()).into();
-        assert!(matches!(e, TieError::GraphIo(_)));
         let e: TieError = RecognitionError::Disconnected.into();
         assert!(matches!(e, TieError::Recognition(_)));
-        let e: TieError = std::io::Error::other("nope").into();
-        assert!(matches!(e, TieError::Io(_)));
     }
 
     #[test]
     fn stop_reason_names_and_default() {
         assert_eq!(StopReason::default(), StopReason::Completed);
-        assert!(StopReason::Completed.is_completed());
-        assert!(!StopReason::Cancelled.is_completed());
         assert_eq!(StopReason::DeadlineExceeded.name(), "deadline_exceeded");
         assert_eq!(StopReason::Cancelled.to_string(), "cancelled");
     }

@@ -64,11 +64,9 @@
 //! evidence: all 60 cells of the quality matrix keep every round and end
 //! below their input.
 
-use std::time::Instant;
-
 use tie_graph::contract::{contract_into, ContractScratch};
 use tie_graph::{Graph, NodeId};
-use tie_trace::{Phase, PhaseTimes, TraceEvent, TraceHandle, TraceLevel};
+use tie_trace::{Phase, PhaseTimes, TraceHandle};
 
 /// A level about to be swept becomes the new base graph once it has at most
 /// `1 / MATERIALIZE_FACTOR` of the current base's vertices. Sequential
@@ -110,10 +108,6 @@ pub struct HierarchyRun {
     /// Summed `Div` change (under `e_mask`) of the swaps on extension
     /// digits, exact in the same way.
     pub div_delta: i64,
-    /// Wall-clock spent in the sweeps and contractions of this hierarchy
-    /// (accumulated per [`Phase`]; always collected, the cost is two
-    /// monotonic-clock reads per level).
-    pub phases: PhaseTimes,
 }
 
 /// Reusable buffers for the prefix-bucket pair search of
@@ -410,13 +404,14 @@ pub fn build_hierarchy(
         None,
         &TraceHandle::off(),
         &mut HierarchyScratch::default(),
+        &mut PhaseTimes::default(),
     )
 }
 
 /// [`build_hierarchy`] with flight-recorder context and caller-provided
-/// scratch: per-level sweep and contraction spans are emitted through
-/// `trace` (at `TraceLevel::Debug`) and tagged with `hierarchy_round` so
-/// the rounds stay distinguishable in the recording. A
+/// scratch: every level's sweep and contraction is a span that adds to
+/// `times` and emits through `trace` (at `TraceLevel::Debug`), tagged with
+/// `hierarchy_round` so the rounds stay distinguishable in the recording. A
 /// level's contraction span includes the materialization of the next level,
 /// if any, and the interning of the next level's suffix classes. `scratch`
 /// carries the sweep, view, class and contraction buffers across all levels
@@ -434,23 +429,12 @@ pub fn build_hierarchy_traced(
     hierarchy_round: Option<usize>,
     trace: &TraceHandle,
     scratch: &mut HierarchyScratch,
+    times: &mut PhaseTimes,
 ) -> HierarchyRun {
     debug_assert_eq!(labels.len(), graph.num_vertices(), "one label per vertex");
     let mut run = HierarchyRun::default();
     let mut materialized: Option<Graph> = None;
     let mut current_labels = labels;
-    // Cheap enough to collect always; only *emission* is gated on the level.
-    let per_level = trace.enabled(TraceLevel::Debug);
-    let emit = |phase: Phase, level: usize, elapsed_us: u64| {
-        if per_level {
-            trace.emit(TraceEvent::Phase {
-                phase,
-                round: hierarchy_round,
-                level: Some(level),
-                elapsed_us,
-            });
-        }
-    };
     let HierarchyScratch {
         sweep,
         view,
@@ -461,15 +445,17 @@ pub fn build_hierarchy_traced(
     // Paper: for i = 2 .. dim_Ga - 1; sweep on G^{i-1}, contract into G^i.
     let rounds = dim.saturating_sub(2);
     if rounds > 0 {
-        let t = Instant::now();
+        // Contract time of no level: timed on an off handle, so it adds to
+        // `times` and emits nothing.
+        let untraced = TraceHandle::off();
+        let reset = untraced.span(Phase::Contract, None, None);
         view.reset(graph.num_vertices());
         classes.reset(graph.num_vertices());
-        run.phases
-            .add(Phase::Contract, t.elapsed().as_micros() as u64);
+        reset.end(times);
     }
     for round in 0..rounds {
         let base = materialized.as_ref().unwrap_or(graph);
-        let t = Instant::now();
+        let sweep_span = trace.span(Phase::Sweep, hierarchy_round, Some(round));
         collect_swap_pairs(&current_labels, sweep);
         sweep_level(
             base,
@@ -480,11 +466,9 @@ pub fn build_hierarchy_traced(
             (p_mask >> round, e_mask >> round),
             &mut run,
         );
-        let sweep_us = t.elapsed().as_micros() as u64;
-        run.phases.add(Phase::Sweep, sweep_us);
-        emit(Phase::Sweep, round, sweep_us);
+        sweep_span.end(times);
 
-        let t = Instant::now();
+        let contract_span = trace.span(Phase::Contract, hierarchy_round, Some(round));
         let (coarse_labels, fine_to_coarse) = rank_prefixes(&sweep.keyed);
         let coarse_n = coarse_labels.len();
         // The coarsest level is never swept, so it needs no view and no
@@ -499,9 +483,7 @@ pub fn build_hierarchy_traced(
                 materialized = Some(next);
             }
         }
-        let contract_us = t.elapsed().as_micros() as u64;
-        run.phases.add(Phase::Contract, contract_us);
-        emit(Phase::Contract, round, contract_us);
+        contract_span.end(times);
         run.levels.push(Level {
             labels: current_labels,
             fine_to_coarse,
@@ -617,7 +599,7 @@ mod tests {
     /// is priced by [`swap_delta`], and a pair may swap only when
     /// [`suffixes_under`] finds the same suffixes under both members.
     /// Returns the levels, the swap count and the swaps' `Coco` and `Div`
-    /// changes; the work counts and phases stay zero.
+    /// changes; the work counts stay zero.
     fn build_hierarchy_reference(
         graph: &Graph,
         labels: Vec<u64>,
@@ -720,8 +702,17 @@ mod tests {
         e_mask: u64,
         scratch: &mut HierarchyScratch,
     ) -> HierarchyRun {
-        let trace = TraceHandle::off();
-        build_hierarchy_traced(graph, labels, dim, p_mask, e_mask, None, &trace, scratch)
+        build_hierarchy_traced(
+            graph,
+            labels,
+            dim,
+            p_mask,
+            e_mask,
+            None,
+            &TraceHandle::off(),
+            scratch,
+            &mut PhaseTimes::default(),
+        )
     }
 
     fn low_mask(digits: usize) -> u64 {

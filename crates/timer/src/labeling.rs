@@ -144,12 +144,6 @@ impl Labeling {
         self.labels[v as usize] >> self.ext_bits
     }
 
-    /// Extension ("right") part of vertex `v`'s label.
-    #[inline]
-    pub fn le_part(&self, v: NodeId) -> u64 {
-        self.labels[v as usize] & self.ext_mask()
-    }
-
     /// Bit mask of the extension digits.
     #[inline]
     pub fn ext_mask(&self) -> u64 {

@@ -11,8 +11,6 @@
 
 use tie_trace::{LogHistogram, PhaseTimes};
 
-use crate::error::StopReason;
-
 /// Summary of one `Timer::enhance` run: the distributions of the per-round
 /// objective deltas, the hierarchies' work counts and a per-phase
 /// wall-clock breakdown. The count of committed rounds is
@@ -35,9 +33,6 @@ pub struct RoundTelemetry {
     pub contract_arcs: usize,
     /// Accumulated wall-clock per pipeline phase across the whole run.
     pub phases: PhaseTimes,
-    /// Why the run stopped running rounds ([`StopReason::Completed`] unless
-    /// a deadline or cancellation cut it short).
-    pub stop_reason: StopReason,
 }
 
 impl RoundTelemetry {

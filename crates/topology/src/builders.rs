@@ -7,23 +7,6 @@
 
 use tie_graph::{generators, Graph, GraphBuilder, NodeId};
 
-/// The family a [`Topology`] belongs to.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TopologyKind {
-    /// Rectangular mesh with the given extents.
-    Grid(Vec<usize>),
-    /// Torus with the given extents (wrap-around in every dimension).
-    Torus(Vec<usize>),
-    /// Hypercube of the given dimension.
-    Hypercube(usize),
-    /// Complete binary tree with the given vertex count.
-    Tree(usize),
-    /// Simple path with the given vertex count.
-    Path(usize),
-    /// Anything user-supplied.
-    Custom,
-}
-
 /// A processor graph together with descriptive metadata.
 #[derive(Clone, Debug)]
 pub struct Topology {
@@ -31,8 +14,6 @@ pub struct Topology {
     pub graph: Graph,
     /// Human-readable name used in reports (e.g. `grid16x16`).
     pub name: String,
-    /// Structural family.
-    pub kind: TopologyKind,
 }
 
 impl Topology {
@@ -41,21 +22,11 @@ impl Topology {
         self.graph.num_vertices()
     }
 
-    /// Wraps an arbitrary graph as a custom topology.
-    pub fn custom(graph: Graph, name: impl Into<String>) -> Self {
-        Topology {
-            graph,
-            name: name.into(),
-            kind: TopologyKind::Custom,
-        }
-    }
-
     /// 2D grid (mesh) topology with `nx × ny` PEs.
     pub fn grid2d(nx: usize, ny: usize) -> Self {
         Topology {
             graph: generators::grid2d(nx, ny),
             name: format!("grid{nx}x{ny}"),
-            kind: TopologyKind::Grid(vec![nx, ny]),
         }
     }
 
@@ -64,7 +35,6 @@ impl Topology {
         Topology {
             graph: generators::grid3d(nx, ny, nz),
             name: format!("grid{nx}x{ny}x{nz}"),
-            kind: TopologyKind::Grid(vec![nx, ny, nz]),
         }
     }
 
@@ -88,7 +58,6 @@ impl Topology {
         Topology {
             graph: b.build(),
             name: format!("torus{nx}x{ny}"),
-            kind: TopologyKind::Torus(vec![nx, ny]),
         }
     }
 
@@ -114,7 +83,6 @@ impl Topology {
         Topology {
             graph: b.build(),
             name: format!("torus{nx}x{ny}x{nz}"),
-            kind: TopologyKind::Torus(vec![nx, ny, nz]),
         }
     }
 
@@ -137,7 +105,6 @@ impl Topology {
         Topology {
             graph: b.build(),
             name: format!("{dim}-dimHQ"),
-            kind: TopologyKind::Hypercube(dim),
         }
     }
 
@@ -147,7 +114,6 @@ impl Topology {
         Topology {
             graph: generators::binary_tree(n),
             name: format!("tree{n}"),
-            kind: TopologyKind::Tree(n),
         }
     }
 
@@ -156,7 +122,6 @@ impl Topology {
         Topology {
             graph: generators::path_graph(n),
             name: format!("path{n}"),
-            kind: TopologyKind::Path(n),
         }
     }
 

@@ -22,12 +22,6 @@ pub fn bit(label: Label, i: usize) -> u64 {
     (label >> i) & 1
 }
 
-/// Sets bit `i` of `label` to `value` (0 or 1).
-#[inline]
-pub fn with_bit(label: Label, i: usize, value: u64) -> Label {
-    (label & !(1u64 << i)) | ((value & 1) << i)
-}
-
 /// Permutes the low `dim` bits of `label`: bit `i` of the result is bit
 /// `perm[i]` of the input. `perm` must be a permutation of `0..dim`.
 ///
@@ -90,9 +84,6 @@ mod tests {
         let l = 0b1010u64;
         assert_eq!(bit(l, 0), 0);
         assert_eq!(bit(l, 1), 1);
-        assert_eq!(with_bit(l, 0, 1), 0b1011);
-        assert_eq!(with_bit(l, 3, 0), 0b0010);
-        assert_eq!(with_bit(l, 1, 1), l);
     }
 
     #[test]

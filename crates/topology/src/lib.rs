@@ -24,7 +24,7 @@ pub mod builders;
 pub mod label;
 pub mod partial_cube;
 
-pub use builders::{Topology, TopologyKind};
+pub use builders::Topology;
 pub use label::{hamming, permute_label_bits, Label};
 pub use partial_cube::{
     is_bipartite, recognize_partial_cube, verify_labeling, PartialCubeLabeling, RecognitionError,

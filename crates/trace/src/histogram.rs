@@ -108,38 +108,6 @@ impl LogHistogram {
         self.zero
     }
 
-    /// Number of strictly negative recorded values.
-    pub fn negatives(&self) -> u64 {
-        self.neg.iter().sum()
-    }
-
-    /// Number of strictly positive recorded values.
-    pub fn positives(&self) -> u64 {
-        self.pos.iter().sum()
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.count += other.count;
-        self.sum += other.sum;
-        self.zero += other.zero;
-        for (slot, v) in self.pos.iter_mut().zip(other.pos) {
-            *slot += v;
-        }
-        for (slot, v) in self.neg.iter_mut().zip(other.neg) {
-            *slot += v;
-        }
-    }
-
     /// The non-empty buckets in ascending value order (most negative first,
     /// then zero, then positive).
     pub fn buckets(&self) -> Vec<HistogramBucket> {
@@ -233,8 +201,6 @@ mod tests {
         );
         assert_eq!(h.count(), 11);
         assert_eq!(h.zeros(), 1);
-        assert_eq!(h.negatives(), 4);
-        assert_eq!(h.positives(), 6);
         assert_eq!(h.min(), Some(-1000));
         assert_eq!(h.max(), Some(8));
         assert_eq!(h.sum(), (1 + 2 + 3 + 4 + 7 + 8 - 1 - 2 - 3 - 1000) as i128);
@@ -255,33 +221,6 @@ mod tests {
         assert_eq!(buckets[1].count, 1);
         assert_eq!(h.min(), Some(i64::MIN));
         assert_eq!(h.max(), Some(i64::MAX));
-    }
-
-    #[test]
-    fn merge_matches_recording_everything_into_one() {
-        let values_a = [-17i64, 0, 3, 3, 900, -2];
-        let values_b = [5i64, -5, 0, 1 << 40];
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut combined = LogHistogram::new();
-        for v in values_a {
-            a.record(v);
-            combined.record(v);
-        }
-        for v in values_b {
-            b.record(v);
-            combined.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, combined);
-        // Merging into an empty histogram copies; merging an empty one is a
-        // no-op.
-        let mut empty = LogHistogram::new();
-        empty.merge(&combined);
-        assert_eq!(empty, combined);
-        let before = combined.clone();
-        combined.merge(&LogHistogram::new());
-        assert_eq!(combined, before);
     }
 
     #[test]

@@ -23,8 +23,10 @@
 //! * [`LogHistogram`] — log₂-bucketed signed histograms for the ΔCoco/ΔDiv
 //!   distributions, built from the deltas the driver already computes (no
 //!   extra full-graph recomputes).
-//! * [`Phase`] / [`PhaseTimes`] — a fixed phase vocabulary and a zero-alloc
-//!   accumulator for per-phase wall-clock breakdowns.
+//! * [`Phase`] / [`PhaseTimes`] / [`PhaseSpan`] — a fixed phase vocabulary,
+//!   a zero-alloc accumulator for per-phase wall-clock breakdowns, and the
+//!   span ([`TraceHandle::span`]) that times one phase into both the
+//!   accumulator and the trace.
 //!
 //! Timestamps (`ts_us`) are microseconds of monotonic time since the handle
 //! was created; `thread` is a small sequential id assigned per OS thread on
@@ -39,7 +41,7 @@ pub mod sink;
 
 pub use event::TraceEvent;
 pub use histogram::{HistogramBucket, LogHistogram};
-pub use phase::{Phase, PhaseTimes};
+pub use phase::{Phase, PhaseSpan, PhaseTimes};
 pub use sink::{JsonlSink, MemorySink, NullSink, StderrSink, TraceSink};
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,20 +141,6 @@ impl TraceHandle {
         }
     }
 
-    /// Whether any events are recorded at all.
-    pub fn is_active(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Microseconds of monotonic time since this handle was created (0 for a
-    /// disabled handle).
-    pub fn ts_us(&self) -> u64 {
-        match &self.inner {
-            None => 0,
-            Some(i) => i.epoch.elapsed().as_micros() as u64,
-        }
-    }
-
     /// Records `event` if its level passes the handle's filter. Timestamp
     /// and thread id are attached here so every sink sees the same view.
     pub fn emit(&self, event: TraceEvent) {
@@ -184,9 +172,7 @@ mod tests {
     #[test]
     fn disabled_handle_is_inert() {
         let h = TraceHandle::off();
-        assert!(!h.is_active());
         assert!(!h.enabled(TraceLevel::Gate));
-        assert_eq!(h.ts_us(), 0);
         // Emitting into the void must not panic.
         h.emit(TraceEvent::RunEnd {
             final_coco: 0,
@@ -201,7 +187,7 @@ mod tests {
     fn off_level_disables_even_with_a_sink() {
         let sink = Arc::new(MemorySink::default());
         let h = TraceHandle::new(sink.clone(), TraceLevel::Off);
-        assert!(!h.is_active());
+        assert!(!h.enabled(TraceLevel::Gate));
     }
 
     #[test]

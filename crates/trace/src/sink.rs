@@ -93,15 +93,6 @@ impl MemorySink {
             .unwrap_or_else(|p| p.into_inner())
             .clone()
     }
-
-    /// The recorded [`TraceEvent::Gate`] events, in emission order.
-    pub fn gate_events(&self) -> Vec<TraceEvent> {
-        self.events()
-            .into_iter()
-            .map(|r| r.event)
-            .filter(|e| matches!(e, TraceEvent::Gate { .. }))
-            .collect()
-    }
 }
 
 impl TraceSink for MemorySink {
@@ -172,7 +163,6 @@ mod tests {
         }
         let events = sink.events();
         assert_eq!(events.len(), 3);
-        assert_eq!(sink.gate_events().len(), 3);
         for (i, rec) in events.iter().enumerate() {
             match rec.event {
                 TraceEvent::Gate { round, .. } => assert_eq!(round, i),

@@ -9,7 +9,7 @@ use tie_mapping::identity_mapping;
 use tie_partition::{partition, PartitionConfig};
 use tie_timer::{enhance_mapping, TimerConfig, TimerResult};
 use tie_topology::{recognize_partial_cube, Topology};
-use tie_trace::{JsonlSink, NullSink, TraceHandle, TraceLevel};
+use tie_trace::{JsonlSink, MemorySink, NullSink, Phase, TraceEvent, TraceHandle, TraceLevel};
 
 const NH: usize = 8;
 
@@ -123,4 +123,57 @@ fn tracing_never_changes_the_result() {
         // wall-clock and may differ).
         assert!(r.telemetry.same_gate_trajectory(&baseline.telemetry));
     }
+}
+
+#[test]
+fn debug_trace_spans_every_level_of_every_round() {
+    let sink = Arc::new(MemorySink::default());
+    let result = run_with(TraceHandle::new(sink.clone(), TraceLevel::Debug));
+    let spans: Vec<(Phase, Option<usize>, Option<usize>)> = sink
+        .events()
+        .into_iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::Phase {
+                phase,
+                round,
+                level,
+                ..
+            } => Some((phase, round, level)),
+            _ => None,
+        })
+        .collect();
+    let count =
+        |span: (Phase, Option<usize>, Option<usize>)| spans.iter().filter(|&&s| s == span).count();
+    // Levels 0..dim-2 are swept and contracted in every round; the round
+    // itself has one span per round-level phase.
+    let swept = result.labeling.dim - 2;
+    for round in (0..NH).map(Some) {
+        for level in (0..swept).map(Some) {
+            assert_eq!(
+                count((Phase::Sweep, round, level)),
+                1,
+                "{round:?} {level:?}"
+            );
+            assert_eq!(
+                count((Phase::Contract, round, level)),
+                1,
+                "{round:?} {level:?}"
+            );
+        }
+        for phase in [
+            Phase::HierarchyBuild,
+            Phase::Assemble,
+            Phase::DeltaScan,
+            Phase::Commit,
+        ] {
+            assert_eq!(count((phase, round, None)), 1, "{phase:?} {round:?}");
+        }
+    }
+    assert_eq!(spans.len(), NH * (2 * swept + 4));
+    // A hierarchy build contains its levels' sweeps and contractions.
+    let phases = &result.telemetry.phases;
+    assert!(
+        phases.get(Phase::HierarchyBuild) >= phases.get(Phase::Sweep) + phases.get(Phase::Contract),
+        "{phases:?}"
+    );
 }
