@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tie_bench::workloads::{paper_networks, Scale};
 use tie_mapping::identity_mapping;
 use tie_partition::{partition, PartitionConfig};
-use tie_timer::{enhance_mapping, TimerConfig};
+use tie_timer::{Timer, TimerConfig};
 use tie_topology::{recognize_partial_cube, Topology};
 
 fn bench_instance() -> (
@@ -36,7 +36,8 @@ fn nh_sweep(c: &mut Criterion) {
     group.sample_size(10);
     for nh in [1usize, 5, 10, 25] {
         group.bench_with_input(BenchmarkId::from_parameter(nh), &nh, |b, &nh| {
-            b.iter(|| enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(nh, 3)).unwrap());
+            let timer = Timer::new(TimerConfig::new(nh, 3));
+            b.iter(|| timer.enhance(&ga, &pcube, &mapping).unwrap());
         });
     }
     group.finish();
@@ -48,18 +49,12 @@ fn objective_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("timer_objective_ablation");
     group.sample_size(10);
     group.bench_function("coco_plus", |b| {
-        b.iter(|| enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(5, 1)).unwrap());
+        let timer = Timer::new(TimerConfig::new(5, 1));
+        b.iter(|| timer.enhance(&ga, &pcube, &mapping).unwrap());
     });
     group.bench_function("coco_only", |b| {
-        b.iter(|| {
-            enhance_mapping(
-                &ga,
-                &pcube,
-                &mapping,
-                TimerConfig::new(5, 1).without_diversity(),
-            )
-            .unwrap()
-        });
+        let timer = Timer::new(TimerConfig::new(5, 1).without_diversity());
+        b.iter(|| timer.enhance(&ga, &pcube, &mapping).unwrap());
     });
     group.finish();
 }
@@ -78,7 +73,8 @@ fn per_topology(c: &mut Criterion) {
         let part = partition(&ga, &PartitionConfig::new(topo.num_pes(), 1));
         let mapping = identity_mapping(&part, topo.num_pes());
         group.bench_function(&topo.name, |b| {
-            b.iter(|| enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(5, 1)).unwrap());
+            let timer = Timer::new(TimerConfig::new(5, 1));
+            b.iter(|| timer.enhance(&ga, &pcube, &mapping).unwrap());
         });
     }
     group.finish();

@@ -5,34 +5,35 @@
 //!
 //! Cells: grid8x8 and the five `Topology::paper_topologies()`, × the
 //! initial mappings "scr" (`bench_timer`'s random block-to-PE bijection)
-//! and c1–c4 (`MapCase::initial_mapping`), × Div on and Div off: 60 cells.
-//! Every cell runs NH 40 with TIMER and partition seed 1 on one thread and
-//! records initial and final Coco, kept rounds, `total_swaps` and the
-//! wall-clock of the `enhance` call, the median of `RUNS` runs. Everything
-//! but `wall_ms` is deterministic: the harness exits 2, naming the cell,
-//! when a run's final Coco, kept rounds or swaps differ from the first
-//! run's, and a regenerated file must reproduce every other field of the
-//! committed one.
+//! and c1–c4 (the pipeline's `map_initial` step), × Div on and Div off: 60
+//! cells. Every cell runs the pipeline's `enhance` step with NH 40, TIMER
+//! and partition seed 1, on one thread, and records initial and final Coco,
+//! kept rounds, `total_swaps` and the wall-clock of `Timer::enhance`, the
+//! median of `RUNS` runs. Everything but `wall_ms` is deterministic: the
+//! harness exits 2, naming the cell, when a run's final Coco, kept rounds
+//! or swaps differ from the first run's, and a regenerated file must
+//! reproduce every other field of the committed one.
 //!
 //! Usage:
 //!   cargo run --release -p tie-bench --bin bench_quality -- [--out BENCH_quality.json]
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use tie_bench::workloads::{paper_networks, Scale};
 use tie_graph::generators::random_permutation;
 use tie_mapd::cli::try_flag_value;
+use tie_mapd::pipeline::{enhance, map_initial};
 use tie_mapd::MapCase;
 use tie_mapping::Mapping;
-use tie_partition::{partition, PartitionConfig};
-use tie_timer::{enhance_mapping, TimerConfig, TimerResult};
+use tie_timer::{TimerConfig, TimerResult};
 use tie_topology::{recognize_partial_cube, Topology};
 
 const NETWORK: &str = "PGPgiantcompo";
 const NH: usize = 40;
 const SEED: u64 = 1;
+/// The partitioner's imbalance bound: the paper's 3 %.
+const EPS: f64 = 0.03;
 /// Runs per cell; `wall_ms` is their median, so one slow run does not set it.
 const RUNS: usize = 3;
 
@@ -71,16 +72,12 @@ fn run() -> Result<(), String> {
         let pcube = recognize_partial_cube(&topo.graph)
             .map_err(|e| format!("{} failed partial-cube recognition: {e}", topo.name))?;
         let k = topo.num_pes();
-        let part = partition(&ga, &PartitionConfig::new(k, SEED));
-        let mut inputs = vec![(
-            "scr",
-            Mapping::from_partition(&part, &random_permutation(k, SEED), k),
-        )];
-        for case in MapCase::all() {
-            inputs.push((
-                case.id(),
-                case.initial_mapping(&ga, &part, &topo.graph, SEED),
-            ));
+        let cases = MapCase::all().map(|case| map_initial(&ga, &topo.graph, case, EPS, SEED));
+        // The partition does not depend on the case: scr scrambles c1's.
+        let scr = Mapping::from_partition(&cases[0].partition, &random_permutation(k, SEED), k);
+        let mut inputs = vec![("scr", scr)];
+        for (case, initial) in MapCase::all().into_iter().zip(cases) {
+            inputs.push((case.id(), initial.mapping));
         }
         for (mapping_name, mapping) in &inputs {
             for diversity in [true, false] {
@@ -93,10 +90,10 @@ fn run() -> Result<(), String> {
                     if !diversity {
                         cfg = cfg.without_diversity();
                     }
-                    let start = Instant::now();
-                    let run = enhance_mapping(&ga, &pcube, mapping, cfg)
+                    let run = enhance(&ga, &topo.graph, &pcube, mapping, cfg)
                         .map_err(|e| format!("{cell}: {e}"))?;
-                    walls_ms.push(start.elapsed().as_secs_f64() * 1e3);
+                    walls_ms.push(run.timer_time.as_secs_f64() * 1e3);
+                    let run = run.result;
                     if let Some(r) = first.as_ref().filter(|r| key(r) != key(&run)) {
                         return Err(format!(
                             "{cell}: a run's (final Coco, kept rounds, swaps) {:?} differs \

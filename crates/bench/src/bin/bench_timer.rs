@@ -1,6 +1,7 @@
-//! TIMER perf-trajectory harness: times `Timer::enhance` at each workload
-//! scale and writes the machine-readable `BENCH_timer.json` artifact, so
-//! the wall-clock/quality trajectory of the driver is tracked across commits.
+//! TIMER perf-trajectory harness: runs the pipeline's `enhance` step at
+//! each workload scale, times its `Timer::enhance` call and writes the
+//! machine-readable `BENCH_timer.json` artifact, so the wall-clock/quality
+//! trajectory of the driver is tracked across commits.
 //!
 //! Usage:
 //!   cargo run -p tie-bench --bin bench_timer --release -- \
@@ -18,16 +19,16 @@
 //! embedded in the JSON artifact.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use tie_bench::report::{format_bench_json, TimerBenchEntry};
 use tie_bench::workloads::{paper_networks, Scale};
 use tie_fault::FaultHandle;
 use tie_graph::generators::random_permutation;
 use tie_mapd::cli::{has_flag, parsed_flag, trace_from_flags, try_flag_value};
+use tie_mapd::pipeline::enhance;
 use tie_mapping::Mapping;
 use tie_partition::{partition, PartitionConfig};
-use tie_timer::{enhance_mapping, RoundTelemetry, TimerConfig, TimerResult};
+use tie_timer::{RoundTelemetry, TimerConfig, TimerResult};
 use tie_topology::{recognize_partial_cube, Topology};
 
 const NETWORK: &str = "PGPgiantcompo";
@@ -133,10 +134,10 @@ fn run() -> Result<(), String> {
             let cfg = TimerConfig::new(nh, SEED)
                 .with_trace(trace.clone())
                 .with_faults(faults.clone());
-            let start = Instant::now();
-            let rep_result = enhance_mapping(&ga, &pcube, &mapping, cfg)
+            let run = enhance(&ga, &topo.graph, &pcube, &mapping, cfg)
                 .map_err(|e| format!("enhance failed at scale {}: {e}", scale_name(scale)))?;
-            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+            let wall_ms = run.timer_time.as_secs_f64() * 1e3;
+            let rep_result = run.result;
             if let Some(field) = result
                 .as_ref()
                 .and_then(|first| trajectory_mismatch(first, &rep_result))

@@ -1,6 +1,5 @@
 //! Runs the complete (reduced-scale) evaluation in one go: Table 1, Table 3,
-//! Figures 5a–5d and Table 2. This is the binary EXPERIMENTS.md is generated
-//! from.
+//! Figures 5a–5d and Table 2.
 //!
 //! Usage: `cargo run -p tie-bench --bin run_all --release -- [--scale tiny|small|medium] [--reps N] [--nh N] [--deadline-ms N] [--out PATH]`
 //!

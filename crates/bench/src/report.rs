@@ -4,7 +4,7 @@
 //! (network inventory), Table 2 (running-time quotients), Table 3
 //! (partitioner running times), and Figures 5a–5d (relative Coco and Cut per
 //! topology after TIMER). Everything is plain ASCII so the output can be
-//! diffed and pasted into EXPERIMENTS.md.
+//! diffed.
 
 use std::fmt::Write as _;
 

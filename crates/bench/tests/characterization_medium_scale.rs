@@ -15,7 +15,7 @@ use tie_bench::workloads::{paper_networks, Scale};
 use tie_graph::generators::random_permutation;
 use tie_mapping::Mapping;
 use tie_partition::{partition, PartitionConfig};
-use tie_timer::{enhance_mapping, TimerConfig};
+use tie_timer::{Timer, TimerConfig};
 use tie_topology::{recognize_partial_cube, Topology};
 
 #[test]
@@ -32,7 +32,8 @@ fn medium_scale_keeps_every_round_and_lowers_coco() {
     let mapping = Mapping::from_partition(&part, &scramble, topo.num_pes());
 
     let nh = 4;
-    let result = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(nh, 1)).unwrap();
+    let cfg = TimerConfig::new(nh, 1);
+    let result = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
 
     // The committed BENCH_timer.json artifact records this exact value for
     // the medium cell; the partition, scramble and labeling are all

@@ -11,84 +11,14 @@ use std::time::{Duration, Instant};
 
 use tie_fault::FaultHandle;
 use tie_graph::{io, Graph, GraphBuilder};
-use tie_mapping::{drb::drb_mapping, greedy, identity_mapping, Mapping};
-use tie_metrics::evaluate;
-use tie_partition::{partition, Partition, PartitionConfig};
-use tie_timer::{CancelToken, TieError, Timer, TimerConfig, TopologyContext};
+use tie_timer::{CancelToken, TieError, TimerConfig, TopologyContext};
 use tie_trace::TraceHandle;
 
 use crate::admission::Admission;
 use crate::cache::{CacheStats, TopologyCache};
+use crate::pipeline::{self, MapCase};
 use crate::protocol::{GraphSource, MapRequest, MapResponse, QualitySummary};
 use crate::topo::parse_topology;
-
-/// The four experimental cases of Section 7.1, selecting how the initial
-/// mapping µ₁ is derived from the partition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MapCase {
-    /// c1: dual recursive bisection (SCOTCH stand-in).
-    C1Drb,
-    /// c2: IDENTITY block-to-PE bijection on top of the partition.
-    C2Identity,
-    /// c3: GREEDYALLC construction.
-    C3GreedyAllC,
-    /// c4: GREEDYMIN construction (LibTopoMap-style construct method).
-    C4GreedyMin,
-}
-
-impl MapCase {
-    /// All four cases in paper order.
-    pub fn all() -> [MapCase; 4] {
-        [
-            MapCase::C1Drb,
-            MapCase::C2Identity,
-            MapCase::C3GreedyAllC,
-            MapCase::C4GreedyMin,
-        ]
-    }
-
-    /// Parses the wire/CLI id (`c1`..`c4`).
-    pub fn parse(s: &str) -> Option<MapCase> {
-        MapCase::all().into_iter().find(|c| c.id() == s)
-    }
-
-    /// The stable id.
-    pub fn id(self) -> &'static str {
-        match self {
-            MapCase::C1Drb => "c1",
-            MapCase::C2Identity => "c2",
-            MapCase::C3GreedyAllC => "c3",
-            MapCase::C4GreedyMin => "c4",
-        }
-    }
-
-    /// Label used in reports (matches the paper's figures).
-    pub fn name(self) -> &'static str {
-        match self {
-            MapCase::C1Drb => "c1 (SCOTCH-like DRB)",
-            MapCase::C2Identity => "c2 (IDENTITY)",
-            MapCase::C3GreedyAllC => "c3 (GREEDYALLC)",
-            MapCase::C4GreedyMin => "c4 (GREEDYMIN)",
-        }
-    }
-
-    /// Builds this case's initial mapping µ₁ of `ga` onto `gp` from
-    /// `partition` (`seed` drives DRB's randomized bisections).
-    pub fn initial_mapping(
-        self,
-        ga: &Graph,
-        partition: &Partition,
-        gp: &Graph,
-        seed: u64,
-    ) -> Mapping {
-        match self {
-            MapCase::C1Drb => drb_mapping(ga, partition, gp, seed),
-            MapCase::C2Identity => identity_mapping(partition, gp.num_vertices()),
-            MapCase::C3GreedyAllC => greedy::greedy_allc_mapping(ga, partition, gp),
-            MapCase::C4GreedyMin => greedy::greedy_min_mapping(ga, partition, gp),
-        }
-    }
-}
 
 /// Refuses an imbalance bound `eps` that is not a finite number `>= 0`: a
 /// NaN or negative bound reaches the partitioner as some other bound, and an
@@ -182,9 +112,9 @@ impl Service {
         }
     }
 
-    /// Executes one mapping request end to end: admission, graph load,
-    /// cached topology context, partition, initial mapping, TIMER
-    /// enhancement, quality bookkeeping.
+    /// Executes one mapping request end to end: admission, graph load and
+    /// the cached topology context, then the two [`pipeline`] steps, with
+    /// the request deadline checked between them.
     ///
     /// # Errors
     /// [`ServeError::Invalid`] for malformed requests,
@@ -223,14 +153,7 @@ impl Service {
             )));
         }
 
-        let part = partition(
-            &ga,
-            &PartitionConfig {
-                epsilon: req.eps,
-                ..PartitionConfig::new(topo.num_pes(), req.seed)
-            },
-        );
-        let initial = case.initial_mapping(&ga, &part, &topo.graph, req.seed);
+        let initial = pipeline::map_initial(&ga, &topo.graph, case, req.eps, req.seed);
 
         let mut cfg = TimerConfig::new(req.nh, req.seed)
             .with_trace(self.trace.clone())
@@ -245,21 +168,15 @@ impl Service {
             }
             cfg = cfg.with_deadline(t - now);
         }
-        let result = Timer::new(cfg).enhance_with_context(&ga, &ctx, &initial)?;
-
-        let before = evaluate(&ga, &topo.graph, &initial);
-        let after = evaluate(&ga, &topo.graph, &result.mapping);
-        let mapping: Vec<u32> = (0..result.mapping.num_tasks())
-            .map(|v| result.mapping.pe_of(v as u32))
-            .collect();
+        let run = pipeline::enhance(&ga, &topo.graph, ctx.pcube(), &initial.mapping, cfg)?;
         Ok(MapResponse {
             cache: disposition.name().to_string(),
-            stop_reason: result.stop_reason.name().to_string(),
-            hierarchies_accepted: result.hierarchies_accepted,
-            total_swaps: result.total_swaps,
-            initial: summarize(&before),
-            enhanced: summarize(&after),
-            mapping,
+            stop_reason: run.result.stop_reason.name().to_string(),
+            hierarchies_accepted: run.result.hierarchies_accepted,
+            total_swaps: run.result.total_swaps,
+            initial: summarize(&run.initial),
+            enhanced: summarize(&run.enhanced),
+            mapping: run.result.mapping.assignment().to_vec(),
         })
     }
 

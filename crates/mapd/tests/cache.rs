@@ -7,9 +7,8 @@ use std::sync::Arc;
 
 use tie_fault::FaultHandle;
 use tie_graph::generators;
-use tie_mapd::{CacheDisposition, TopologyCache};
-use tie_mapping::identity_mapping;
-use tie_partition::{partition, PartitionConfig};
+use tie_mapd::pipeline::map_initial;
+use tie_mapd::{CacheDisposition, MapCase, TopologyCache};
 use tie_timer::{Timer, TimerConfig, TopologyContext};
 use tie_topology::Topology;
 use tie_trace::{MemorySink, TraceHandle, TraceLevel};
@@ -163,19 +162,12 @@ fn cache_emits_trace_events() {
 fn hit_and_miss_enhancements_are_byte_identical() {
     let ga = generators::barabasi_albert(300, 3, 11);
     let topo = Topology::grid2d(4, 4);
-    let part = partition(
-        &ga,
-        &PartitionConfig {
-            epsilon: 0.03,
-            ..PartitionConfig::new(16, 11)
-        },
-    );
-    let initial = identity_mapping(&part, 16);
+    let initial = map_initial(&ga, &topo.graph, MapCase::C2Identity, 0.03, 11).mapping;
     let cache = TopologyCache::new(2, TraceHandle::off(), FaultHandle::off());
 
     let run = |ctx: &TopologyContext| {
         Timer::new(TimerConfig::new(8, 11))
-            .enhance_with_context(&ga, ctx, &initial)
+            .enhance(&ga, ctx.pcube(), &initial)
             .unwrap()
     };
     let (ctx_miss, d1) = cache

@@ -74,12 +74,6 @@ impl PartitionConfig {
             seed,
         }
     }
-
-    /// Sets the allowed imbalance.
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon;
-        self
-    }
 }
 
 /// Partitions `graph` into `config.k` blocks, aiming to minimize the edge cut

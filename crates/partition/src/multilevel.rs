@@ -120,7 +120,10 @@ mod tests {
     #[test]
     fn unbalanced_targets_respected() {
         let g = generators::grid2d(10, 10);
-        let cfg = PartitionConfig::new(2, 2).with_epsilon(0.05);
+        let cfg = PartitionConfig {
+            epsilon: 0.05,
+            ..PartitionConfig::new(2, 2)
+        };
         let b = multilevel_bisection(&g, 25, &cfg, 7);
         assert!(
             b.weight0 as f64 <= 25.0 * 1.05 + 1.0,

@@ -3,12 +3,14 @@
 //! The one thing TIMER derives from the *processor* graph alone is its
 //! partial-cube labeling, and recognizing it is the expensive part of
 //! preparing a topology. A [`TopologyContext`] holds that labeling so a
-//! long-running service can recognize a topology once and pass the context
-//! to `Timer::enhance_with_context` for every later request — the `mapd`
-//! service keeps contexts in a keyed per-topology cache.
+//! long-running service can recognize a topology once: the `mapd` service
+//! keeps contexts in a keyed per-topology cache and hands their labeling to
+//! its pipeline for every later request.
 //!
-//! A context never influences result bytes: `enhance_with_context` runs
-//! `Timer::enhance` on the context's labeling.
+//! The type is one field, and it is kept only because the end-to-end
+//! benchmark's replay still builds contexts and calls
+//! `Timer::enhance_with_context`. Both go with the replay; the `mapd` cache
+//! then holds the labeling itself.
 
 use tie_graph::Graph;
 use tie_topology::{recognize_partial_cube, PartialCubeLabeling};

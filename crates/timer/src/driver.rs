@@ -269,9 +269,9 @@ impl Timer {
         })
     }
 
-    /// [`Timer::enhance`] on the labeling held by `ctx`, the entry point a
-    /// long-running service uses with a cached [`TopologyContext`]. The
-    /// result is byte-identical to [`Timer::enhance`] for the same inputs.
+    /// [`Timer::enhance`] on the labeling held by `ctx`, byte-identical to
+    /// it for the same inputs. Kept only for the end-to-end benchmark's
+    /// replay, which still calls it; it goes with the replay.
     ///
     /// # Errors
     /// Same contract as [`Timer::enhance`].
@@ -458,19 +458,6 @@ fn run_round(
     }
 }
 
-/// Convenience wrapper: runs TIMER with `config` on the given instance.
-///
-/// # Errors
-/// Same contract as [`Timer::enhance`].
-pub fn enhance_mapping(
-    graph: &Graph,
-    pcube: &PartialCubeLabeling,
-    initial: &Mapping,
-    config: TimerConfig,
-) -> Result<TimerResult, TieError> {
-    Timer::new(config).enhance(graph, pcube, initial)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,7 +490,8 @@ mod tests {
     #[test]
     fn timer_never_worsens_coco_plus_and_preserves_balance() {
         let (ga, topo, pcube, mapping) = fixture(1);
-        let result = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(10, 7)).unwrap();
+        let cfg = TimerConfig::new(10, 7);
+        let result = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
         assert!(result.final_coco_plus <= result.initial_coco_plus);
         // Balance: identical load multiset before and after.
         let mut before = mapping.load_per_pe();
@@ -530,7 +518,8 @@ mod tests {
         let part = partition(&ga, &PartitionConfig::new(16, 2));
         let scramble = generators::random_permutation(16, 3);
         let bad = Mapping::from_partition(&part, &scramble, 16);
-        let result = enhance_mapping(&ga, &pcube, &bad, TimerConfig::new(15, 5)).unwrap();
+        let cfg = TimerConfig::new(15, 5);
+        let result = Timer::new(cfg).enhance(&ga, &pcube, &bad).unwrap();
         assert!(
             result.final_coco < result.initial_coco,
             "TIMER should reduce Coco: {} -> {}",
@@ -554,8 +543,9 @@ mod tests {
     #[test]
     fn timer_is_deterministic_in_seed() {
         let (ga, _, pcube, mapping) = fixture(3);
-        let a = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(5, 11)).unwrap();
-        let b = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(5, 11)).unwrap();
+        let timer = Timer::new(TimerConfig::new(5, 11));
+        let a = timer.enhance(&ga, &pcube, &mapping).unwrap();
+        let b = timer.enhance(&ga, &pcube, &mapping).unwrap();
         assert_eq!(a.mapping, b.mapping);
         assert_eq!(a.final_coco, b.final_coco);
     }
@@ -640,7 +630,7 @@ mod tests {
                 .with_threads(threads)
                 .with_batch(batch)
                 .with_trace(TraceHandle::new(sink.clone(), TraceLevel::Phase));
-            enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+            Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
             let (mut speculated, mut spec_batches, mut batches, mut executed) = (0, 0, 0, 0);
             for record in sink.events() {
                 match record.event {
@@ -685,7 +675,7 @@ mod tests {
                 .with_threads(workers)
                 .with_batch(64)
                 .with_trace(TraceHandle::new(sink.clone(), TraceLevel::Phase));
-            let r = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+            let r = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
             assert_eq!(r.hierarchies_accepted, 40);
             let (mut in_flight, mut depth) = (0usize, 0usize);
             for record in sink.events() {
@@ -722,7 +712,7 @@ mod tests {
         let sink = Arc::new(MemorySink::default());
         let cfg =
             TimerConfig::new(nh, 4).with_trace(TraceHandle::new(sink.clone(), TraceLevel::Phase));
-        enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+        Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
         let (mut builds, mut gates, mut commits) = (Vec::new(), Vec::new(), Vec::new());
         for record in sink.events() {
             match record.event {
@@ -768,8 +758,9 @@ mod tests {
             let cfg = TimerConfig::new(nh, 4)
                 .with_cancel_token(token)
                 .with_trace(TraceHandle::new(sink, TraceLevel::Gate));
-            let stopped = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
-            let clean = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(k + 1, 4)).unwrap();
+            let stopped = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
+            let cfg = TimerConfig::new(k + 1, 4);
+            let clean = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
             assert_eq!(stopped.stop_reason, StopReason::Cancelled, "k = {k}");
             assert_eq!(stopped.hierarchies_accepted, k + 1, "k = {k}");
             assert_eq!(stopped.labeling.labels, clean.labeling.labels, "k = {k}");
@@ -808,7 +799,8 @@ mod tests {
         // Feed the release-mode check a real run's end state, then
         // deliberately altered copies of it.
         let (ga, _, pcube, mapping) = fixture(1);
-        let r = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(4, 7)).unwrap();
+        let cfg = TimerConfig::new(4, 7);
+        let r = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
         let set = r.labeling.sorted_label_set();
         let (coco, div) = (r.final_coco, r.final_diversity);
         let totals = (coco as i64, div as i64);
@@ -855,9 +847,10 @@ mod tests {
     #[test]
     fn unrepresentable_deadline_means_no_deadline() {
         let (ga, _, pcube, mapping) = fixture(3);
-        let plain = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(5, 11)).unwrap();
+        let cfg = TimerConfig::new(5, 11);
+        let plain = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
         let cfg = TimerConfig::new(5, 11).with_deadline(std::time::Duration::MAX);
-        let r = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+        let r = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
         assert_eq!(r.stop_reason, StopReason::Completed);
         assert_eq!(r.labeling.labels, plain.labeling.labels);
     }
@@ -865,21 +858,19 @@ mod tests {
     #[test]
     fn more_hierarchies_do_not_hurt() {
         let (ga, _, pcube, mapping) = fixture(4);
-        let few = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(2, 9)).unwrap();
-        let many = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(20, 9)).unwrap();
+        let cfg = TimerConfig::new(2, 9);
+        let few = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
+        let cfg = TimerConfig::new(20, 9);
+        let many = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
         assert!(many.final_coco_plus <= few.final_coco_plus);
     }
 
     #[test]
     fn diversity_ablation_still_valid() {
         let (ga, topo, pcube, mapping) = fixture(5);
-        let result = enhance_mapping(
-            &ga,
-            &pcube,
-            &mapping,
-            TimerConfig::new(8, 3).without_diversity(),
-        )
-        .unwrap();
+        let result = Timer::new(TimerConfig::new(8, 3).without_diversity())
+            .enhance(&ga, &pcube, &mapping)
+            .unwrap();
         assert!(result.final_coco <= result.initial_coco);
         assert_eq!(result.hierarchies_accepted, 8, "every exact round is kept");
         assert_eq!(
@@ -897,7 +888,8 @@ mod tests {
         let pcube = recognize_partial_cube(&topo.graph).unwrap();
         let ga = Graph::from_edges(8, &[]);
         let mapping = Mapping::new(vec![0, 0, 1, 1, 2, 2, 3, 3], 4);
-        let result = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(6, 1)).unwrap();
+        let cfg = TimerConfig::new(6, 1);
+        let result = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
         assert_eq!(result.final_coco, 0);
         assert_eq!(
             result.hierarchies_accepted, 6,
@@ -923,7 +915,7 @@ mod tests {
         let sink = Arc::new(MemorySink::default());
         let cfg =
             TimerConfig::new(nh, 1).with_trace(TraceHandle::new(sink.clone(), TraceLevel::Gate));
-        let result = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+        let result = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
 
         assert_eq!(result.hierarchies_accepted, nh);
         assert_eq!(result.telemetry.delta_coco.count(), nh as u64);
@@ -958,7 +950,8 @@ mod tests {
             let pcube = recognize_partial_cube(&topo.graph).unwrap();
             let part = partition(&ga, &PartitionConfig::new(16, 1));
             let mapping = identity_mapping(&part, 16);
-            let result = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(8, 1)).unwrap();
+            let cfg = TimerConfig::new(8, 1);
+            let result = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
             assert!(result.final_coco <= result.initial_coco, "{}", topo.name);
             assert_eq!(
                 result.final_coco,
@@ -977,7 +970,8 @@ mod tests {
         let pcube = recognize_partial_cube(&topo.graph).unwrap();
         let ga = generators::randomize_edge_weights(&topo.graph, 3, 1);
         let mapping = Mapping::new(generators::random_permutation(16, 5), 16);
-        let result = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(20, 3)).unwrap();
+        let cfg = TimerConfig::new(20, 3);
+        let result = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
         assert!(result.final_coco <= result.initial_coco);
         assert!(result.labeling.is_unique());
     }

@@ -77,10 +77,9 @@ impl From<RecognitionError> for TieError {
 /// other than [`StopReason::Completed`] means the run degraded gracefully:
 /// the returned labeling is the last committed one (never worse than the
 /// initial one) and the telemetry says how far the run got.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StopReason {
     /// All `NH` hierarchy rounds were run and committed.
-    #[default]
     Completed,
     /// The configured deadline expired at a round boundary.
     DeadlineExceeded,
@@ -172,7 +171,6 @@ mod tests {
 
     #[test]
     fn stop_reason_names_and_default() {
-        assert_eq!(StopReason::default(), StopReason::Completed);
         assert_eq!(StopReason::DeadlineExceeded.name(), "deadline_exceeded");
         assert_eq!(StopReason::Cancelled.to_string(), "cancelled");
     }

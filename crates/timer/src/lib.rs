@@ -17,9 +17,10 @@
 //!    diverse hierarchies obtained from random permutations of the label
 //!    digits ([`hierarchy`], [`assemble`], [`driver`], Section 6).
 //!
-//! The entry point is [`Timer::enhance`] (or the convenience function
-//! [`enhance_mapping`]). The result carries both the improved mapping and
-//! before/after objective values.
+//! The entry point is [`Timer::enhance`]. The result carries both the
+//! improved mapping and before/after objective values. The whole pipeline
+//! around it (partition, initial mapping, TIMER, evaluation) is
+//! `tie_mapd::pipeline`.
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
@@ -34,7 +35,7 @@ pub mod refinement;
 pub mod telemetry;
 
 pub use context::TopologyContext;
-pub use driver::{enhance_mapping, Timer, TimerResult};
+pub use driver::{Timer, TimerResult};
 pub use error::{CancelToken, StopReason, TieError};
 pub use labeling::Labeling;
 pub use objective::{coco, coco_plus, diversity};

@@ -130,8 +130,9 @@ mod tests {
         let (ga, _, mapping) = labeled_instance(4);
         let topo = Topology::grid2d(4, 4);
         let pcube = recognize_partial_cube(&topo.graph).unwrap();
-        let result =
-            crate::enhance_mapping(&ga, &pcube, &mapping, crate::TimerConfig::new(5, 4)).unwrap();
+        let result = crate::Timer::new(crate::TimerConfig::new(5, 4))
+            .enhance(&ga, &pcube, &mapping)
+            .unwrap();
         let mut labeling = result.labeling.clone();
         let before = coco_plus(&ga, &labeling);
         let stats = polish(&ga, &mut labeling, true, 5);

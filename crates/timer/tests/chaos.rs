@@ -17,7 +17,7 @@ use tie_fault::{FaultHandle, FaultPlan, INJECTED_PANIC_PREFIX};
 use tie_graph::generators;
 use tie_mapping::Mapping;
 use tie_partition::{partition, PartitionConfig};
-use tie_timer::{enhance_mapping, CancelToken, StopReason, TieError, TimerConfig, TimerResult};
+use tie_timer::{CancelToken, StopReason, TieError, Timer, TimerConfig, TimerResult};
 use tie_topology::{recognize_partial_cube, PartialCubeLabeling, Topology};
 
 const NH: usize = 8;
@@ -95,7 +95,7 @@ fn panic_at_a_round_returns_worker_panicked_with_the_payload() {
     for round in [0, 3, NH - 1] {
         let faults = FaultHandle::new(FaultPlan::new().with_panic_at_round(round));
         let cfg = TimerConfig::new(NH, SEED).with_faults(faults.clone());
-        let result = enhance_mapping(&ga, &pcube, &mapping, cfg);
+        let result = Timer::new(cfg).enhance(&ga, &pcube, &mapping);
         assert_panicked_at(result, round, &format!("panic@{round}"));
         assert_eq!(faults.panics_fired(), 1);
     }
@@ -115,7 +115,7 @@ fn seeded_panic_storm_returns_worker_panicked_at_the_first_firing_round() {
         .expect("the storm arms a round below NH");
     let faults = FaultHandle::new(plan());
     let cfg = TimerConfig::new(NH, SEED).with_faults(faults.clone());
-    let result = enhance_mapping(&ga, &pcube, &mapping, cfg);
+    let result = Timer::new(cfg).enhance(&ga, &pcube, &mapping);
     assert_panicked_at(result, first, "storm");
     assert_eq!(faults.panics_fired(), 1, "the run stops at the first panic");
 }
@@ -129,11 +129,13 @@ fn persistent_panic_is_reported_as_worker_panicked() {
     let faults = FaultHandle::new(FaultPlan::new().with_panic_at_round_times(2, 2));
     let cfg = TimerConfig::new(NH, SEED).with_faults(faults);
     for attempt in 0..2 {
-        let result = enhance_mapping(&ga, &pcube, &mapping, cfg.clone());
+        let result = Timer::new(cfg.clone()).enhance(&ga, &pcube, &mapping);
         assert_panicked_at(result, 2, &format!("attempt {attempt}"));
     }
-    let clean = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(NH, SEED)).unwrap();
-    let third = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+    let clean = Timer::new(TimerConfig::new(NH, SEED))
+        .enhance(&ga, &pcube, &mapping)
+        .unwrap();
+    let third = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
     assert_same_trajectory(&third, &clean, "after the fault is used up");
 }
 
@@ -144,7 +146,7 @@ fn expired_deadline_returns_best_so_far() {
     // round boundary it checks. 1 ns is over before the loop starts, so the
     // result is the initial labeling, fully committed and consistent.
     let cfg = TimerConfig::new(NH, SEED).with_deadline(Duration::from_nanos(1));
-    let result = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+    let result = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
     assert_eq!(result.stop_reason, StopReason::DeadlineExceeded);
     assert!(result.hierarchies_accepted <= NH);
     assert!(
@@ -163,7 +165,7 @@ fn cancel_token_stops_the_run() {
     let token = CancelToken::new();
     token.cancel();
     let cfg = TimerConfig::new(NH, SEED).with_cancel_token(token);
-    let result = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+    let result = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
     assert_eq!(result.stop_reason, StopReason::Cancelled);
     assert_eq!(result.hierarchies_accepted, 0);
     assert_eq!(result.final_coco, result.initial_coco);
@@ -172,26 +174,23 @@ fn cancel_token_stops_the_run() {
 #[test]
 fn zero_deadline_is_rejected_up_front() {
     let (ga, pcube, mapping, _) = fixture();
-    let err = enhance_mapping(
-        &ga,
-        &pcube,
-        &mapping,
-        TimerConfig::new(NH, SEED).with_deadline(Duration::ZERO),
-    )
-    .unwrap_err();
+    let err = Timer::new(TimerConfig::new(NH, SEED).with_deadline(Duration::ZERO))
+        .enhance(&ga, &pcube, &mapping)
+        .unwrap_err();
     assert!(matches!(err, TieError::InvalidInput(_)), "{err:?}");
 }
 
 #[test]
 fn phase_delays_do_not_change_the_trajectory() {
     let (ga, pcube, mapping, _) = fixture();
-    let clean = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(NH, SEED)).unwrap();
+    let cfg = TimerConfig::new(NH, SEED);
+    let clean = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
     let faults = FaultHandle::new(
         FaultPlan::new()
             .with_delay("hierarchy_build", Duration::from_micros(200))
             .with_delay("delta_scan", Duration::from_micros(200)),
     );
     let cfg = TimerConfig::new(NH, SEED).with_faults(faults);
-    let delayed = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+    let delayed = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
     assert_same_trajectory(&delayed, &clean, "delays");
 }

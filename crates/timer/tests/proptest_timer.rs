@@ -9,7 +9,7 @@ use tie_graph::traversal::all_pairs_distances;
 use tie_graph::{generators, Graph};
 use tie_mapping::Mapping;
 use tie_partition::{partition, PartitionConfig};
-use tie_timer::{coco, enhance_mapping, Labeling, TimerConfig};
+use tie_timer::{coco, Labeling, Timer, TimerConfig};
 use tie_topology::{recognize_partial_cube, Topology};
 
 /// Random small instance: a BA network, one of the small topologies, and a
@@ -44,7 +44,7 @@ proptest! {
     ) {
         let (ga, topo, mapping) = instance(n, topo_idx, seed);
         let pcube = recognize_partial_cube(&topo.graph).unwrap();
-        let result = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(nh, seed)).unwrap();
+        let result = Timer::new(TimerConfig::new(nh, seed)).enhance(&ga, &pcube, &mapping).unwrap();
 
         // Balance preservation.
         let mut before = mapping.load_per_pe();
@@ -150,7 +150,7 @@ proptest! {
         let nh = 4;
         let cfg = TimerConfig::new(nh, seed)
             .with_deadline(std::time::Duration::from_micros(deadline_us));
-        let result = enhance_mapping(&ga, &pcube, &mapping, cfg).unwrap();
+        let result = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
 
         match result.stop_reason {
             tie_timer::StopReason::DeadlineExceeded => {

@@ -284,7 +284,7 @@ mod tests {
         // Djoković class of an even cycle C_2k contains a pair of antipodal
         // edges, so C_2k contributes k digits, not 2k. The labelling still
         // satisfies distance = Hamming distance (verified below), which is
-        // the property TIMER relies on; see EXPERIMENTS.md for discussion.
+        // the property TIMER relies on.
         assert_eq!(
             assert_is_partial_cube(&Topology::grid2d(4, 4).graph, None).dim,
             6

@@ -5,10 +5,11 @@
 //!
 //! Run with: `cargo run --release --example complex_network_mapping`
 
-use tie_bench::experiment::{run_case, ExperimentConfig};
 use tie_bench::workloads::{paper_networks, Scale};
+use tie_mapd::pipeline::{enhance, map_initial};
 use tie_mapd::MapCase;
-use tie_topology::Topology;
+use tie_timer::TimerConfig;
+use tie_topology::{recognize_partial_cube, Topology};
 
 fn main() {
     // A citation-network stand-in mapped onto an 8x8x8-like (4x4x4) torus.
@@ -27,16 +28,15 @@ fn main() {
         topo.num_pes()
     );
 
-    let config = ExperimentConfig {
-        num_hierarchies: 10,
-        ..Default::default()
-    };
+    let pcube = recognize_partial_cube(&topo.graph).unwrap();
     println!(
         "{:<24} {:>12} {:>12} {:>9} {:>12} {:>12}",
         "initial mapping", "Coco before", "Coco after", "impr.", "Cut before", "Cut after"
     );
     for case in MapCase::all() {
-        let r = run_case(&ga, &topo, case, &config).unwrap();
+        let initial = map_initial(&ga, &topo.graph, case, 0.03, 1);
+        let cfg = TimerConfig::new(10, 1);
+        let r = enhance(&ga, &topo.graph, &pcube, &initial.mapping, cfg).unwrap();
         println!(
             "{:<24} {:>12} {:>12} {:>8.1}% {:>12} {:>12}",
             case.name(),

@@ -12,7 +12,7 @@ use tie_bench::workloads::{paper_networks, Scale};
 use tie_mapping::identity_mapping;
 use tie_metrics::coco;
 use tie_partition::{partition, PartitionConfig};
-use tie_timer::{enhance_mapping, TimerConfig};
+use tie_timer::{Timer, TimerConfig};
 use tie_topology::{recognize_partial_cube, Topology};
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
 
     let run = |label: &str, cfg: TimerConfig| {
         let t = Instant::now();
-        let r = enhance_mapping(&ga, &pcube, &initial, cfg).unwrap();
+        let r = Timer::new(cfg).enhance(&ga, &pcube, &initial).unwrap();
         let secs = t.elapsed().as_secs_f64();
         println!(
             "{:<44} {:>12} {:>8.1}% {:>9.2}",
@@ -60,7 +60,8 @@ fn main() {
     // Extension (conclusions of the paper): TIMER followed by a cut-edge
     // polishing pass that swaps arbitrary labels, not just single digits.
     let t = Instant::now();
-    let r = enhance_mapping(&ga, &pcube, &initial, TimerConfig::new(10, 1)).unwrap();
+    let cfg = TimerConfig::new(10, 1);
+    let r = Timer::new(cfg).enhance(&ga, &pcube, &initial).unwrap();
     let mut labeling = r.labeling.clone();
     let stats = tie_timer::polish(&ga, &mut labeling, true, 3);
     let polished_coco = coco(&ga, &topo.graph, &labeling.to_mapping());

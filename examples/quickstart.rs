@@ -4,10 +4,9 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use tie_graph::generators;
-use tie_mapping::identity_mapping;
-use tie_metrics::evaluate;
-use tie_partition::{partition, PartitionConfig};
-use tie_timer::{enhance_mapping, TimerConfig};
+use tie_mapd::pipeline::{enhance, map_initial};
+use tie_mapd::MapCase;
+use tie_timer::TimerConfig;
 use tie_topology::{recognize_partial_cube, Topology};
 
 fn main() {
@@ -30,20 +29,17 @@ fn main() {
         pcube.dim
     );
 
-    // 3. Partition the application graph into one block per PE (3 % imbalance,
-    //    the paper's setting) and map block i to PE i (the IDENTITY baseline).
-    let part = partition(
-        &ga,
-        &PartitionConfig::new(topo.num_pes(), 7).with_epsilon(0.03),
-    );
-    let initial = identity_mapping(&part, topo.num_pes());
+    // 3. The two steps of the mapping pipeline: partition the application
+    //    graph into one block per PE (3 % imbalance, the paper's setting) and
+    //    map block i to PE i (the IDENTITY baseline, case c2); then enhance
+    //    the mapping with TIMER (10 hierarchies are usually enough) and
+    //    evaluate both mappings.
+    let initial = map_initial(&ga, &topo.graph, MapCase::C2Identity, 0.03, 7);
+    let cfg = TimerConfig::new(10, 7);
+    let run = enhance(&ga, &topo.graph, &pcube, &initial.mapping, cfg).unwrap();
+    let (before, after, result) = (&run.initial, &run.enhanced, &run.result);
 
-    // 4. Enhance the mapping with TIMER (10 hierarchies are usually enough).
-    let result = enhance_mapping(&ga, &pcube, &initial, TimerConfig::new(10, 7)).unwrap();
-
-    // 5. Compare the mappings.
-    let before = evaluate(&ga, &topo.graph, &initial);
-    let after = evaluate(&ga, &topo.graph, &result.mapping);
+    // 4. Compare the mappings.
     println!("\n{:<22} {:>12} {:>12}", "metric", "initial", "after TIMER");
     println!(
         "{:<22} {:>12} {:>12}",

@@ -4,19 +4,16 @@
 //!
 //! Run with: `cargo run --release --example torus_vs_grid`
 
-use tie_bench::experiment::{run_case, ExperimentConfig};
 use tie_bench::stats::geometric_mean;
 use tie_bench::workloads::{quick_networks, Scale};
+use tie_mapd::pipeline::{enhance, map_initial};
 use tie_mapd::MapCase;
-use tie_topology::Topology;
+use tie_timer::TimerConfig;
+use tie_topology::{recognize_partial_cube, Topology};
 
 fn main() {
     let networks = quick_networks();
     let topologies = Topology::small_topologies();
-    let config = ExperimentConfig {
-        num_hierarchies: 10,
-        ..Default::default()
-    };
 
     println!(
         "Geometric-mean relative Coco after TIMER (initial mapping: GREEDYALLC), per topology:\n"
@@ -26,10 +23,13 @@ fn main() {
         "topology", "rel. Coco", "improvement"
     );
     for topo in &topologies {
+        let pcube = recognize_partial_cube(&topo.graph).unwrap();
         let mut quotients = Vec::new();
         for spec in &networks {
             let ga = spec.build(Scale::Tiny);
-            let r = run_case(&ga, topo, MapCase::C3GreedyAllC, &config).unwrap();
+            let initial = map_initial(&ga, &topo.graph, MapCase::C3GreedyAllC, 0.03, 1);
+            let cfg = TimerConfig::new(10, 1);
+            let r = enhance(&ga, &topo.graph, &pcube, &initial.mapping, cfg).unwrap();
             quotients.push(r.coco_quotient());
         }
         let gm = geometric_mean(&quotients).expect("no networks were swept");

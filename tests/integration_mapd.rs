@@ -3,12 +3,21 @@
 //! request, on a cache miss AND on a cache hit — the invariant the CI
 //! smoke job re-checks over a real socket.
 
-use tie_graph::generators;
-use tie_mapd::protocol::{GraphSource, MapRequest};
-use tie_mapd::{Service, ServiceOptions};
+use tie_graph::{generators, Graph};
+use tie_mapd::protocol::{GraphSource, MapRequest, QualitySummary};
+use tie_mapd::{MapCase, Service, ServiceOptions};
+use tie_mapping::Mapping;
+use tie_metrics::evaluate;
+use tie_partition::{partition, PartitionConfig};
+use tie_timer::{Timer, TimerConfig};
+use tie_topology::{recognize_partial_cube, Topology};
+
+fn graph(seed: u64) -> Graph {
+    generators::barabasi_albert(500, 4, seed)
+}
 
 fn request(case: &str, seed: u64, threads: usize) -> MapRequest {
-    let g = generators::barabasi_albert(500, 4, seed);
+    let g = graph(seed);
     MapRequest {
         graph: GraphSource::Inline {
             num_vertices: g.num_vertices(),
@@ -59,6 +68,45 @@ fn service_results_are_identical_across_cache_dispositions_and_threads() {
         let stats = a.cache_stats();
         assert_eq!(stats.misses, 1, "{case}");
         assert_eq!(stats.hits, 1, "{case}");
+    }
+}
+
+/// `Service::execute` equals the pipeline written out by hand: partition
+/// into one block per PE, the case's µ₁, `Timer::enhance`, and `evaluate`
+/// on µ₁ and µ₂.
+#[test]
+fn execute_is_the_pipeline_written_out() {
+    let seed = 4;
+    let ga = graph(seed);
+    let topo = Topology::grid2d(4, 8);
+    let pcube = recognize_partial_cube(&topo.graph).expect("a grid is a partial cube");
+    let summary = |m: &Mapping| {
+        let q = evaluate(&ga, &topo.graph, m);
+        QualitySummary {
+            coco: q.coco,
+            edge_cut: q.edge_cut,
+            congestion: q.congestion,
+            imbalance: q.imbalance,
+        }
+    };
+    for case in MapCase::all() {
+        let req = request(case.id(), seed, 1);
+        let resp = Service::new(ServiceOptions::default())
+            .execute(&req)
+            .expect("execute");
+
+        let part_cfg = PartitionConfig {
+            epsilon: req.eps,
+            ..PartitionConfig::new(topo.num_pes(), seed)
+        };
+        let mu1 = case.initial_mapping(&ga, &partition(&ga, &part_cfg), &topo.graph, seed);
+        let cfg = TimerConfig::new(req.nh, seed);
+        let mu2 = Timer::new(cfg).enhance(&ga, &pcube, &mu1).unwrap().mapping;
+
+        let id = case.id();
+        assert_eq!(resp.mapping, mu2.assignment(), "{id}");
+        assert_eq!(resp.initial, summary(&mu1), "{id}");
+        assert_eq!(resp.enhanced, summary(&mu2), "{id}");
     }
 }
 

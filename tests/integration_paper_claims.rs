@@ -6,29 +6,35 @@
 //! * grids improve at least as much as the better-connected hypercube,
 //! * running TIMER is not drastically slower than partitioning.
 
-use std::time::Instant;
-
-use tie_bench::experiment::{run_case, ExperimentConfig};
 use tie_bench::stats::geometric_mean;
 use tie_bench::workloads::{quick_networks, Scale};
+use tie_graph::Graph;
+use tie_mapd::pipeline::{enhance, map_initial, Enhanced, Initial};
 use tie_mapd::MapCase;
-use tie_topology::Topology;
+use tie_timer::TimerConfig;
+use tie_topology::{recognize_partial_cube, Topology};
 
-/// Every run in this suite pins its seed through `ExperimentConfig` so the
-/// asserted quotients are reproducible run-to-run (no ambient randomness).
+/// Every run in this suite seeds the partition, µ₁ and TIMER with this
+/// seed, so the asserted quotients are reproducible run-to-run (no ambient
+/// randomness).
 const SUITE_SEED: u64 = 1;
 
+/// The pipeline's two steps for `case` with `nh` hierarchies and the paper's
+/// 3 % imbalance.
+fn run(ga: &Graph, topo: &Topology, case: MapCase, nh: usize) -> (Initial, Enhanced) {
+    let pcube = recognize_partial_cube(&topo.graph).expect("paper topologies are partial cubes");
+    let initial = map_initial(ga, &topo.graph, case, 0.03, SUITE_SEED);
+    let cfg = TimerConfig::new(nh, SUITE_SEED);
+    let enhanced = enhance(ga, &topo.graph, &pcube, &initial.mapping, cfg).unwrap();
+    (initial, enhanced)
+}
+
 fn mean_quotients(case: MapCase, topo: &Topology, nh: usize) -> (f64, f64) {
-    let config = ExperimentConfig {
-        num_hierarchies: nh,
-        seed: SUITE_SEED,
-        ..Default::default()
-    };
     let mut coco_q = Vec::new();
     let mut cut_q = Vec::new();
     for spec in quick_networks().iter().take(3) {
         let ga = spec.build(Scale::Tiny);
-        let r = run_case(&ga, topo, case, &config).unwrap();
+        let (_, r) = run(&ga, topo, case, nh);
         coco_q.push(r.coco_quotient());
         cut_q.push(r.cut_quotient());
     }
@@ -86,14 +92,8 @@ fn timer_runtime_is_comparable_to_partitioning() {
     let spec = &quick_networks()[0];
     let ga = spec.build(Scale::Tiny);
     let topo = Topology::grid2d(8, 8);
-    let config = ExperimentConfig {
-        num_hierarchies: 10,
-        ..Default::default()
-    };
-    let start = Instant::now();
-    let r = run_case(&ga, &topo, MapCase::C2Identity, &config).unwrap();
-    let _total = start.elapsed();
-    let ratio = r.timer_time.as_secs_f64() / r.partition_time.as_secs_f64().max(1e-6);
+    let (initial, r) = run(&ga, &topo, MapCase::C2Identity, 10);
+    let ratio = r.timer_time.as_secs_f64() / initial.partition_time.as_secs_f64().max(1e-6);
     assert!(
         ratio < 25.0,
         "TIMER/partitioner time ratio {ratio} too large"
@@ -105,20 +105,11 @@ fn more_hierarchies_help_or_tie() {
     let topo = Topology::torus2d(8, 8);
     let spec = &quick_networks()[1];
     let ga = spec.build(Scale::Tiny);
-    let cfg_few = ExperimentConfig {
-        num_hierarchies: 2,
-        seed: SUITE_SEED,
-        ..Default::default()
-    };
-    let cfg_many = ExperimentConfig {
-        num_hierarchies: 12,
-        seed: SUITE_SEED,
-        ..Default::default()
-    };
-    let few = run_case(&ga, &topo, MapCase::C2Identity, &cfg_few).unwrap();
-    let many = run_case(&ga, &topo, MapCase::C2Identity, &cfg_many).unwrap();
-    // Same seed, more rounds: the accepted objective can only improve.
-    assert!(many.enhanced.coco as f64 <= few.enhanced.coco as f64 * 1.02);
+    let (_, few) = run(&ga, &topo, MapCase::C2Identity, 2);
+    let (_, many) = run(&ga, &topo, MapCase::C2Identity, 12);
+    // Same seed: the NH-12 run's first two rounds are the NH-2 run, and no
+    // later round raises Coco.
+    assert!(many.enhanced.coco <= few.enhanced.coco);
 }
 
 #[test]
@@ -126,17 +117,12 @@ fn experiments_are_deterministic_in_the_config_seed() {
     let topo = Topology::grid2d(8, 8);
     let spec = &quick_networks()[0];
     let ga = spec.build(Scale::Tiny);
-    let config = ExperimentConfig {
-        num_hierarchies: 6,
-        seed: SUITE_SEED,
-        ..Default::default()
-    };
-    let a = run_case(&ga, &topo, MapCase::C2Identity, &config).unwrap();
-    let b = run_case(&ga, &topo, MapCase::C2Identity, &config).unwrap();
+    let (_, a) = run(&ga, &topo, MapCase::C2Identity, 6);
+    let (_, b) = run(&ga, &topo, MapCase::C2Identity, 6);
     assert_eq!(a.initial.coco, b.initial.coco);
     assert_eq!(a.enhanced.coco, b.enhanced.coco);
     assert_eq!(a.enhanced.edge_cut, b.enhanced.edge_cut);
-    assert_eq!(a.hierarchies_accepted, b.hierarchies_accepted);
+    assert_eq!(a.result.hierarchies_accepted, b.result.hierarchies_accepted);
 }
 
 #[test]
@@ -146,8 +132,7 @@ fn enhance_never_worsens_coco_plus_on_4x4_torus() {
     // Coco, so neither objective may end up worse than it started.
     use tie_mapping::Mapping;
     use tie_partition::{partition, PartitionConfig};
-    use tie_timer::{enhance_mapping, TimerConfig};
-    use tie_topology::recognize_partial_cube;
+    use tie_timer::Timer;
 
     let topo = Topology::torus2d(4, 4);
     let pcube = recognize_partial_cube(&topo.graph).expect("4x4 torus is a partial cube");
@@ -157,7 +142,8 @@ fn enhance_never_worsens_coco_plus_on_4x4_torus() {
         let part = partition(&ga, &PartitionConfig::new(topo.num_pes(), seed));
         let scramble = tie_graph::generators::random_permutation(topo.num_pes(), seed);
         let mapping = Mapping::from_partition(&part, &scramble, topo.num_pes());
-        let result = enhance_mapping(&ga, &pcube, &mapping, TimerConfig::new(8, seed)).unwrap();
+        let cfg = TimerConfig::new(8, seed);
+        let result = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
         assert!(
             result.final_coco_plus <= result.initial_coco_plus,
             "{}: Coco+ worsened {} -> {}",

@@ -4,10 +4,11 @@
 
 use tie_bench::workloads::{paper_networks, Scale};
 use tie_graph::traversal::all_pairs_distances;
-use tie_mapping::{drb, greedy, identity_mapping, Mapping};
+use tie_mapd::MapCase;
+use tie_mapping::identity_mapping;
 use tie_metrics::{coco, edge_cut, evaluate, imbalance};
 use tie_partition::{partition, PartitionConfig};
-use tie_timer::{coco as label_coco, enhance_mapping, Labeling, TimerConfig};
+use tie_timer::{coco as label_coco, Labeling, Timer, TimerConfig};
 use tie_topology::{recognize_partial_cube, Topology};
 
 /// Small but non-trivial shared fixture.
@@ -31,7 +32,8 @@ fn full_pipeline_c2_identity() {
     );
 
     let initial = identity_mapping(&part, topo.num_pes());
-    let result = enhance_mapping(&ga, &pcube, &initial, TimerConfig::new(10, 1)).unwrap();
+    let cfg = TimerConfig::new(10, 1);
+    let result = Timer::new(cfg).enhance(&ga, &pcube, &initial).unwrap();
 
     // Label-based Coco agrees with the metric crate's distance-based Coco.
     assert_eq!(result.final_coco, coco(&ga, &topo.graph, &result.mapping));
@@ -51,26 +53,16 @@ fn every_initial_mapping_strategy_composes_with_timer() {
     let (ga, topo) = fixture();
     let pcube = recognize_partial_cube(&topo.graph).unwrap();
     let part = partition(&ga, &PartitionConfig::new(topo.num_pes(), 2));
-    let candidates: Vec<(&str, Mapping)> = vec![
-        ("identity", identity_mapping(&part, topo.num_pes())),
-        (
-            "greedy_allc",
-            greedy::greedy_allc_mapping(&ga, &part, &topo.graph),
-        ),
-        (
-            "greedy_min",
-            greedy::greedy_min_mapping(&ga, &part, &topo.graph),
-        ),
-        ("drb", drb::drb_mapping(&ga, &part, &topo.graph, 5)),
-    ];
-    for (name, initial) in candidates {
+    for case in MapCase::all() {
+        let (name, initial) = (case.id(), case.initial_mapping(&ga, &part, &topo.graph, 5));
         let before = evaluate(&ga, &topo.graph, &initial);
-        let result = enhance_mapping(&ga, &pcube, &initial, TimerConfig::new(8, 3)).unwrap();
+        let cfg = TimerConfig::new(8, 3);
+        let result = Timer::new(cfg).enhance(&ga, &pcube, &initial).unwrap();
         let after = evaluate(&ga, &topo.graph, &result.mapping);
-        // Coco+ never worsens; Coco itself stays within a few percent and
-        // typically improves.
+        // No round raises Coco or lowers Div, so neither Coco+ nor Coco
+        // worsens.
         assert!(result.final_coco_plus <= result.initial_coco_plus, "{name}");
-        assert!(after.coco as f64 <= before.coco as f64 * 1.05, "{name}");
+        assert!(after.coco <= before.coco, "{name}");
         // The mapping stays a function onto the same PE set.
         assert_eq!(
             after.imbalance, before.imbalance,
@@ -91,7 +83,8 @@ fn timer_on_all_small_topologies() {
             recognize_partial_cube(&topo.graph).unwrap_or_else(|e| panic!("{}: {e}", topo.name));
         let part = partition(&ga, &PartitionConfig::new(topo.num_pes(), 7));
         let initial = identity_mapping(&part, topo.num_pes());
-        let result = enhance_mapping(&ga, &pcube, &initial, TimerConfig::new(5, 7)).unwrap();
+        let cfg = TimerConfig::new(5, 7);
+        let result = Timer::new(cfg).enhance(&ga, &pcube, &initial).unwrap();
         assert!(
             result.final_coco_plus <= result.initial_coco_plus,
             "{}",
@@ -134,7 +127,8 @@ fn edge_cut_and_coco_relate_sanely_across_pipeline() {
     let pcube = recognize_partial_cube(&topo.graph).unwrap();
     let part = partition(&ga, &PartitionConfig::new(topo.num_pes(), 4));
     let initial = identity_mapping(&part, topo.num_pes());
-    let result = enhance_mapping(&ga, &pcube, &initial, TimerConfig::new(10, 4)).unwrap();
+    let cfg = TimerConfig::new(10, 4);
+    let result = Timer::new(cfg).enhance(&ga, &pcube, &initial).unwrap();
     // Coco >= edge cut always (every cut edge costs at least one hop).
     assert!(coco(&ga, &topo.graph, &result.mapping) >= edge_cut(&ga, &result.mapping));
     // The partition edge cut equals the mapping edge cut for the identity

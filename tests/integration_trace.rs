@@ -7,7 +7,7 @@ use std::sync::Arc;
 use tie_bench::workloads::{paper_networks, Scale};
 use tie_mapping::identity_mapping;
 use tie_partition::{partition, PartitionConfig};
-use tie_timer::{enhance_mapping, TimerConfig, TimerResult};
+use tie_timer::{Timer, TimerConfig, TimerResult};
 use tie_topology::{recognize_partial_cube, Topology};
 use tie_trace::{JsonlSink, MemorySink, NullSink, Phase, TraceEvent, TraceHandle, TraceLevel};
 
@@ -24,7 +24,7 @@ fn run_with(trace: TraceHandle) -> TimerResult {
     let part = partition(&ga, &PartitionConfig::new(topo.num_pes(), 1));
     let initial = identity_mapping(&part, topo.num_pes());
     let cfg = TimerConfig::new(NH, 1).with_trace(trace);
-    enhance_mapping(&ga, &pcube, &initial, cfg).unwrap()
+    Timer::new(cfg).enhance(&ga, &pcube, &initial).unwrap()
 }
 
 /// Minimal structural check of one JSONL line without a JSON parser: it is
