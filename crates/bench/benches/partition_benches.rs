@@ -41,5 +41,27 @@ fn partition_by_network(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, partition_by_k, partition_by_network);
+/// The medium PGPgiantcompo stand-in at k = 64 (grid8x8, partition seed
+/// 1): the partition of `bench_quality`'s grid8x8 cells and the shape of
+/// `medium-oneshot`'s, where FM refinement sets the partitioner's time.
+fn partition_medium(c: &mut Criterion) {
+    let spec = paper_networks()
+        .into_iter()
+        .find(|s| s.name == "PGPgiantcompo")
+        .unwrap();
+    let ga = spec.build(Scale::Medium);
+    let mut group = c.benchmark_group("partition_medium");
+    group.sample_size(10);
+    group.bench_function("PGPgiantcompo/k64", |b| {
+        b.iter(|| partition(&ga, &PartitionConfig::new(64, 1)));
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    partition_by_k,
+    partition_by_network,
+    partition_medium
+);
 criterion_main!(benches);

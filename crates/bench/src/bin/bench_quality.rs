@@ -14,6 +14,11 @@
 //! or swaps differ from the first run's, and a regenerated file must
 //! reproduce every other field of the committed one.
 //!
+//! Per topology the file also records the partition the four µ₁ steps
+//! share: its edge cut and the median and min of the four `partition()`
+//! wall-clocks (`partition_ms`, `partition_ms_min`; timed, so not
+//! compared). The harness exits 2 when the four partitions differ.
+//!
 //! Usage:
 //!   cargo run --release -p tie-bench --bin bench_quality -- [--out BENCH_quality.json]
 
@@ -68,11 +73,38 @@ fn run() -> Result<(), String> {
     let mut topologies = vec![Topology::grid2d(8, 8)];
     topologies.extend(Topology::paper_topologies());
     let mut cells = String::new();
+    let mut partitions = String::new();
     for topo in &topologies {
         let pcube = recognize_partial_cube(&topo.graph)
             .map_err(|e| format!("{} failed partial-cube recognition: {e}", topo.name))?;
         let k = topo.num_pes();
         let cases = MapCase::all().map(|case| map_initial(&ga, &topo.graph, case, EPS, SEED));
+        if cases.iter().any(|c| c.partition != cases[0].partition) {
+            return Err(format!(
+                "{}: the four µ₁ steps' partitions differ",
+                topo.name
+            ));
+        }
+        let mut partition_ms: Vec<f64> = cases
+            .iter()
+            .map(|c| c.partition_time.as_secs_f64() * 1e3)
+            .collect();
+        partition_ms.sort_by(|a, b| a.total_cmp(b));
+        let (median_ms, min_ms) = ((partition_ms[1] + partition_ms[2]) / 2.0, partition_ms[0]);
+        let edge_cut = cases[0].partition.edge_cut(&ga);
+        eprintln!(
+            "  {} partition: cut {edge_cut}, median {median_ms:.1} ms, min {min_ms:.1} ms",
+            topo.name
+        );
+        if !partitions.is_empty() {
+            partitions.push_str(",\n");
+        }
+        let _ = write!(
+            partitions,
+            "    {{\"topology\": \"{}\", \"k\": {k}, \"edge_cut\": {edge_cut}, \
+             \"partition_ms\": {median_ms:.3}, \"partition_ms_min\": {min_ms:.3}}}",
+            topo.name
+        );
         // The partition does not depend on the case: scr scrambles c1's.
         let scr = Mapping::from_partition(&cases[0].partition, &random_permutation(k, SEED), k);
         let mut inputs = vec![("scr", scr)];
@@ -128,7 +160,8 @@ fn run() -> Result<(), String> {
     let json = format!(
         "{{\n  \"bench\": \"quality\",\n  \"network\": \"{NETWORK}\",\n  \"scale\": \"medium\",\n  \
          \"vertices\": {},\n  \"nh\": {NH},\n  \"seed\": {SEED},\n  \"threads\": 1,\n  \
-         \"hardware_threads\": {hardware_threads},\n  \"cells\": [\n{cells}\n  ]\n}}\n",
+         \"hardware_threads\": {hardware_threads},\n  \"cells\": [\n{cells}\n  ],\n  \
+         \"partitions\": [\n{partitions}\n  ]\n}}\n",
         ga.num_vertices()
     );
     std::fs::write(out_path, &json)

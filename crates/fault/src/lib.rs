@@ -5,9 +5,9 @@
 //! (`tie-trace`-style plumbing: a disabled handle is one branch per probe
 //! site), and a [`FaultPlan`] arms specific faults at specific places:
 //!
-//! * **round panics** at chosen hierarchy rounds (`panic@R`, or seeded via
-//!   [`FaultPlan::with_seeded_panics`]) — exercising the TIMER round panic
-//!   guard, which turns the first one into `TieError::WorkerPanicked`,
+//! * **round panics** at chosen hierarchy rounds (`panic@R`) — exercising
+//!   the TIMER round panic guard, which turns the first one into
+//!   `TieError::WorkerPanicked`,
 //! * **IO errors** on the n-th counted IO operation (`io@N`) — exercising
 //!   the typed-error paths of `tie-graph::io` and the `mapd` socket framing
 //!   layer (readers and socket frames share one operation counter),
@@ -93,32 +93,6 @@ impl FaultPlan {
         self
     }
 
-    /// Arms one panic each at `count` distinct rounds drawn deterministically
-    /// from `seed` out of `0..round_limit`. The same `(seed, count,
-    /// round_limit)` always yields the same rounds.
-    pub fn with_seeded_panics(mut self, seed: u64, count: usize, round_limit: usize) -> Self {
-        if round_limit == 0 {
-            return self;
-        }
-        let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut picked = BTreeSet::new();
-        // splitmix64: full-period, seedable, and dependency-free.
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        while picked.len() < count.min(round_limit) {
-            picked.insert((next() % round_limit as u64) as usize);
-        }
-        for round in picked {
-            *self.panic_rounds.entry(round).or_insert(0) += 1;
-        }
-        self
-    }
-
     /// Arms an IO failure on the `nth` (1-based) reader operation.
     pub fn with_io_fault(mut self, nth: u64) -> Self {
         self.io_ops.insert(nth.max(1));
@@ -135,8 +109,6 @@ impl FaultPlan {
     /// Parses the `TIE_FAULTS` grammar: comma-separated directives
     ///
     /// * `panic@R` / `panic@R*N` — N panics (default 1) at round R,
-    /// * `panic-seeded@SEED:COUNT:LIMIT` — COUNT seeded one-shot panics in
-    ///   rounds `0..LIMIT`,
     /// * `io@N` — fail the Nth reader operation,
     /// * `delay:SITE=MICROS` — delay every visit of SITE by MICROS µs.
     ///
@@ -144,20 +116,7 @@ impl FaultPlan {
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new();
         for directive in spec.split(',').map(str::trim).filter(|d| !d.is_empty()) {
-            if let Some(rest) = directive.strip_prefix("panic-seeded@") {
-                let parts: Vec<&str> = rest.split(':').collect();
-                let parsed: Option<(u64, usize, usize)> = match parts.as_slice() {
-                    [s, c, l] => match (s.parse(), c.parse(), l.parse()) {
-                        (Ok(s), Ok(c), Ok(l)) => Some((s, c, l)),
-                        _ => None,
-                    },
-                    _ => None,
-                };
-                let (seed, count, limit) = parsed.ok_or_else(|| {
-                    format!("bad fault directive {directive:?}: want panic-seeded@SEED:COUNT:LIMIT")
-                })?;
-                plan = plan.with_seeded_panics(seed, count, limit);
-            } else if let Some(rest) = directive.strip_prefix("panic@") {
+            if let Some(rest) = directive.strip_prefix("panic@") {
                 let (round, times) = match rest.split_once('*') {
                     Some((r, t)) => (r.parse::<usize>(), t.parse::<u32>()),
                     None => (rest.parse::<usize>(), Ok(1)),
@@ -185,7 +144,7 @@ impl FaultPlan {
                 plan = plan.with_delay(site, Duration::from_micros(micros));
             } else {
                 return Err(format!(
-                    "unknown fault directive {directive:?} (want panic@R[*N], panic-seeded@S:C:L, io@N or delay:SITE=MICROS)"
+                    "unknown fault directive {directive:?} (want panic@R[*N], io@N or delay:SITE=MICROS)"
                 ));
             }
         }
@@ -401,27 +360,12 @@ mod tests {
     }
 
     #[test]
-    fn seeded_panics_are_deterministic() {
-        let a = FaultPlan::new().with_seeded_panics(42, 3, 40);
-        let b = FaultPlan::new().with_seeded_panics(42, 3, 40);
-        let c = FaultPlan::new().with_seeded_panics(43, 3, 40);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a.panic_rounds.len(), 3);
-        assert!(a.panic_rounds.keys().all(|&r| r < 40));
-    }
-
-    #[test]
     fn parse_grammar_roundtrip() {
         let plan = FaultPlan::parse("panic@3, panic@7*2, io@1, delay:round=250").unwrap();
         assert_eq!(plan.panic_rounds.get(&3), Some(&1));
         assert_eq!(plan.panic_rounds.get(&7), Some(&2));
         assert!(plan.io_ops.contains(&1));
         assert_eq!(plan.delays.get("round"), Some(&Duration::from_micros(250)));
-        assert_eq!(
-            FaultPlan::parse("panic-seeded@1:2:10").unwrap(),
-            FaultPlan::new().with_seeded_panics(1, 2, 10)
-        );
     }
 
     #[test]
@@ -435,7 +379,6 @@ mod tests {
             "delay:round",
             "delay:round=x",
             "explode@4",
-            "panic-seeded@1:2",
         ] {
             let err = FaultPlan::parse(bad).unwrap_err();
             assert!(err.contains("directive"), "{bad}: {err}");

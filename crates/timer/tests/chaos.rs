@@ -99,24 +99,16 @@ fn panic_at_a_round_returns_worker_panicked_with_the_payload() {
         assert_panicked_at(result, round, &format!("panic@{round}"));
         assert_eq!(faults.panics_fired(), 1);
     }
-}
-
-#[test]
-fn seeded_panic_storm_returns_worker_panicked_at_the_first_firing_round() {
-    silence_injected_panics();
-    let (ga, pcube, mapping, _) = fixture();
-    // Three seeded one-shot panics spread over the first NH rounds. A probe
-    // of a second handle with the same plan finds the first round that
-    // fires.
-    let plan = || FaultPlan::new().with_seeded_panics(99, 3, NH);
-    let probe = FaultHandle::new(plan());
-    let first = (0..NH)
-        .find(|&r| std::panic::catch_unwind(|| probe.maybe_panic(r)).is_err())
-        .expect("the storm arms a round below NH");
-    let faults = FaultHandle::new(plan());
+    // Several armed rounds: the run ends at the first one, and the later
+    // one never fires.
+    let faults = FaultHandle::new(
+        FaultPlan::new()
+            .with_panic_at_round(5)
+            .with_panic_at_round(2),
+    );
     let cfg = TimerConfig::new(NH, SEED).with_faults(faults.clone());
     let result = Timer::new(cfg).enhance(&ga, &pcube, &mapping);
-    assert_panicked_at(result, first, "storm");
+    assert_panicked_at(result, 2, "panic@5,panic@2");
     assert_eq!(faults.panics_fired(), 1, "the run stops at the first panic");
 }
 
