@@ -1,210 +1,125 @@
-//! Plain-text table and figure emitters.
-//!
-//! The binaries print the same rows/series the paper reports: Table 1
-//! (network inventory), Table 2 (running-time quotients), Table 3
-//! (partitioner running times), and Figures 5a–5d (relative Coco and Cut per
-//! topology after TIMER). Everything is plain ASCII so the output can be
-//! diffed.
+//! The artifact writers: `BENCH_paper.json`, the paper's evaluation that
+//! `bench_paper` records, and `BENCH_timer.json`, the perf trajectory that
+//! `bench_timer` records. No JSON crate is available offline, so both are
+//! emitted by hand.
 
-use std::fmt::Write as _;
-
-use tie_mapd::MapCase;
-use tie_timer::RoundTelemetry;
-use tie_trace::LogHistogram;
-
-use crate::harness::CellObservations;
-use crate::stats::Summary;
-
-/// One row of a Figure-5-style quality report: relative Cut and Coco
-/// (min/mean/max, geometric means over networks) for one topology.
-#[derive(Clone, Debug)]
-pub struct QualityRow {
-    /// Topology name (e.g. `grid16x16`).
-    pub topology: String,
-    /// Relative edge cut after TIMER (min/mean/max).
-    pub cut: Summary,
-    /// Relative Coco after TIMER (min/mean/max).
-    pub coco: Summary,
-}
-
-/// One row of a Table-2-style timing report.
-#[derive(Clone, Debug)]
-pub struct TimingRow {
-    /// Topology name.
-    pub topology: String,
-    /// Per-case time quotients (min/mean/max), in case order c1..c4.
-    pub per_case: Vec<(String, Summary)>,
-}
-
-/// Formats a Figure-5-like quality table.
-pub fn format_quality_table(case_name: &str, rows: &[QualityRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "Relative quality after TIMER — case {case_name} (values < 1.0 mean TIMER improved the metric)");
-    let _ = writeln!(
-        out,
-        "{:<14} {:>8} {:>8} {:>8}   {:>8} {:>8} {:>8}",
-        "topology", "minCut", "Cut", "maxCut", "minCo", "Co", "maxCo"
-    );
-    for row in rows {
-        let _ = writeln!(
-            out,
-            "{:<14} {:>8.4} {:>8.4} {:>8.4}   {:>8.4} {:>8.4} {:>8.4}",
-            row.topology,
-            row.cut.min,
-            row.cut.mean,
-            row.cut.max,
-            row.coco.min,
-            row.coco.mean,
-            row.coco.max
-        );
-    }
-    out
-}
-
-/// Formats a Table-2-like timing table.
-pub fn format_timing_table(rows: &[TimingRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Running-time quotients (TIMER time / baseline time; baseline = DRB mapping for c1, partitioning for c2-c4)"
-    );
-    for row in rows {
-        let _ = writeln!(out, "{}", row.topology);
-        for (case, s) in &row.per_case {
-            let _ = writeln!(
-                out,
-                "    {:<22} qT_min {:>9.4}  qT_mean {:>9.4}  qT_max {:>9.4}",
-                case, s.min, s.mean, s.max
-            );
-        }
-    }
-    out
-}
-
-/// Formats a Table-1-like inventory row set.
-pub fn format_inventory(rows: &[(String, usize, usize, String)]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<24} {:>10} {:>12}  Type",
-        "Name", "#vertices", "#edges"
-    );
-    for (name, n, m, kind) in rows {
-        let _ = writeln!(out, "{:<24} {:>10} {:>12}  {}", name, n, m, kind);
-    }
-    out
-}
-
-/// Formats a Table-3-like running-time listing (seconds). `k_labels` names
-/// the two block-count columns (the paper uses k = 256 and k = 512; the
-/// reduced-scale harness uses smaller k).
-pub fn format_partition_times(rows: &[(String, f64, f64)], k_labels: (&str, &str)) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<24} {:>12} {:>12}",
-        "Name",
-        format!("{} [s]", k_labels.0),
-        format!("{} [s]", k_labels.1)
-    );
-    let mut product_256 = 1.0f64;
-    let mut product_512 = 1.0f64;
-    let mut sum_256 = 0.0f64;
-    let mut sum_512 = 0.0f64;
-    for (name, t256, t512) in rows {
-        let _ = writeln!(out, "{:<24} {:>12.3} {:>12.3}", name, t256, t512);
-        product_256 *= t256.max(1e-9);
-        product_512 *= t512.max(1e-9);
-        sum_256 += t256;
-        sum_512 += t512;
-    }
-    if !rows.is_empty() {
-        let n = rows.len() as f64;
-        let _ = writeln!(
-            out,
-            "{:<24} {:>12.3} {:>12.3}",
-            "Arithmetic mean",
-            sum_256 / n,
-            sum_512 / n
-        );
-        let _ = writeln!(
-            out,
-            "{:<24} {:>12.3} {:>12.3}",
-            "Geometric mean",
-            product_256.powf(1.0 / n),
-            product_512.powf(1.0 / n)
-        );
-    }
-    out
-}
+use std::fmt::{Display, Write as _};
+use std::time::Duration;
 
 // The canonical JSON string escaper lives in the service crate next to the
 // protocol parser; artifacts and wire frames must agree on the encoding.
 use tie_mapd::json::escape as escape_json;
+use tie_timer::RoundTelemetry;
+use tie_topology::Topology;
+use tie_trace::LogHistogram;
 
-/// Formats a float list as a JSON array.
-fn format_f64_list(values: &[f64]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{v:.6}");
-    }
-    out.push(']');
-    out
+use crate::harness::{quality_rows, timing_rows, CellObservations, Repetition, EPSILON};
+use crate::stats::Summary;
+use crate::workloads::{NetworkSpec, Scale};
+
+/// A JSON array of `value` over a cell's repetitions.
+fn rep_list<T: Display>(reps: &[Repetition], value: impl Fn(&Repetition) -> T) -> String {
+    let items: Vec<String> = reps.iter().map(|r| value(r).to_string()).collect();
+    format!("[{}]", items.join(", "))
 }
 
-/// Serializes a full sweep (all cases × all cells) as the machine-readable
-/// artifact `run_all --out` writes. Rows whose repetitions failed carry
-/// their error strings instead of silently disappearing, so a partially
-/// failed overnight campaign is still a complete, auditable record.
-pub fn format_sweep_json(per_case: &[(MapCase, Vec<CellObservations>)]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"report\": \"sweep\",");
-    let total_errors: usize = per_case
+/// A [`Summary`] as a JSON object with six decimals.
+fn summary_json(s: &Summary) -> String {
+    format!(
+        "{{\"min\": {:.6}, \"mean\": {:.6}, \"max\": {:.6}}}",
+        s.min, s.mean, s.max
+    )
+}
+
+/// Serializes a sweep as the `BENCH_paper.json` artifact, one line per row:
+/// Table 1's inventory (`inventory` holds each network's vertex and edge
+/// count at `scale`), one row per (network, topology, case) cell with its
+/// repetitions' values, then per (topology, case) Figure 5's Coco and cut
+/// quotients and Table 2's time quotients.
+pub fn format_paper_json(
+    scale: Scale,
+    repetitions: usize,
+    num_hierarchies: usize,
+    hardware_threads: usize,
+    inventory: &[(&NetworkSpec, usize, usize)],
+    cells: &[CellObservations],
+    topologies: &[Topology],
+) -> String {
+    let ms = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1e3);
+    let networks: Vec<String> = inventory
         .iter()
-        .flat_map(|(_, cells)| cells.iter())
-        .map(|c| c.errors.len())
-        .sum();
-    let _ = writeln!(out, "  \"total_errors\": {total_errors},");
-    let _ = writeln!(out, "  \"cases\": [");
-    for (i, (case, cells)) in per_case.iter().enumerate() {
-        let case_comma = if i + 1 < per_case.len() { "," } else { "" };
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"case\": \"{}\",", case.id());
-        let _ = writeln!(out, "      \"rows\": [");
-        for (j, c) in cells.iter().enumerate() {
-            let row_comma = if j + 1 < cells.len() { "," } else { "" };
-            let mut errors = String::from("[");
-            for (k, e) in c.errors.iter().enumerate() {
-                if k > 0 {
-                    errors.push_str(", ");
-                }
-                let _ = write!(errors, "\"{}\"", escape_json(e));
-            }
-            errors.push(']');
-            let _ = writeln!(
-                out,
-                "        {{\"network\": \"{}\", \"topology\": \"{}\", \
-                 \"coco_quotients\": {}, \"cut_quotients\": {}, \"time_quotients\": {}, \
-                 \"errors\": {}}}{}",
+        .map(|(spec, vertices, edges)| {
+            format!(
+                "    {{\"name\": \"{}\", \"type\": \"{}\", \"seed\": {}, \
+                 \"vertices\": {vertices}, \"edges\": {edges}}}",
+                escape_json(spec.name),
+                escape_json(spec.description),
+                spec.seed
+            )
+        })
+        .collect();
+    let rows: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            let r = &c.reps;
+            format!(
+                "    {{\"network\": \"{}\", \"topology\": \"{}\", \"case\": \"{}\", \
+             \"initial_coco\": {}, \"final_coco\": {}, \"initial_cut\": {}, \"final_cut\": {}, \
+             \"accepted\": {}, \"swaps\": {}, \"partition_ms\": {}, \"mapping_ms\": {}, \
+             \"timer_ms\": {}}}",
                 escape_json(&c.network),
                 escape_json(&c.topology),
-                format_f64_list(&c.coco_quotients),
-                format_f64_list(&c.cut_quotients),
-                format_f64_list(&c.time_quotients),
-                errors,
-                row_comma
-            );
-        }
-        let _ = writeln!(out, "      ]");
-        let _ = writeln!(out, "    }}{case_comma}");
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+                c.case.id(),
+                rep_list(r, |r| r.initial_coco),
+                rep_list(r, |r| r.final_coco),
+                rep_list(r, |r| r.initial_cut),
+                rep_list(r, |r| r.final_cut),
+                rep_list(r, |r| r.accepted),
+                rep_list(r, |r| r.swaps),
+                rep_list(r, |r| ms(r.partition_time)),
+                rep_list(r, |r| ms(r.mapping_time)),
+                rep_list(r, |r| ms(r.timer_time)),
+            )
+        })
+        .collect();
+    let figure5: Vec<String> = quality_rows(cells, topologies)
+        .iter()
+        .map(|q| {
+            format!(
+                "    {{\"topology\": \"{}\", \"case\": \"{}\", \"coco\": {}, \"coco_gsd\": {:.6}, \
+                 \"cut\": {}, \"cut_gsd\": {:.6}}}",
+                escape_json(&q.topology),
+                q.case.id(),
+                summary_json(&q.coco),
+                q.coco_gsd,
+                summary_json(&q.cut),
+                q.cut_gsd
+            )
+        })
+        .collect();
+    let table2: Vec<String> = timing_rows(cells, topologies)
+        .iter()
+        .map(|t| {
+            format!(
+                "    {{\"topology\": \"{}\", \"case\": \"{}\", \"time_quotient\": {}}}",
+                escape_json(&t.topology),
+                t.case.id(),
+                summary_json(&t.time)
+            )
+        })
+        .collect();
+    let scale = format!("{scale:?}").to_lowercase();
+    format!(
+        "{{\n  \"bench\": \"paper\",\n  \"note\": \"The networks are seeded synthetic stand-ins \
+         for the real networks of Table 1, built at {scale} scale.\",\n  \"scale\": \"{scale}\",\n  \
+         \"nh\": {num_hierarchies},\n  \"eps\": {EPSILON},\n  \"reps\": {repetitions},\n  \
+         \"hardware_threads\": {hardware_threads},\n  \"networks\": [\n{}\n  ],\n  \
+         \"cells\": [\n{}\n  ],\n  \"figure5\": [\n{}\n  ],\n  \"table2\": [\n{}\n  ]\n}}\n",
+        networks.join(",\n"),
+        rows.join(",\n"),
+        figure5.join(",\n"),
+        table2.join(",\n")
+    )
 }
 
 /// One measurement of the TIMER perf-trajectory harness (`bench_timer`):
@@ -330,72 +245,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quality_table_contains_all_rows_and_header() {
-        let rows = vec![
-            QualityRow {
-                topology: "grid16x16".into(),
-                cut: Summary {
-                    min: 1.01,
-                    mean: 1.05,
-                    max: 1.1,
-                },
-                coco: Summary {
-                    min: 0.7,
-                    mean: 0.8,
-                    max: 0.9,
-                },
-            },
-            QualityRow {
-                topology: "8-dimHQ".into(),
-                cut: Summary {
-                    min: 1.0,
-                    mean: 1.0,
-                    max: 1.0,
-                },
-                coco: Summary {
-                    min: 0.9,
-                    mean: 0.95,
-                    max: 1.0,
-                },
-            },
-        ];
-        let s = format_quality_table("c2", &rows);
-        assert!(s.contains("grid16x16"));
-        assert!(s.contains("8-dimHQ"));
-        assert!(s.contains("minCo"));
-        assert!(s.contains("0.8000"));
-    }
-
-    #[test]
-    fn timing_table_lists_cases() {
-        let rows = vec![TimingRow {
-            topology: "torus16x16".into(),
-            per_case: vec![
-                (
-                    "c1".into(),
-                    Summary {
-                        min: 20.0,
-                        mean: 21.0,
-                        max: 22.0,
-                    },
-                ),
-                (
-                    "c2".into(),
-                    Summary {
-                        min: 0.5,
-                        mean: 0.6,
-                        max: 0.7,
-                    },
-                ),
-            ],
-        }];
-        let s = format_timing_table(&rows);
-        assert!(s.contains("torus16x16"));
-        assert!(s.contains("qT_mean"));
-        assert!(s.contains("21.0000"));
-    }
-
-    #[test]
     fn bench_json_is_well_formed() {
         let entries = vec![
             TimerBenchEntry {
@@ -466,55 +315,78 @@ mod tests {
     }
 
     #[test]
-    fn sweep_json_records_errors_and_balances() {
-        let cells = vec![
-            CellObservations {
-                network: "netA".into(),
-                topology: "grid4x4".into(),
-                coco_quotients: vec![0.9, 0.95],
-                cut_quotients: vec![1.0, 1.01],
-                time_quotients: vec![2.0, 2.1],
-                partition_seconds: vec![0.01, 0.01],
-                errors: Vec::new(),
-            },
-            CellObservations {
-                network: "netB".into(),
-                topology: "grid4x4".into(),
-                coco_quotients: Vec::new(),
-                cut_quotients: Vec::new(),
-                time_quotients: Vec::new(),
-                partition_seconds: Vec::new(),
-                errors: vec!["rep 0: worker panicked in hierarchy round 3: \"boom\"".into()],
-            },
-        ];
-        let s = format_sweep_json(&[(MapCase::C2Identity, cells)]);
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
-        assert_eq!(s.matches('[').count(), s.matches(']').count());
-        assert!(s.contains("\"total_errors\": 1"));
-        assert!(s.contains("\"case\": \"c2\""));
-        assert!(s.contains("\"network\": \"netB\""));
-        // The quote inside the error message must arrive escaped.
-        assert!(s.contains("round 3: \\\"boom\\\""));
-        assert!(s.contains("\"coco_quotients\": [0.900000, 0.950000]"));
-        assert!(s.contains("\"errors\": []"));
+    fn paper_json_parses_with_one_row_per_cell_and_quotient() {
+        use std::time::Duration;
+        use tie_mapd::json::Json;
+        use tie_mapd::MapCase;
+
+        let rep = |coco: u64| Repetition {
+            initial_coco: 100,
+            final_coco: coco,
+            initial_cut: 50,
+            final_cut: 55,
+            accepted: 3,
+            swaps: 7,
+            partition_time: Duration::from_millis(4),
+            mapping_time: Duration::from_millis(1),
+            timer_time: Duration::from_millis(2),
+            coco_quotient: coco as f64 / 100.0,
+            cut_quotient: 1.1,
+            time_quotient: 0.5,
+        };
+        let topologies = [Topology::grid2d(4, 4)];
+        // Case ci's cell reads Coco 80 - i and 90 - i out of 100.
+        let cells: Vec<CellObservations> = MapCase::all()
+            .into_iter()
+            .zip(1..)
+            .map(|(case, i)| CellObservations {
+                network: "net \"A\"".into(),
+                topology: topologies[0].name.clone(),
+                case,
+                reps: vec![rep(80 - i), rep(90 - i)],
+            })
+            .collect();
+        let spec = &crate::workloads::paper_networks()[0];
+        let s = format_paper_json(Scale::Tiny, 2, 3, 4, &[(spec, 10, 20)], &cells, &topologies);
+        let json = Json::parse(&s).unwrap();
+        let arr = |key: &str| json.get(key).and_then(Json::as_arr).unwrap().len();
+        assert_eq!((arr("networks"), arr("cells")), (1, 4));
+        assert_eq!((arr("figure5"), arr("table2")), (4, 4));
+        assert_eq!(json.get("scale").and_then(Json::as_str), Some("tiny"));
+        assert_eq!(json.get("eps").and_then(Json::as_f64), Some(0.03));
+        let cell = &json.get("cells").and_then(Json::as_arr).unwrap()[1];
+        assert_eq!(
+            cell.get("network").and_then(Json::as_str),
+            Some("net \"A\"")
+        );
+        assert_eq!(cell.get("case").and_then(Json::as_str), Some("c2"));
+        let finals: Vec<u64> = cell
+            .get("final_coco")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter_map(Json::as_u64)
+            .collect();
+        assert_eq!(finals, [78, 88]);
+        assert!(s.contains("\"timer_ms\": [2.000, 2.000]"));
+        let c2 = &json.get("figure5").and_then(Json::as_arr).unwrap()[1];
+        assert_eq!(c2.get("case").and_then(Json::as_str), Some("c2"));
+        let coco = |key| {
+            c2.get("coco")
+                .and_then(|c| c.get(key))
+                .and_then(Json::as_f64)
+        };
+        assert_eq!(
+            (coco("min"), coco("mean"), coco("max")),
+            (Some(0.78), Some(0.83), Some(0.88))
+        );
+        assert!(s.contains("\"coco_gsd\": 1.000000"));
+        assert!(s.contains("\"time_quotient\": {\"min\": 0.500000"));
     }
 
     #[test]
     fn json_escaping_covers_control_chars() {
         assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape_json("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn inventory_and_partition_times_format() {
-        let inv = format_inventory(&[("net".into(), 100, 200, "test network".into())]);
-        assert!(inv.contains("net") && inv.contains("200"));
-        let times = format_partition_times(
-            &[("net".into(), 1.5, 3.0), ("net2".into(), 2.0, 4.0)],
-            ("k=256", "k=512"),
-        );
-        assert!(times.contains("Geometric mean"));
-        assert!(times.contains("Arithmetic mean"));
-        assert!(times.contains("k=512 [s]"));
     }
 }

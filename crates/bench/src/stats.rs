@@ -1,6 +1,6 @@
 //! Statistics used by the paper's evaluation protocol (Section 7.1):
-//! min/mean/max over 5 repetitions, quotients "after / before", geometric
-//! means over the benchmark networks and geometric standard deviations.
+//! min/mean/max over 5 repetitions, geometric means over the benchmark
+//! networks and geometric standard deviations.
 
 /// Minimum, arithmetic mean and maximum of a series of repetitions.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -26,25 +26,13 @@ impl Summary {
         let mean = values.iter().sum::<f64>() / values.len() as f64;
         Summary { min, mean, max }
     }
-
-    /// Element-wise quotient `self / base`, the normalization step of the
-    /// paper (each of min/mean/max is divided by the corresponding value
-    /// before the improvement). Zero denominators yield 1.0 (no change).
-    pub fn quotient(&self, base: &Summary) -> Summary {
-        let div = |a: f64, b: f64| if b == 0.0 { 1.0 } else { a / b };
-        Summary {
-            min: div(self.min, base.min),
-            mean: div(self.mean, base.mean),
-            max: div(self.max, base.max),
-        }
-    }
 }
 
 /// Geometric mean of positive values (zeroes are clamped to a tiny epsilon so
 /// a single degenerate observation cannot zero out the whole aggregate).
 ///
 /// Returns `None` on an empty slice: a sweep that produced zero results must
-/// not silently read as a quotient of 1.0 ("no change") in the table reports.
+/// not silently read as a quotient of 1.0 ("no change") in the artifact.
 pub fn geometric_mean(values: &[f64]) -> Option<f64> {
     if values.is_empty() {
         return None;
@@ -93,24 +81,6 @@ mod tests {
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 3.0);
         assert!((s.mean - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quotient_divides_componentwise() {
-        let a = Summary::of(&[2.0, 4.0]);
-        let b = Summary::of(&[4.0, 8.0]);
-        let q = a.quotient(&b);
-        assert!((q.min - 0.5).abs() < 1e-12);
-        assert!((q.max - 0.5).abs() < 1e-12);
-        assert!((q.mean - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quotient_with_zero_base() {
-        let a = Summary::of(&[2.0]);
-        let b = Summary::of(&[0.0]);
-        let q = a.quotient(&b);
-        assert_eq!(q.mean, 1.0);
     }
 
     #[test]

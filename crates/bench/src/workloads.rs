@@ -19,7 +19,9 @@ use tie_graph::{generators, Graph};
 pub enum Scale {
     /// ~0.5–2 k vertices per network: unit tests and smoke runs.
     Tiny,
-    /// ~2–8 k vertices per network: the default for the bundled binaries.
+    /// ~1.5–15 k vertices per network: `bench_paper`'s scale, the smallest
+    /// at which every stand-in has more vertices than the 512-PE topologies
+    /// have PEs.
     Small,
     /// ~8–30 k vertices per network: closer to the paper's smaller instances.
     Medium,

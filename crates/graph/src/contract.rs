@@ -56,8 +56,11 @@ pub struct ContractScratch {
 /// The kernel leans on [`Graph`]'s undirectedness invariant (every arc has
 /// a mirror arc of equal weight, see [`Graph::is_symmetric`]): it reads the
 /// weight of `u -> v` from `v`'s adjacency row. Every `Graph` meets it by
-/// construction — [`crate::GraphBuilder::build`] and this kernel are the
-/// only constructors — so it is only re-checked in debug builds.
+/// construction — [`crate::GraphBuilder::build`], this kernel and
+/// [`crate::induced_subgraph`] are the only constructors, and the last keeps
+/// exactly the arcs between selected vertices of a symmetric parent, so
+/// each kept arc keeps its mirror — and it is only re-checked in debug
+/// builds.
 ///
 /// # Panics
 /// Panics if `fine_to_coarse` is shorter than the vertex count of `fine` or

@@ -17,9 +17,11 @@ pub type Weight = u64;
 /// An undirected, weighted graph in CSR form.
 ///
 /// Construction goes through [`crate::GraphBuilder`] (incremental, with
-/// deduplication) or the contraction kernel [`crate::contract_into`]. The
-/// raw-array constructor behind both is crate-private, so every `Graph` is
-/// symmetric (mirrored arcs of equal weight), as the kernel requires.
+/// deduplication), the contraction kernel [`crate::contract_into`] or
+/// [`crate::induced_subgraph`], whose rows are filtered from a symmetric
+/// parent. The raw-array constructor behind all three is crate-private, so
+/// every `Graph` is symmetric (mirrored arcs of equal weight), as the kernel
+/// requires.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     /// Offsets into `adjncy`/`adjwgt`; length `n + 1`.

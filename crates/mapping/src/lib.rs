@@ -96,11 +96,6 @@ impl Mapping {
         &self.assignment
     }
 
-    /// Consumes the mapping and returns the assignment vector.
-    pub fn into_assignment(self) -> Vec<u32> {
-        self.assignment
-    }
-
     /// Number of tasks mapped to every PE.
     pub fn load_per_pe(&self) -> Vec<usize> {
         let mut load = vec![0usize; self.num_pes];

@@ -38,11 +38,6 @@ impl Partition {
         &self.assignment
     }
 
-    /// Consumes the partition and returns the assignment vector.
-    pub fn into_assignment(self) -> Vec<u32> {
-        self.assignment
-    }
-
     /// Mutable access for refinement passes.
     pub(crate) fn assignment_mut(&mut self) -> &mut [u32] {
         &mut self.assignment
