@@ -30,6 +30,7 @@ use std::process::ExitCode;
 use tie_bench::harness::run_sweep;
 use tie_bench::report::format_paper_json;
 use tie_bench::workloads::{paper_networks, Scale};
+use tie_mapd::cli::{check_args, try_flag_value};
 use tie_topology::Topology;
 
 const SCALE: Scale = Scale::Small;
@@ -55,11 +56,8 @@ fn run() -> Result<(), String> {
     // Anything but `--out PATH` is refused: a stray `--help` must not start
     // the grid and overwrite the artifact at the default path.
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = match args.as_slice() {
-        [] => "BENCH_paper.json",
-        [flag, path] if flag == "--out" => path.as_str(),
-        _ => return Err(format!("expected at most --out PATH, got {args:?}")),
-    };
+    check_args(&args, &[], &["--out"])?;
+    let out_path = try_flag_value(&args, "--out")?.unwrap_or("BENCH_paper.json");
     let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let networks = paper_networks();
     let topologies = Topology::paper_topologies();

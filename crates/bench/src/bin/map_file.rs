@@ -20,15 +20,15 @@
 //! Supported topology names: gridAxB, gridAxBxC, torusAxB, torusAxBxC,
 //! hypercubeD, treeN, pathN.
 //!
-//! Every malformed flag or unreadable input is reported as a one-line error
-//! plus this usage summary (exit code 2) — the binary never panics on bad
-//! input.
+//! Every unknown or malformed flag and every unreadable input is reported
+//! as a one-line error plus this usage summary (exit code 2) — the binary
+//! never panics on bad input.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use tie_fault::FaultHandle;
-use tie_mapd::cli::{has_flag, parsed_flag, trace_from_flags, try_flag_value};
+use tie_mapd::cli::{check_args, has_flag, parsed_flag, trace_from_flags, try_flag_value};
 use tie_mapd::protocol::{GraphSource, MapRequest, MapResponse, Response, ShutdownMode};
 use tie_mapd::{Service, ServiceOptions};
 
@@ -37,6 +37,25 @@ const USAGE: &str = "usage: map_file --graph FILE --topology NAME \
      [--deadline-ms N] [--out PATH] [--json] \
      [--client SOCKET [--ping | --shutdown [--shutdown-mode drain|cancel]]] \
      [--trace-out PATH|-] [--trace-level off|gate|phase|debug]";
+
+/// The valueless switches; any argument that is neither one of these nor
+/// one of [`VALUE_FLAGS`] with its value is refused before anything runs.
+const SWITCHES: &[&str] = &["--json", "--ping", "--shutdown"];
+/// The flags that take a value.
+const VALUE_FLAGS: &[&str] = &[
+    "--graph",
+    "--topology",
+    "--case",
+    "--nh",
+    "--eps",
+    "--seed",
+    "--deadline-ms",
+    "--out",
+    "--client",
+    "--shutdown-mode",
+    "--trace-out",
+    "--trace-level",
+];
 
 fn build_request(args: &[String]) -> Result<MapRequest, String> {
     let seed: u64 = parsed_flag(args, "--seed", 1)?;
@@ -156,10 +175,10 @@ fn run_client(_socket: &str, _args: &[String], _faults: FaultHandle) -> Result<(
 }
 
 fn run(args: &[String]) -> Result<(), String> {
+    // `render` reads `--out` only after the mapping ran: a misspelled flag
+    // or a missing path is refused before doing the work.
+    check_args(args, SWITCHES, VALUE_FLAGS)?;
     let faults = FaultHandle::from_env().map_err(|e| format!("invalid TIE_FAULTS: {e}"))?;
-    // `render` reads `--out` only after the mapping ran; reject a missing
-    // path before doing the work.
-    try_flag_value(args, "--out")?;
     if let Some(socket) = try_flag_value(args, "--client")? {
         return run_client(socket, args, faults);
     }

@@ -11,8 +11,8 @@
 //!
 //! * `bench_paper` — the paper's evaluation (Table 1, Figure 5, Table 2 and
 //!   the partition times of Table 3) as `BENCH_paper.json`,
-//! * `bench_quality` — the TIMER quality matrix, `BENCH_quality.json`,
-//! * `bench_timer` — the TIMER perf trajectory, `BENCH_timer.json`,
+//! * `bench_quality` — the TIMER quality matrix with each cell's
+//!   telemetry and phase breakdown, `BENCH_quality.json`,
 //! * `map_file` — maps a METIS graph one-shot or through `mapd`.
 //!
 //! The original evaluation uses 15 real complex networks; those are replaced

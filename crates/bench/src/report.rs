@@ -1,7 +1,7 @@
 //! The artifact writers: `BENCH_paper.json`, the paper's evaluation that
-//! `bench_paper` records, and `BENCH_timer.json`, the perf trajectory that
-//! `bench_timer` records. No JSON crate is available offline, so both are
-//! emitted by hand.
+//! `bench_paper` records, and `BENCH_quality.json`, the TIMER quality
+//! matrix with its telemetry that `bench_quality` records. No JSON crate is
+//! available offline, so both are emitted by hand.
 
 use std::fmt::{Display, Write as _};
 use std::time::Duration;
@@ -122,17 +122,17 @@ pub fn format_paper_json(
     )
 }
 
-/// One measurement of the TIMER perf-trajectory harness (`bench_timer`):
-/// a full `Timer::enhance` run at one scale.
+/// One cell of the quality matrix (`bench_quality`): a TIMER run on one
+/// (topology, initial mapping, Div setting), with the median and minimum
+/// wall-clock of the cell's runs and the median run's telemetry.
 #[derive(Clone, Debug)]
-pub struct TimerBenchEntry {
-    /// Workload scale name (`tiny`, `small`, `medium`).
-    pub scale: String,
-    /// Median wall-clock of the `enhance` call across repetitions, in
-    /// milliseconds (with `--reps 1` this is the single measurement).
-    pub wall_ms: f64,
-    /// Minimum wall-clock across repetitions, in milliseconds.
-    pub wall_ms_min: f64,
+pub struct QualityCell {
+    /// Topology name.
+    pub topology: String,
+    /// Initial mapping: `scr` or a case id `c1`–`c4`.
+    pub mapping: &'static str,
+    /// Whether TIMER ran with Div on.
+    pub diversity: bool,
     /// Coco of the initial mapping.
     pub initial_coco: u64,
     /// Coco of the enhanced mapping.
@@ -141,6 +141,28 @@ pub struct TimerBenchEntry {
     pub accepted: usize,
     /// Label swaps performed across all sweeps.
     pub total_swaps: usize,
+    /// Median wall-clock of the cell's `Timer::enhance` calls, in ms.
+    pub wall_ms: f64,
+    /// Minimum wall-clock of the cell's `Timer::enhance` calls, in ms.
+    pub wall_ms_min: f64,
+    /// The telemetry of the run with the median wall-clock: its histograms
+    /// and arc counts are every run's, its phase times that run's own.
+    pub telemetry: RoundTelemetry,
+}
+
+/// One topology's partition, which the matrix's c1–c4 cells share.
+#[derive(Clone, Debug)]
+pub struct PartitionRow {
+    /// Topology name.
+    pub topology: String,
+    /// Number of blocks, one per PE.
+    pub k: usize,
+    /// Edge cut of the partition.
+    pub edge_cut: u64,
+    /// Median wall-clock of the four `partition()` calls, in ms.
+    pub partition_ms: f64,
+    /// Minimum wall-clock of the four `partition()` calls, in ms.
+    pub partition_ms_min: f64,
 }
 
 /// Formats a [`LogHistogram`] as a JSON array of its non-empty buckets,
@@ -161,83 +183,78 @@ fn format_histogram_json(hist: &LogHistogram) -> String {
     out
 }
 
-/// Serializes the perf-trajectory measurements as the `BENCH_timer.json`
-/// artifact: machine-readable, diffable, one object per cell. No external
-/// JSON crate is available offline, so the (flat, numeric) structure is
-/// emitted by hand.
-///
-/// `telemetry` carries one gate record per scale (the delta histograms and
-/// hierarchy work counts are byte-identical across repetitions; the phase
-/// breakdown comes from the repetition with the median wall-clock).
+/// Serializes the quality matrix as the `BENCH_quality.json` artifact, one
+/// line per row: the header, one row per cell with its result, wall-clocks
+/// and telemetry (both delta histograms, the swept and contracted arc
+/// counts and the median run's `phases_us`), then one row per topology's
+/// partition.
 #[allow(clippy::too_many_arguments)] // flat artifact header, one field each
-pub fn format_bench_json(
-    nh: usize,
-    reps: usize,
+pub fn format_quality_json(
     network: &str,
-    topology: &str,
+    scale: Scale,
+    vertices: usize,
+    num_hierarchies: usize,
+    seed: u64,
     hardware_threads: usize,
-    entries: &[TimerBenchEntry],
-    telemetry: &[(String, RoundTelemetry)],
+    cells: &[QualityCell],
+    partitions: &[PartitionRow],
 ) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bench\": \"timer\",");
-    let _ = writeln!(out, "  \"nh\": {nh},");
-    let _ = writeln!(out, "  \"reps\": {reps},");
-    let _ = writeln!(out, "  \"network\": \"{network}\",");
-    let _ = writeln!(out, "  \"topology\": \"{topology}\",");
-    // Wall-clock context: the host the rows were timed on.
-    let _ = writeln!(out, "  \"hardware_threads\": {hardware_threads},");
-    let _ = writeln!(out, "  \"results\": [");
-    for (i, e) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"scale\": \"{}\", \"wall_ms\": {:.3}, \"wall_ms_min\": {:.3}, \
-             \"initial_coco\": {}, \"final_coco\": {}, \"accepted\": {}, \
-             \"total_swaps\": {}}}{}",
-            e.scale,
-            e.wall_ms,
-            e.wall_ms_min,
-            e.initial_coco,
-            e.final_coco,
-            e.accepted,
-            e.total_swaps,
-            comma
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"telemetry\": [");
-    for (i, (scale, t)) in telemetry.iter().enumerate() {
-        let comma = if i + 1 < telemetry.len() { "," } else { "" };
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"scale\": \"{scale}\",");
-        let _ = writeln!(
-            out,
-            "      \"delta_coco_hist\": {},",
-            format_histogram_json(&t.delta_coco)
-        );
-        let _ = writeln!(
-            out,
-            "      \"delta_div_hist\": {},",
-            format_histogram_json(&t.delta_div)
-        );
-        let _ = writeln!(out, "      \"sweep_arcs\": {},", t.sweep_arcs);
-        let _ = writeln!(out, "      \"contract_arcs\": {},", t.contract_arcs);
-        let mut phases = String::from("{");
-        for (j, (phase, us)) in t.phases.iter().enumerate() {
-            if j > 0 {
-                phases.push_str(", ");
-            }
-            let _ = write!(phases, "\"{}\": {}", phase.name(), us);
-        }
-        phases.push('}');
-        let _ = writeln!(out, "      \"phases_us\": {phases}");
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    let _ = writeln!(out, "  ]");
-    let _ = writeln!(out, "}}");
-    out
+    let rows: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            let t = &c.telemetry;
+            let phases: Vec<String> = t
+                .phases
+                .iter()
+                .map(|(phase, us)| format!("\"{}\": {us}", phase.name()))
+                .collect();
+            format!(
+                "    {{\"topology\": \"{}\", \"mapping\": \"{}\", \"diversity\": {}, \
+                 \"initial_coco\": {}, \"final_coco\": {}, \"accepted\": {}, \
+                 \"total_swaps\": {}, \"wall_ms\": {:.3}, \"wall_ms_min\": {:.3}, \
+                 \"sweep_arcs\": {}, \"contract_arcs\": {}, \"delta_coco_hist\": {}, \
+                 \"delta_div_hist\": {}, \"phases_us\": {{{}}}}}",
+                escape_json(&c.topology),
+                c.mapping,
+                c.diversity,
+                c.initial_coco,
+                c.final_coco,
+                c.accepted,
+                c.total_swaps,
+                c.wall_ms,
+                c.wall_ms_min,
+                t.sweep_arcs,
+                t.contract_arcs,
+                format_histogram_json(&t.delta_coco),
+                format_histogram_json(&t.delta_div),
+                phases.join(", ")
+            )
+        })
+        .collect();
+    let partitions: Vec<String> = partitions
+        .iter()
+        .map(|p| {
+            format!(
+                "    {{\"topology\": \"{}\", \"k\": {}, \"edge_cut\": {}, \
+                 \"partition_ms\": {:.3}, \"partition_ms_min\": {:.3}}}",
+                escape_json(&p.topology),
+                p.k,
+                p.edge_cut,
+                p.partition_ms,
+                p.partition_ms_min
+            )
+        })
+        .collect();
+    let scale = format!("{scale:?}").to_lowercase();
+    format!(
+        "{{\n  \"bench\": \"quality\",\n  \"network\": \"{}\",\n  \"scale\": \"{scale}\",\n  \
+         \"vertices\": {vertices},\n  \"nh\": {num_hierarchies},\n  \"seed\": {seed},\n  \
+         \"threads\": 1,\n  \"hardware_threads\": {hardware_threads},\n  \
+         \"cells\": [\n{}\n  ],\n  \"partitions\": [\n{}\n  ]\n}}\n",
+        escape_json(network),
+        rows.join(",\n"),
+        partitions.join(",\n")
+    )
 }
 
 #[cfg(test)]
@@ -245,73 +262,110 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_json_is_well_formed() {
-        let entries = vec![
-            TimerBenchEntry {
-                scale: "tiny".into(),
-                wall_ms: 12.3456,
-                wall_ms_min: 11.9,
-                initial_coco: 100,
-                final_coco: 80,
-                accepted: 3,
-                total_swaps: 42,
-            },
-            TimerBenchEntry {
-                scale: "small".into(),
-                wall_ms: 40.0,
-                wall_ms_min: 35.5,
-                initial_coco: 300,
-                final_coco: 250,
-                accepted: 3,
-                total_swaps: 97,
-            },
-        ];
-        let mut tel = RoundTelemetry::default();
-        tel.record_gate(-20, 5);
-        tel.record_gate(-3, 3);
-        tel.record_gate(0, 0);
-        tel.sweep_arcs = 5_620;
-        tel.contract_arcs = 2_320;
+    fn quality_json_parses_with_one_row_per_cell_and_partition() {
+        use tie_mapd::json::Json;
         use tie_trace::Phase;
-        tel.phases.add(Phase::Sweep, 1234);
-        tel.phases.add(Phase::DeltaScan, 56);
-        let telemetry = vec![("tiny".to_string(), tel)];
-        let s = format_bench_json(10, 3, "PGPgiantcompo", "grid8x8", 4, &entries, &telemetry);
-        // Structural sanity without a JSON parser: balanced braces/brackets,
-        // exactly one trailing-comma-free list, and the key fields present.
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
-        assert_eq!(s.matches('[').count(), s.matches(']').count());
-        assert!(!s.contains(",\n  ]"), "trailing comma before list close");
-        assert!(s.contains("\"bench\": \"timer\""));
-        assert!(s.contains("\"nh\": 10"));
-        assert!(s.contains("\"reps\": 3"));
-        assert!(s.contains("\"hardware_threads\": 4"));
-        assert!(s.contains("\"wall_ms\": 12.346"));
-        assert!(s.contains("\"wall_ms_min\": 11.900"));
-        assert!(s.contains("\"scale\": \"small\""));
-        assert!(s.contains("\"final_coco\": 80"));
-        assert!(!s.contains("\"threads\""), "no per-row thread count");
-        assert!(!s.contains("batch"));
-        // Telemetry block: histograms with inclusive bounds and the full
-        // fixed phase vocabulary; the committed-round count is the row's
-        // `accepted`, and the block carries no verdict counts.
-        assert_eq!(s.matches("\"accepted\"").count(), 2, "one per result row");
-        assert!(!s.contains("rejected") && !s.contains("ties"));
-        assert!(s.contains("\"delta_coco_hist\": ["));
-        assert!(s.contains("{\"lo\": -31, \"hi\": -16, \"count\": 1}"));
-        assert!(s.contains("\"delta_div_hist\": ["));
-        assert!(s.contains("{\"lo\": -3, \"hi\": -2, \"count\": 1}"));
-        assert!(s.contains("\"delta_div_hist\": [{\"lo\": 0, \"hi\": 0, \"count\": 1}"));
-        assert!(s.contains("{\"lo\": 4, \"hi\": 7, \"count\": 1}"));
-        assert!(!s.contains("repaired"));
-        assert!(s.contains("\"sweep_arcs\": 5620,"));
-        assert!(s.contains("\"contract_arcs\": 2320,"));
-        assert!(s.contains("\"phases_us\": {"));
-        assert!(s.contains("\"sweep\": 1234"));
-        assert!(s.contains("\"delta_scan\": 56"));
-        assert!(s.contains("\"hierarchy_build\": 0"));
-        // "scale" appears once per result row and once per telemetry record.
-        assert_eq!(s.matches("\"scale\"").count(), 3);
+
+        let mut telemetry = RoundTelemetry::default();
+        telemetry.record_gate(-20, 5);
+        telemetry.record_gate(-3, 3);
+        telemetry.record_gate(0, 0);
+        telemetry.sweep_arcs = 5_620;
+        telemetry.contract_arcs = 2_320;
+        telemetry.phases.add(Phase::Sweep, 1234);
+        telemetry.phases.add(Phase::DeltaScan, 56);
+        let cell = |mapping, diversity, final_coco| QualityCell {
+            topology: "grid4x4".into(),
+            mapping,
+            diversity,
+            initial_coco: 100,
+            final_coco,
+            accepted: 3,
+            total_swaps: 42,
+            wall_ms: 12.3456,
+            wall_ms_min: 11.9,
+            telemetry: telemetry.clone(),
+        };
+        let cells = [cell("scr", true, 80), cell("c1", false, 90)];
+        let partitions = [PartitionRow {
+            topology: "grid4x4".into(),
+            k: 16,
+            edge_cut: 321,
+            partition_ms: 4.5,
+            partition_ms_min: 4.25,
+        }];
+        let s = format_quality_json(
+            "net \"A\"",
+            Scale::Medium,
+            1000,
+            10,
+            1,
+            4,
+            &cells,
+            &partitions,
+        );
+        let json = Json::parse(&s).unwrap();
+        let header = |key: &str| json.get(key).and_then(Json::as_u64);
+        assert_eq!(json.get("bench").and_then(Json::as_str), Some("quality"));
+        assert_eq!(
+            json.get("network").and_then(Json::as_str),
+            Some("net \"A\"")
+        );
+        assert_eq!(json.get("scale").and_then(Json::as_str), Some("medium"));
+        assert_eq!(
+            (header("vertices"), header("nh"), header("seed")),
+            (Some(1000), Some(10), Some(1))
+        );
+        assert_eq!(
+            (header("threads"), header("hardware_threads")),
+            (Some(1), Some(4))
+        );
+        let rows = json.get("cells").and_then(Json::as_arr).unwrap();
+        assert_eq!(rows.len(), 2);
+        let c1 = &rows[1];
+        assert_eq!(c1.get("mapping").and_then(Json::as_str), Some("c1"));
+        assert_eq!(c1.get("diversity").and_then(Json::as_bool), Some(false));
+        assert_eq!(c1.get("final_coco").and_then(Json::as_u64), Some(90));
+        assert_eq!(c1.get("wall_ms").and_then(Json::as_f64), Some(12.346));
+        assert_eq!(c1.get("wall_ms_min").and_then(Json::as_f64), Some(11.9));
+        assert_eq!(c1.get("sweep_arcs").and_then(Json::as_u64), Some(5620));
+        assert_eq!(c1.get("contract_arcs").and_then(Json::as_u64), Some(2320));
+        // Histograms: the non-empty buckets, with inclusive bounds.
+        let buckets = |key: &str| -> Vec<[Option<f64>; 3]> {
+            let hist = c1.get(key).and_then(Json::as_arr).unwrap();
+            let num = |b: &Json, k: &str| b.get(k).and_then(Json::as_f64);
+            hist.iter()
+                .map(|b| [num(b, "lo"), num(b, "hi"), num(b, "count")])
+                .collect()
+        };
+        let bucket = |lo: f64, hi: f64| [Some(lo), Some(hi), Some(1.0)];
+        assert_eq!(
+            buckets("delta_coco_hist"),
+            [bucket(-31.0, -16.0), bucket(-3.0, -2.0), bucket(0.0, 0.0)]
+        );
+        assert_eq!(
+            buckets("delta_div_hist"),
+            [bucket(0.0, 0.0), bucket(2.0, 3.0), bucket(4.0, 7.0)]
+        );
+        // The full fixed phase vocabulary, zeros included.
+        let phases = c1.get("phases_us").unwrap();
+        let phase = |name: &str| phases.get(name).and_then(Json::as_u64);
+        assert_eq!(
+            (
+                phase("sweep"),
+                phase("delta_scan"),
+                phase("hierarchy_build")
+            ),
+            (Some(1234), Some(56), Some(0))
+        );
+        assert!(Phase::ALL.iter().all(|p| phase(p.name()).is_some()));
+        let parts = json.get("partitions").and_then(Json::as_arr).unwrap();
+        assert_eq!(parts.len(), 1);
+        assert_eq!(parts[0].get("edge_cut").and_then(Json::as_u64), Some(321));
+        assert_eq!(
+            parts[0].get("partition_ms_min").and_then(Json::as_f64),
+            Some(4.25)
+        );
     }
 
     #[test]

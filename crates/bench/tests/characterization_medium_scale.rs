@@ -7,9 +7,9 @@
 //! is kept and Coco falls. This test pins that as a floor: the final Coco
 //! bound may only be lowered by later changes.
 //!
-//! The setup mirrors `bench_timer`'s medium cell exactly (same network,
-//! seed, topology, and scramble), with a small NH: a debug-mode full
-//! NH = 40 run would be too slow for tier-1.
+//! The setup mirrors the quality matrix's grid8x8 / scr / Div on cell
+//! exactly (same network, seed, partition, topology and scramble), with a
+//! small NH: a debug-mode full NH = 40 run would be too slow for tier-1.
 
 use tie_bench::workloads::{paper_networks, Scale};
 use tie_graph::generators::random_permutation;
@@ -35,12 +35,12 @@ fn medium_scale_keeps_every_round_and_lowers_coco() {
     let cfg = TimerConfig::new(nh, 1);
     let result = Timer::new(cfg).enhance(&ga, &pcube, &mapping).unwrap();
 
-    // The committed BENCH_timer.json artifact records this exact value for
-    // the medium cell; the partition, scramble and labeling are all
-    // deterministic in the seed.
+    // The committed BENCH_quality.json records this exact value for its
+    // grid8x8 / scr / Div on cell; the partition, scramble and labeling are
+    // all deterministic in the seed.
     assert_eq!(
         result.initial_coco, 71581,
-        "medium-cell setup drifted — regenerate BENCH_timer.json and update this pin"
+        "medium-cell setup drifted — regenerate BENCH_quality.json and update this pin"
     );
     // Every round is committed: an exact round always passes the per-round
     // check (`check_round`).

@@ -113,6 +113,11 @@ pub fn from_metis_str(content: &str) -> Result<Graph, IoError> {
     let has_ewgt = !fmt.is_empty() && fmt.as_bytes()[fmt.len() - 1] == b'1';
 
     let mut builder = GraphBuilder::new(n);
+    // Each edge is added from the line of its lower endpoint; the entries of
+    // the higher endpoint's line, and every vertex line's number, are kept
+    // to check afterwards that both lines agree.
+    let mut mirrored: Vec<(NodeId, NodeId, Weight)> = Vec::new();
+    let mut line_of: Vec<usize> = Vec::with_capacity(n);
     let mut vertex = 0usize;
     for (lineno, line) in lines {
         if vertex >= n {
@@ -124,6 +129,7 @@ pub fn from_metis_str(content: &str) -> Result<Graph, IoError> {
                 "line {lineno}: unexpected content after all {n} vertex lines: {line:?}"
             )));
         }
+        line_of.push(lineno);
         let tokens: Vec<&str> = line.split_whitespace().collect();
         let mut idx = 0usize;
         if has_vwgt {
@@ -176,6 +182,8 @@ pub fn from_metis_str(content: &str) -> Result<Graph, IoError> {
             // METIS lists each edge in both adjacency lines; add once.
             if u < v {
                 builder.add_edge(u, v, w);
+            } else {
+                mirrored.push((u, v, w));
             }
             idx += 1;
         }
@@ -187,6 +195,7 @@ pub fn from_metis_str(content: &str) -> Result<Graph, IoError> {
         )));
     }
     let g = builder.build();
+    check_mirrored(&g, mirrored, &line_of)?;
     if g.num_edges() != m {
         return Err(IoError::Parse(format!(
             "header promises {m} edges but adjacency lists define {}",
@@ -194,6 +203,58 @@ pub fn from_metis_str(content: &str) -> Result<Graph, IoError> {
         )));
     }
     Ok(g)
+}
+
+/// Checks that the line of every vertex `v` lists exactly the neighbours
+/// `u < v`, with the weights, that the lines of those `u` give `v`: the
+/// `(v, u, w)` entries in `mirrored`, which the reader did not add to
+/// `graph`, must equal the rows of `graph` below their diagonal. Repeated
+/// entries are merged as the builder merges them.
+fn check_mirrored(
+    graph: &Graph,
+    mut mirrored: Vec<(NodeId, NodeId, Weight)>,
+    line_of: &[usize],
+) -> Result<(), IoError> {
+    mirrored.sort_unstable_by_key(|&(v, u, _)| (v, u));
+    mirrored.dedup_by(|next, kept| {
+        let same = (next.0, next.1) == (kept.0, kept.1);
+        if same {
+            kept.2 = kept.2.saturating_add(next.2);
+        }
+        same
+    });
+    let mut listed = mirrored.into_iter();
+    let mut given = graph.vertices().flat_map(|v| {
+        let lower = graph.edges_of(v).take_while(move |&(u, _)| u < v);
+        lower.map(move |(u, w)| (v, u, w))
+    });
+    let (here, there) = loop {
+        match (listed.next(), given.next()) {
+            (None, None) => return Ok(()),
+            (here, there) if here != there => break (here, there),
+            _ => {}
+        }
+    };
+    // Both sequences are sorted by (v, u): at the first difference, the
+    // smaller key is the edge that one of its two lines lacks.
+    let key = |e: Option<(NodeId, NodeId, Weight)>| e.map(|(v, u, _)| (v, u));
+    let (v, u) = match (key(here), key(there)) {
+        (Some(a), Some(b)) => a.min(b),
+        (a, b) => a.or(b).unwrap_or_default(),
+    };
+    let weight = |e: Option<(NodeId, NodeId, Weight)>| match e {
+        Some((ev, eu, w)) if (ev, eu) == (v, u) => format!("weight {w}"),
+        _ => "no entry".to_string(),
+    };
+    Err(IoError::Parse(format!(
+        "line {}: the edge between vertices {} and {} has {} on this line but {} on line {}",
+        line_of[v as usize],
+        v + 1,
+        u + 1,
+        weight(here),
+        weight(there),
+        line_of[u as usize]
+    )))
 }
 
 /// Parses a graph in METIS format from raw bytes, turning invalid UTF-8

@@ -60,6 +60,17 @@ fn metis_corpus() -> Vec<(&'static str, String)> {
             "edge count disagrees with adjacency",
             "3 1\n2 3\n1 3\n1 2\n".to_string(),
         ),
+        // Adjacency lines that disagree: each edge is read from the line of
+        // its lower endpoint, so both lines must list it.
+        (
+            "one-sided neighbour (the higher line omits it)",
+            "3 2\n2\n1 3\n\n".to_string(),
+        ),
+        (
+            "one-sided neighbour (the lower line omits it)",
+            "3 0\n\n1\n\n".to_string(),
+        ),
+        ("mismatched edge weight", "2 1 1\n2 5\n1 7\n".to_string()),
     ]
 }
 
@@ -77,6 +88,41 @@ fn malformed_metis_corpus_yields_typed_errors() {
             ),
         }
     }
+}
+
+#[test]
+fn disagreeing_adjacency_lines_are_refused_naming_the_line() {
+    for (content, message) in [
+        // Line 2 gives edge {1, 2} weight 5 and line 3 weight 7; line 3 also
+        // lists vertex 3, whose own line (line 4) lists nothing.
+        (
+            "3 2 1\n2 5\n1 7 3 1\n\n",
+            "line 3: the edge between vertices 2 and 1 has weight 7 on this line but weight 5 on line 2",
+        ),
+        (
+            "3 2 1\n2 5\n1 5 3 1\n\n",
+            "line 4: the edge between vertices 3 and 2 has no entry on this line but weight 1 on line 3",
+        ),
+        // A line listing a lower neighbour whose line does not list it back,
+        // alone and before a neighbour both lines list.
+        (
+            "3 0\n\n1\n\n",
+            "line 3: the edge between vertices 2 and 1 has weight 1 on this line but no entry on line 2",
+        ),
+        (
+            "3 2\n2\n1 3\n1 2\n",
+            "line 4: the edge between vertices 3 and 1 has weight 1 on this line but no entry on line 2",
+        ),
+        // Repeated entries are merged on both sides before they are compared.
+        (
+            "2 1 1\n2 2 2 3\n1 4\n",
+            "line 3: the edge between vertices 2 and 1 has weight 4 on this line but weight 5 on line 2",
+        ),
+    ] {
+        assert_eq!(from_metis_str(content).unwrap_err().to_string(), format!("parse error: {message}"));
+    }
+    let merged = from_metis_str("2 1 1\n2 2 2 3\n1 5\n").unwrap();
+    assert_eq!(merged.edge_weight(0, 1), Some(5));
 }
 
 #[test]
@@ -118,12 +164,15 @@ fn malformed_edge_lists_yield_typed_errors() {
 
 #[test]
 fn well_formed_round_trip_still_works() {
-    // The corpus guards must not have broken the happy path.
+    // The corpus guards must not have broken the happy path: what the
+    // writer emits, weights and hubs included, reads back unchanged.
     let g = generators::grid2d(4, 4);
     let text = to_metis_string(&g);
     let parsed = from_metis_str(&text).unwrap();
     assert_eq!(parsed.num_vertices(), g.num_vertices());
     assert_eq!(parsed.num_edges(), g.num_edges());
+    let hubs = generators::randomize_edge_weights(&generators::barabasi_albert(300, 3, 5), 9, 4);
+    assert_eq!(from_metis_str(&to_metis_string(&hubs)).unwrap(), hubs);
 }
 
 #[test]

@@ -19,9 +19,10 @@
 //!   used anywhere must come from the vocabularies exported by `tie-trace`
 //!   and `tie-fault`.
 //!
-//! Audited exceptions live in the checked-in `lint-allow.toml` or as inline
-//! `// tie-lint: allow(rule) — reason` comments; both require a written
-//! justification and both are reported when they stop suppressing anything.
+//! Audited exceptions are inline `// tie-lint: allow(rule) — reason`
+//! comments on the finding's line or the line above it; each requires a
+//! written justification and is reported when it stops suppressing
+//! anything.
 //!
 //! Everything is hand-rolled (scanner included): the build environment has
 //! no crates.io access, and the gate must not depend on anything the tree
@@ -29,19 +30,14 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-pub mod allow;
 pub mod rules;
 pub mod scanner;
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use allow::Allowlist;
 use rules::{check_file, FileClass, Finding, Vocab, RULE_ALLOWLIST};
 use scanner::scan;
-
-/// Name of the checked-in allowlist at the workspace root.
-pub const ALLOWLIST_FILE: &str = "lint-allow.toml";
 
 /// Result of scanning a workspace (or a fixture tree).
 #[derive(Debug, Default)]
@@ -67,8 +63,9 @@ impl Report {
         out
     }
 
-    /// Machine-readable report (archived next to `BENCH_timer.json` by CI so
-    /// the finding count is part of the repo trajectory).
+    /// Machine-readable report (archived by CI with the flight-recorder
+    /// trace of its smoke run, so the finding count is part of the repo
+    /// trajectory).
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"tool\": \"tie-lint\",");
@@ -116,15 +113,10 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// Scans one file's source against an allowlist, applying inline allow
-/// directives. Public so the fixture suite can drive the exact production
-/// path with synthetic paths and sources.
-pub fn check_source(
-    rel_path: &str,
-    source: &str,
-    vocab: &Vocab,
-    allowlist: &Allowlist,
-) -> Vec<Finding> {
+/// Scans one file's source, applying its inline allow directives. Public
+/// so the fixture suite can drive the exact production path with synthetic
+/// paths and sources.
+pub fn check_source(rel_path: &str, source: &str, vocab: &Vocab) -> Vec<Finding> {
     let class = FileClass::classify(rel_path);
     let scanned = scan(source);
     let raw = check_file(rel_path, &class, &scanned, vocab);
@@ -155,13 +147,9 @@ pub fn check_source(
             }
             continue;
         }
-        if allowlist.suppresses(&f) {
-            continue;
-        }
         findings.push(f);
     }
-    // Inline directives that suppressed nothing are as stale as unused
-    // allowlist entries.
+    // Inline directives that suppressed nothing are stale.
     for a in &scanned.allows {
         if !a.used.get() && !a.reason.is_empty() {
             findings.push(Finding {
@@ -178,22 +166,12 @@ pub fn check_source(
     findings
 }
 
-/// Scans every workspace `.rs` file under `root` and applies the checked-in
-/// allowlist. IO problems become findings, never a crash: the lint must be
-/// able to report on a tree it cannot fully read.
+/// Scans every workspace `.rs` file under `root`. IO problems become
+/// findings, never a crash: the lint must be able to report on a tree it
+/// cannot fully read.
 pub fn scan_workspace(root: &Path) -> Report {
     let vocab = Vocab::workspace();
-    let allow_path = root.join(ALLOWLIST_FILE);
     let mut findings = Vec::new();
-    let allowlist = match std::fs::read_to_string(&allow_path) {
-        Ok(content) => {
-            let parsed = Allowlist::parse(ALLOWLIST_FILE, &content);
-            findings.extend(parsed.parse_findings.iter().cloned());
-            parsed
-        }
-        // A missing allowlist just means "no exceptions".
-        Err(_) => Allowlist::default(),
-    };
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files);
     files.sort();
@@ -201,7 +179,7 @@ pub fn scan_workspace(root: &Path) -> Report {
     for rel in &files {
         let abs = root.join(rel);
         match std::fs::read_to_string(&abs) {
-            Ok(source) => findings.extend(check_source(rel, &source, &vocab, &allowlist)),
+            Ok(source) => findings.extend(check_source(rel, &source, &vocab)),
             Err(e) => findings.push(Finding {
                 file: rel.clone(),
                 line: 0,
@@ -210,7 +188,6 @@ pub fn scan_workspace(root: &Path) -> Report {
             }),
         }
     }
-    findings.extend(allowlist.expired(ALLOWLIST_FILE));
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
@@ -262,12 +239,7 @@ mod tests {
     fn inline_allow_with_reason_suppresses() {
         let src = "fn f(x: Option<u32>) -> u32 {\n    \
                    x.unwrap() // tie-lint: allow(no-panic-paths) — invariant: x is Some here\n}\n";
-        let found = check_source(
-            "crates/graph/src/x.rs",
-            src,
-            &vocab(),
-            &Allowlist::default(),
-        );
+        let found = check_source("crates/graph/src/x.rs", src, &vocab());
         assert!(found.is_empty(), "{found:?}");
     }
 
@@ -276,12 +248,7 @@ mod tests {
         let src = "fn f(x: Option<u32>) -> u32 {\n    \
                    // tie-lint: allow(no-panic-paths) — invariant: x is Some here\n    \
                    x.unwrap()\n}\n";
-        let found = check_source(
-            "crates/graph/src/x.rs",
-            src,
-            &vocab(),
-            &Allowlist::default(),
-        );
+        let found = check_source("crates/graph/src/x.rs", src, &vocab());
         assert!(found.is_empty(), "{found:?}");
     }
 
@@ -289,12 +256,7 @@ mod tests {
     fn inline_allow_without_reason_is_inert_and_flagged() {
         let src =
             "fn f(x: Option<u32>) -> u32 {\n    x.unwrap() // tie-lint: allow(no-panic-paths)\n}\n";
-        let found = check_source(
-            "crates/graph/src/x.rs",
-            src,
-            &vocab(),
-            &Allowlist::default(),
-        );
+        let found = check_source("crates/graph/src/x.rs", src, &vocab());
         assert_eq!(found.len(), 2, "{found:?}");
         assert!(found.iter().any(|f| f.rule == RULE_ALLOWLIST));
         assert!(found.iter().any(|f| f.rule == rules::RULE_PANIC));
@@ -303,12 +265,7 @@ mod tests {
     #[test]
     fn expired_inline_allow_is_flagged() {
         let src = "// tie-lint: allow(no-wallclock) — was needed before refactor\nfn f() {}\n";
-        let found = check_source(
-            "crates/graph/src/x.rs",
-            src,
-            &vocab(),
-            &Allowlist::default(),
-        );
+        let found = check_source("crates/graph/src/x.rs", src, &vocab());
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].message.contains("expired inline allow"));
     }

@@ -53,7 +53,8 @@ pub const RULE_UNORDERED: &str = "no-unordered-iteration";
 pub const RULE_PANIC: &str = "no-panic-paths";
 pub const RULE_WALLCLOCK: &str = "no-wallclock";
 pub const RULE_SITES: &str = "registered-sites";
-/// Meta-rule for allowlist hygiene: expired entries and missing reasons.
+/// Meta-rule for allow-directive hygiene (expired directives, missing
+/// reasons) and for files the scan cannot read.
 pub const RULE_ALLOWLIST: &str = "allowlist";
 
 /// All rule names an allow directive may name.

@@ -1,9 +1,8 @@
 //! Fixture-corpus suite: drives the production `check_source` path over the
 //! synthetic sources in `tests/fixtures/`, pinning down one positive and one
 //! negative case per rule plus the boundary behaviours (cfg(test) nesting,
-//! allow hygiene, allowlist expiry).
+//! allow hygiene and expiry).
 
-use tie_lint::allow::Allowlist;
 use tie_lint::check_source;
 use tie_lint::rules::{Finding, Vocab, RULE_PANIC, RULE_SITES, RULE_UNORDERED, RULE_WALLCLOCK};
 
@@ -13,12 +12,7 @@ fn fixture(name: &str) -> String {
 }
 
 fn check(rel_path: &str, name: &str) -> Vec<Finding> {
-    check_source(
-        rel_path,
-        &fixture(name),
-        &Vocab::workspace(),
-        &Allowlist::default(),
-    )
+    check_source(rel_path, &fixture(name), &Vocab::workspace())
 }
 
 fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
@@ -116,35 +110,4 @@ fn allow_hygiene_suppresses_flags_and_expires() {
     assert!(found
         .iter()
         .any(|f| f.message.contains("expired inline allow")));
-}
-
-#[test]
-fn allowlist_entry_suppresses_whole_file_and_expires_when_unused() {
-    let toml = r#"
-[[allow]]
-path = "crates/partition/src/fixture.rs"
-rule = "no-wallclock"
-reason = "fixture: file-wide waiver"
-
-[[allow]]
-path = "crates/partition/src/fixture.rs"
-rule = "no-panic-paths"
-reason = "fixture: suppresses nothing, must expire"
-"#;
-    let allowlist = Allowlist::parse("lint-allow.toml", toml);
-    assert!(
-        allowlist.parse_findings.is_empty(),
-        "{:?}",
-        allowlist.parse_findings
-    );
-    let found = check_source(
-        "crates/partition/src/fixture.rs",
-        &fixture("wallclock_pos.rs"),
-        &Vocab::workspace(),
-        &allowlist,
-    );
-    assert!(found.is_empty(), "{found:?}");
-    let expired = allowlist.expired("lint-allow.toml");
-    assert_eq!(expired.len(), 1, "{expired:?}");
-    assert!(expired[0].message.contains("no-panic-paths"));
 }

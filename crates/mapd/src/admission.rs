@@ -1,9 +1,11 @@
 //! Request admission: bound the number of in-flight enhancements.
 //!
-//! An enhancement saturates its configured thread count, so running more of
-//! them than the machine has cores only adds cache pressure and latency for
-//! everyone. The [`Admission`] gate hands out permits up to a cap (hardware
-//! parallelism by default); requests beyond the cap queue on a condvar, and
+//! TIMER runs a request's rounds on the calling thread, so each admitted
+//! request keeps one core busy, and running more of them than the machine
+//! has cores only adds cache pressure and latency for everyone. The
+//! [`Admission`] gate bounds the concurrent requests by handing out permits
+//! up to a cap (hardware parallelism by default); requests beyond the cap
+//! queue on a condvar, and
 //! a queued request whose deadline expires before a permit frees up is
 //! rejected *without* having burned any compute — the deadline-aware half of
 //! the daemon's graceful-degradation contract.

@@ -9,6 +9,27 @@ use std::sync::Arc;
 
 use tie_trace::{JsonlSink, StderrSink, TraceHandle, TraceLevel};
 
+/// Refuses every argument that is neither one of `switches` nor one of
+/// `value_flags` followed by its value, so a misspelled flag or a stray
+/// `--help` stops a binary before it does any work.
+///
+/// # Errors
+/// A one-line message naming the first unknown argument, or the value flag
+/// given last with no value.
+pub fn check_args(args: &[String], switches: &[&str], value_flags: &[&str]) -> Result<(), String> {
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if value_flags.contains(&arg.as_str()) {
+            if it.next().is_none() {
+                return Err(format!("{arg} needs a value"));
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(format!("unknown argument {arg:?}"));
+        }
+    }
+    Ok(())
+}
+
 /// The value following `flag`: `Ok(None)` when the flag is absent.
 ///
 /// # Errors
@@ -94,6 +115,28 @@ mod tests {
         assert!(try_flag_value(&dangling, "--nh").is_err());
         assert!(parsed_flag(&dangling, "--nh", 50usize).is_err());
         assert_eq!(try_flag_value(&dangling, "--seed").unwrap(), Some("3"));
+    }
+
+    #[test]
+    fn check_args_refuses_unknown_and_dangling_arguments() {
+        let (switches, values) = (&["--json"][..], &["--out", "--eps"][..]);
+        let check = |v: &[&str]| check_args(&args(v), switches, values);
+        assert!(check(&[]).is_ok());
+        assert!(check(&["--json", "--out", "x", "--eps", "-1"]).is_ok());
+        // A value is consumed with its flag, even when it looks like a flag.
+        assert!(check(&["--out", "--json"]).is_ok());
+        let err = check(&["--out", "x", "--help"]).unwrap_err();
+        assert!(err.contains("\"--help\""), "{err}");
+        assert!(check(&["--topolgy", "grid4x4"])
+            .unwrap_err()
+            .contains("--topolgy"));
+        // A stray value, or a switch given a value, is an unknown argument.
+        assert!(check(&["x"]).is_err());
+        assert!(check(&["--json", "1"]).is_err());
+        assert_eq!(
+            check(&["--json", "--out"]).unwrap_err(),
+            "--out needs a value"
+        );
     }
 
     #[test]

@@ -25,9 +25,20 @@ fn run(args: &[String]) -> Result<(), String> {
     use std::sync::Arc;
 
     use tie_fault::FaultHandle;
-    use tie_mapd::cli::{parsed_flag, trace_from_flags, try_flag_value};
+    use tie_mapd::cli::{check_args, parsed_flag, trace_from_flags, try_flag_value};
     use tie_mapd::{server, Service, ServiceOptions};
 
+    check_args(
+        args,
+        &[],
+        &[
+            "--socket",
+            "--cache-capacity",
+            "--max-inflight",
+            "--trace-out",
+            "--trace-level",
+        ],
+    )?;
     let socket = PathBuf::from(try_flag_value(args, "--socket")?.unwrap_or("mapd.sock"));
     let cache_capacity: usize = parsed_flag(args, "--cache-capacity", 8)?;
     let max_inflight: usize = parsed_flag(args, "--max-inflight", 0)?;

@@ -70,7 +70,8 @@ use tie_trace::{Phase, PhaseTimes, TraceHandle};
 
 /// A level about to be swept becomes the new base graph once it has at most
 /// `1 / MATERIALIZE_FACTOR` of the current base's vertices. Sequential
-/// `hierarchy_build` of the medium `bench_timer` row (40 rounds, 2 vCPUs):
+/// `hierarchy_build` of the quality matrix's grid8x8 / scr / Div on cell
+/// (medium PGPgiantcompo, 40 rounds, 2 vCPUs):
 /// never materializing 543–556 ms, factor 2 407–415 ms, factor 4 341–391 ms,
 /// factor 8 324–340 ms, every level 769–792 ms. Results do not depend on it.
 const MATERIALIZE_FACTOR: usize = 4;

@@ -6,8 +6,8 @@
 //! recording it here adds no full-graph recomputes — the telemetry rides
 //! the existing delta scan. Collection is unconditional: it is a handful of
 //! integer ops per round, and having the summary always present lets
-//! `bench_timer` embed gate histograms into `BENCH_timer.json` without
-//! turning tracing on.
+//! `bench_quality` embed every cell's gate histograms and phase breakdown
+//! into `BENCH_quality.json` without turning tracing on.
 
 use tie_trace::{LogHistogram, PhaseTimes};
 

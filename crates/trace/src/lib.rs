@@ -5,10 +5,10 @@
 //! and pipeline phase explainable after the fact.
 //!
 //! The ICPP'18 TIMER loop runs `NH` hierarchy rounds and discards the
-//! per-round `(ΔCoco, ΔDiv)` evidence once a round is decided — which is
-//! why anomalies like a medium-scale 0/40 acceptance collapse in
-//! `BENCH_timer.json` would be invisible without it. This crate provides
-//! the recording substrate:
+//! per-round `(ΔCoco, ΔDiv)` evidence once a round is decided, so without
+//! a recorder a run shows only its end result: how much each round gained,
+//! and where the time of a round went, would be invisible. This crate
+//! provides the recording substrate:
 //!
 //! * [`TraceSink`] — where events go: [`NullSink`] (nothing, the default),
 //!   [`StderrSink`] (human-readable lines), [`JsonlSink`] (one JSON object
